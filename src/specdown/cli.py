@@ -2,9 +2,10 @@
 
 Subcommands: simulate, filter, covariates, fit, combine, predict, cv,
 coherence, aggregate, print-config.  A single JSON config drives everything;
-``--seed``, ``--jobs``, ``--variant`` and ``--season`` override it.  Any
-error is reported as one machine-readable JSON object on stderr with a
-nonzero exit code; exit code 0 means every requested artifact was written.
+``--seed``, ``--jobs`` and ``--variant`` override it.  A run uses every day
+it finds under ``grids_dir``.  Any error is reported as one machine-readable
+JSON object on stderr with a nonzero exit code; exit code 0 means every
+requested artifact was written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, help="worker processes for batch fitting")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--variant", help="model variant name, e.g. 'Spatial SD + Cross'")
-    parser.add_argument("--season", choices=["JFM", "AMJ", "JAS", "OND"], help="season to fit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="write a synthetic dataset (grids, stations, truth)")
@@ -65,8 +65,6 @@ def _load_config(args) -> RunConfig:
         cfg.seed = args.seed
     if args.variant is not None:
         cfg.variant = args.variant
-    if args.season is not None:
-        cfg.season = args.season
     return cfg
 
 

@@ -14,6 +14,8 @@ sidecar; residual-field draws ride along in an .npz when present.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -30,7 +32,6 @@ from .stations import Observation, OutOfGridError, Station, cell_lookup
 __all__ = [
     "ParseError",
     "DEFAULT_POLLUTANTS",
-    "SEASON_DAYS",
     "write_grid",
     "read_grid",
     "write_covariate",
@@ -54,17 +55,28 @@ class ParseError(ValueError):
 #: Default pollutant name table (observed index per name).
 DEFAULT_POLLUTANTS = {"PM25": 0, "EC": 1, "OC": 2, "NO3": 3, "SO4": 4, "NH4": 5}
 
-#: Day-of-year ranges of the four seasons.
-SEASON_DAYS = {
-    "JFM": (1, 90),
-    "AMJ": (91, 181),
-    "JAS": (182, 273),
-    "OND": (274, 365),
-}
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_draws_csv(path, names, draws) -> None:
+    """Header of column names, then one row of draws per line.  The header
+    goes through the csv module, so names holding commas are quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    for row in draws:
+        buf.write(",".join(_fmt(v) for v in row) + "\n")
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+def _read_draws_csv(path):
+    """(names, draws) of a file written by :func:`_write_draws_csv`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        names = tuple(next(reader))
+        draws = np.array([[float(v) for v in row] for row in reader if row])
+    return names, draws
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +228,7 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
 def write_posterior(post: BatchPosterior, csv_path) -> None:
     """Draws CSV + JSON sidecar; residual draws, if any, go to an .npz."""
     csv_path = Path(csv_path)
-    lines = [",".join(post.param_names)]
-    for row in post.draws:
-        lines.append(",".join(_fmt(v) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_draws_csv(csv_path, post.param_names, post.draws)
 
     meta = {
         "n_draws": int(post.n_draws),
@@ -244,34 +253,33 @@ def write_posterior(post: BatchPosterior, csv_path) -> None:
 
     if post.natural is not None:
         nat_path = csv_path.with_name(csv_path.stem + "_natural.csv")
-        names = [n.replace(".log", "").replace(".logit", "") for n in post.param_names]
-        lines = [",".join(names)]
-        for row in post.natural:
-            lines.append(",".join(_fmt(v) for v in row))
-        nat_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        names = [n.replace(".logit", "").replace(".log", "") for n in post.param_names]
+        _write_draws_csv(nat_path, names, post.natural)
 
 
 def read_posterior(csv_path) -> BatchPosterior:
     csv_path = Path(csv_path)
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    names = tuple(lines[0].split(","))
-    draws = np.array([[float(v) for v in line.split(",")] for line in lines[1:] if line])
+    names, draws = _read_draws_csv(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     w_draws = None
     w_layout = None
     npz_path = csv_path.with_suffix(".w.npz")
     if npz_path.exists():
-        data = np.load(npz_path)
-        w_layout = StackedLayout(
-            day=data["layout_day"],
-            pollutant=data["layout_pollutant"],
-            coords=data["layout_coords"],
-        )
-        w_draws = {
-            int(key[len("w_day_"):]): data[key]
-            for key in data.files
-            if key.startswith("w_day_")
-        }
+        with np.load(npz_path) as data:
+            w_layout = StackedLayout(
+                day=data["layout_day"],
+                pollutant=data["layout_pollutant"],
+                coords=data["layout_coords"],
+            )
+            w_draws = {
+                int(key[len("w_day_"):]): data[key]
+                for key in data.files
+                if key.startswith("w_day_")
+            }
+    natural = None
+    nat_path = csv_path.with_name(csv_path.stem + "_natural.csv")
+    if nat_path.exists():
+        natural = _read_draws_csv(nat_path)[1]
     return BatchPosterior(
         draws=draws,
         param_names=names,
@@ -285,6 +293,7 @@ def read_posterior(csv_path) -> BatchPosterior:
         acceptance=dict(meta["acceptance"]),
         w_draws=w_draws,
         w_layout=w_layout,
+        natural=natural,
     )
 
 
@@ -377,8 +386,6 @@ class RunConfig:
     folds: int = 5
     seed: int = 1234
     jobs: int = 1
-    season: str = "JFM"
-    season_days: dict = field(default_factory=lambda: {k: list(v) for k, v in SEASON_DAYS.items()})
     pollutants: dict = field(default_factory=lambda: dict(DEFAULT_POLLUTANTS))
     batch_len: int = 3
     mcmc: dict = field(
@@ -456,7 +463,3 @@ class RunConfig:
             ),
             **self.priors,
         )
-
-    def season_day_list(self) -> list:
-        lo, hi = self.season_days[self.season]
-        return list(range(int(lo), int(hi) + 1))

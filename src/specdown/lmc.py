@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -220,7 +220,3 @@ def sample_w(
         out[idx] = factor @ rng.standard_normal(idx.size)
     return out
 
-
-def conditional_w_solve(block_chol, values: np.ndarray) -> np.ndarray:
-    """Solve C x = values given a chol_pd factorization of C."""
-    return cho_solve(block_chol, values)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +65,7 @@ __all__ = [
     "load_fields",
     "build_covariates",
     "fit_variant",
+    "targets_for",
     "run_cv_protocol",
     "cmd_simulate",
     "cmd_filter",
@@ -135,15 +135,19 @@ def build_sim_config(cfg: RunConfig) -> SimConfig:
     )
 
 
-def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
-    """Read every grid file under ``grids_dir``, log-transforming at ingest."""
+def _grid_paths(cfg: RunConfig) -> list:
     grids_dir = Path(cfg.grids_dir)
     paths = sorted(grids_dir.glob("grid_*.txt"))
     if not paths:
         raise FileNotFoundError(f"no grid files matching grid_*.txt under {grids_dir}")
+    return paths
+
+
+def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
+    """Read every grid file under ``grids_dir``, log-transforming at ingest."""
     fields = {}
     spec = None
-    for path in paths:
+    for path in _grid_paths(cfg):
         f = read_grid(path, log=True)
         spec = f.spec
         fields[(f.pollutant_id, f.day)] = f
@@ -366,6 +370,39 @@ def cmd_combine(cfg: RunConfig) -> list:
     return [path]
 
 
+def targets_for(stations: dict, days, mode: str, observations=None) -> list:
+    """Prediction targets on ``days``, in the order that fixes the random
+    stream of :func:`~specdown.evaluate.predict`.
+
+    Without ``observations``: every station and each pollutant it measures,
+    ordered by day (as given), site id, then pollutant.  With
+    ``observations``: one target per observation on one of ``days``, in
+    observation order.
+    """
+    if observations is None:
+        return [
+            PredictionTarget(
+                x=stations[sid].x, y=stations[sid].y, pollutant_id=k, day=d, mode=mode, site_id=sid
+            )
+            for d in days
+            for sid in sorted(stations)
+            for k in sorted(stations[sid].measures)
+        ]
+    wanted = {int(d) for d in days}
+    return [
+        PredictionTarget(
+            x=stations[o.site_id].x,
+            y=stations[o.site_id].y,
+            pollutant_id=o.pollutant_id,
+            day=int(o.day),
+            mode=mode,
+            site_id=o.site_id,
+        )
+        for o in observations
+        if int(o.day) in wanted
+    ]
+
+
 def _prediction_context(cfg: RunConfig, spec, fields, covs, design, variant, train_days):
     return PredictionContext(
         variant=variant,
@@ -389,27 +426,13 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     results = []
     if mode == "forecast":
         combined = read_posterior(out / "combined.csv")
-        targets = [
-            PredictionTarget(
-                x=st.x, y=st.y, pollutant_id=k, day=d, mode="forecast", site_id=st.site_id
-            )
-            for d in test_days
-            for sid, st in sorted(stations.items())
-            for k in sorted(st.measures)
-        ]
+        targets = targets_for(stations, test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
     elif mode == "interpolation":
         paths = sorted(out.glob("batch_*.csv"))
         for path in paths:
             post = read_posterior(path)
-            targets = [
-                PredictionTarget(
-                    x=st.x, y=st.y, pollutant_id=k, day=d, mode="interpolation", site_id=st.site_id
-                )
-                for d in post.days
-                for sid, st in sorted(stations.items())
-                for k in sorted(st.measures)
-            ]
+            targets = targets_for(stations, post.days, "interpolation")
             if post.has_spatial and post.w_draws is None:
                 raise ValueError(f"{path} has no stored residual draws for interpolation")
             results.extend(predict(post, targets, ctx, rng, cfg.max_kriging_draws))
@@ -433,7 +456,6 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, varian
     variants = list(variants) if variants is not None else list(_default_variants())
     days = sorted({int(o.day) for o in observations})
     train_days, test_days = split_season(days)
-    train_set, test_set = set(train_days), set(test_days)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     needs_sd = any(v.mean_kind == "SD" for v in variants)
     covs = build_covariates(fields, basis, cfg.center) if needs_sd else {}
@@ -464,42 +486,16 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, varian
 
             # interpolation at held-out stations, training days with data
             interp_results = []
-            interp_keys = [
-                o
-                for o in observations
-                if o.site_id in heldout and int(o.day) in train_set
-            ]
+            heldout_obs = [o for o in observations if o.site_id in heldout]
             if variant.spatial:
                 for post in posteriors:
-                    batch_days = set(int(d) for d in post.days)
-                    targets = [
-                        PredictionTarget(
-                            x=stations[o.site_id].x,
-                            y=stations[o.site_id].y,
-                            pollutant_id=o.pollutant_id,
-                            day=int(o.day),
-                            mode="interpolation",
-                            site_id=o.site_id,
-                        )
-                        for o in interp_keys
-                        if int(o.day) in batch_days
-                    ]
+                    targets = targets_for(stations, post.days, "interpolation", heldout_obs)
                     if targets:
                         interp_results.extend(
                             predict(post, targets, ctx, rng, cfg.max_kriging_draws)
                         )
             else:
-                targets = [
-                    PredictionTarget(
-                        x=stations[o.site_id].x,
-                        y=stations[o.site_id].y,
-                        pollutant_id=o.pollutant_id,
-                        day=int(o.day),
-                        mode="interpolation",
-                        site_id=o.site_id,
-                    )
-                    for o in interp_keys
-                ]
+                targets = targets_for(stations, train_days, "interpolation", heldout_obs)
                 if targets:
                     interp_results = predict(
                         posteriors[0], targets, ctx, rng, cfg.max_kriging_draws
@@ -513,18 +509,7 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, varian
             forecast_post = (
                 consensus_combine(posteriors) if variant.spatial else posteriors[0]
             )
-            forecast_keys = [o for o in observations if int(o.day) in test_set]
-            targets = [
-                PredictionTarget(
-                    x=stations[o.site_id].x,
-                    y=stations[o.site_id].y,
-                    pollutant_id=o.pollutant_id,
-                    day=int(o.day),
-                    mode="forecast",
-                    site_id=o.site_id,
-                )
-                for o in forecast_keys
-            ]
+            targets = targets_for(stations, test_days, "forecast", observations)
             if targets:
                 forecast_results = predict(
                     forecast_post, targets, ctx, rng, cfg.max_kriging_draws
@@ -598,7 +583,7 @@ def cmd_aggregate(cfg: RunConfig, predictions_path) -> list:
                 point=float(pred),
             )
         )
-    spec, _ = load_fields(cfg)
+    spec = read_grid(_grid_paths(cfg)[0]).spec
     rows = aggregate_means(results, spec)
     path = Path(cfg.output_dir) / "aggregate.csv"
     write_aggregate_csv(rows, path, cfg.pollutants)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .filters import CovariateStack
-from .grid import GridField, GridSpec
+from .grid import GridSpec
 
 __all__ = [
     "Station",
@@ -26,6 +26,7 @@ __all__ = [
     "DesignMatrix",
     "OutOfGridError",
     "cell_lookup",
+    "cell_indices",
     "assemble_design",
     "standardize",
     "destandardize",
@@ -104,19 +105,30 @@ def variant_from_name(name: str) -> ModelVariant:
 
 
 def cell_lookup(station: Station, spec: GridSpec) -> int:
-    """Row-major index of the grid cell containing the station.
+    """Row-major index of the grid cell containing the station."""
+    return int(cell_indices([station.x], [station.y], spec, [station.site_id])[0])
+
+
+def cell_indices(x, y, spec: GridSpec, labels=None) -> np.ndarray:
+    """Row-major cell index of each point (x[i], y[i]) in km.
 
     Cells are half-open boxes [i*dx, (i+1)*dx), so a point exactly on an
-    interior edge belongs to the higher-index cell.
+    interior edge belongs to the higher-index cell.  The first point outside
+    the grid raises :class:`OutOfGridError`, named by ``labels[i]`` when given.
     """
-    ix = int(np.floor(station.x / spec.dx))
-    iy = int(np.floor(station.y / spec.dx))
-    if not (0 <= ix < spec.nx and 0 <= iy < spec.ny):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ix = np.floor(x / spec.dx)
+    iy = np.floor(y / spec.dx)
+    inside = (ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
+    if not inside.all():
+        i = int(np.flatnonzero(~inside)[0])
+        name = labels[i] if labels is not None else f"#{i}"
         raise OutOfGridError(
-            f"station {station.site_id} at ({station.x}, {station.y}) km is outside "
+            f"station {name} at ({x[i]}, {y[i]}) km is outside "
             f"the {spec.nx}x{spec.ny} grid ({spec.extent_km[0]} x {spec.extent_km[1]} km)"
         )
-    return iy * spec.nx + ix
+    return (iy * spec.nx + ix).astype(int)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specdown import evaluate
 from specdown.evaluate import (
     PredictionContext,
     PredictionTarget,
@@ -26,10 +27,14 @@ from specdown.inference import (
 )
 from specdown.lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
 from specdown.stations import (
+    ColumnMeta,
+    DesignMatrix,
     ModelVariant,
     Observation,
     Station,
     assemble_design,
+    cell_indices,
+    cell_lookup,
     standardize,
 )
 
@@ -271,6 +276,260 @@ class TestPredict:
         for r in results:
             assert r.lo_log <= r.mean_log <= r.hi_log
             assert r.point > 0
+
+
+def _spatial_posterior(draws, K, n_beta, lo, hi, w_draws, layout):
+    """BatchPosterior from natural-scale draws: beta (I, p), nugget2 (I, K),
+    lower mixing matrices (I, K, K) and decay rates (I,)."""
+    beta, nugget2, lower, decay = draws
+    vech, names = [], []
+    for c in range(K):
+        for r in range(c, K):
+            vech.append(np.log(lower[:, r, c]) if r == c else lower[:, r, c])
+            names.append(f"coreg[{r},{c}]" + (".log" if r == c else ""))
+    frac = (decay - lo) / (hi - lo)
+    packed = np.column_stack(
+        [beta, np.log(nugget2), np.column_stack(vech), np.log(frac) - np.log1p(-frac)]
+    )
+    names = (
+        [f"beta[{i}]" for i in range(n_beta)]
+        + [f"nugget2[{k}].log" for k in range(K)]
+        + names
+        + ["decay.logit"]
+    )
+    transforms = (
+        ["id"] * n_beta
+        + ["log"] * K
+        + ["log" if n.endswith(".log") else "id" for n in names[n_beta + K : -1]]
+        + ["logit"]
+    )
+    return BatchPosterior(
+        draws=packed,
+        param_names=tuple(names),
+        transforms=tuple(transforms),
+        sample_cov=np.eye(packed.shape[1]),
+        n_beta=n_beta,
+        n_pollutants=K,
+        days=tuple(sorted(w_draws)),
+        decay_bounds=(lo, hi),
+        w_draws=w_draws,
+        w_layout=layout,
+    )
+
+
+def _reference_row(ctx, t):
+    """Design row of one target, column by column."""
+    cell = cell_lookup(Station("t", t.x, t.y, frozenset([t.pollutant_id])), ctx.spec)
+    design = ctx.design
+    row = np.zeros(design.p)
+    for idx, col in enumerate(design.columns):
+        if col.k != t.pollutant_id:
+            continue
+        if col.kind == "intercept":
+            row[idx] = 1.0
+            continue
+        value = ctx.fields[(col.j, t.day)].values[cell]
+        row[idx] = (value - design.col_mean[idx]) / design.col_sd[idx]
+    return row
+
+
+def _reference_predict(post, targets, ctx, rng):
+    """Per target: explicit solves per draw, then the noise blocks in the
+    documented order (residual, then nugget).  Returns per target the
+    conditional mean and variance (None for forecasts), the 2.5/50/97.5
+    percentiles and the mean of the draws."""
+    beta = post.beta_draws()
+    nugget2 = post.nugget2_draws()
+    lower = post.coreg_draws()
+    cross = lower @ np.swapaxes(lower, 1, 2)
+    rate = post.decay_draws()
+    layout = post.w_layout
+    I = beta.shape[0]
+    out = []
+    for t in targets:
+        k = t.pollutant_id
+        draws = beta @ _reference_row(ctx, t)
+        mean = var = None
+        if t.mode == "interpolation":
+            pos = np.flatnonzero(layout.day == t.day)
+            xy, pol = layout.coords[pos], layout.pollutant[pos]
+            dist = np.hypot(xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1])
+            d0 = np.hypot(xy[:, 0] - t.x, xy[:, 1] - t.y)
+            mean, var = np.empty(I), np.empty(I)
+            for i in range(I):
+                C = cross[i][np.ix_(pol, pol)] * np.exp(-rate[i] * dist)
+                c0 = cross[i, k, pol] * np.exp(-rate[i] * d0)
+                mean[i] = c0 @ np.linalg.solve(C, post.w_draws[t.day][i])
+                var[i] = cross[i, k, k] - c0 @ np.linalg.solve(C, c0)
+            draws = draws + mean + np.sqrt(var) * rng.standard_normal(I)
+        else:
+            draws = draws + np.sqrt(cross[:, k, k]) * rng.standard_normal(I)
+        draws = draws + np.sqrt(nugget2[:, k]) * rng.standard_normal(I)
+        out.append((mean, var, np.percentile(draws, [2.5, 50.0, 97.5]), draws.mean()))
+    return out
+
+
+def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3)):
+    """Hand-built spatial posterior over K pollutants with day blocks of
+    different sizes, plus an LD + Cross design to predict with."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(8, 8, 12.0)
+    days = train_days + (train_days[-1] + 1,)
+    fields = {
+        (j, d): GridField(spec, rng.standard_normal(64), j, d) for j in range(K) for d in days
+    }
+    stations = {
+        f"s{i}": Station(
+            f"s{i}", float(rng.uniform(0, 96)), float(rng.uniform(0, 96)), frozenset({i % K, 0})
+        )
+        for i in range(10)
+    }
+    obs = [
+        Observation(sid, d, k, float(rng.standard_normal()))
+        for d in train_days
+        for sid in sorted(stations)[: 6 + d]
+        for k in sorted(stations[sid].measures)
+    ]
+    variant = ModelVariant("LD", True, True)
+    design = standardize(assemble_design(variant, fields, [], obs, stations))
+    layout = StackedLayout(
+        day=design.row_day,
+        pollutant=design.row_pollutant,
+        coords=np.column_stack([design.row_x, design.row_y]),
+    )
+    lower = np.zeros((I, K, K))
+    lower[:, np.arange(K), np.arange(K)] = rng.uniform(0.4, 1.2, (I, K))
+    lower[:, 1, 0] = rng.normal(0, 0.3, I)
+    lo, hi = 0.01, 0.2
+    natural = (
+        rng.standard_normal((I, design.p)),
+        rng.uniform(0.01, 0.1, (I, K)),
+        lower,
+        rng.uniform(0.02, 0.08, I),
+    )
+    w_draws = {d: rng.standard_normal((I, int(np.sum(layout.day == d)))) for d in train_days}
+    post = _spatial_posterior(natural, K, design.p, lo, hi, w_draws, layout)
+    ctx = PredictionContext(
+        variant=variant, design=design, spec=spec, train_days=train_days, fields=fields
+    )
+    return post, ctx, stations, obs
+
+
+class TestVectorisedPredict:
+    def _targets(self, seed=9, n=21):
+        # off-site points, days and pollutants interleaved, one forecast day
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(n):
+            day = int(rng.integers(1, 5))
+            mode = "forecast" if day == 4 else "interpolation"
+            x, y = rng.uniform(0, 96, 2)
+            out.append(PredictionTarget(float(x), float(y), i % 2, day, mode, f"t{i}"))
+        return out
+
+    @pytest.mark.parametrize("chunk_values", [None, 1000])
+    def test_matches_per_target_reference(self, monkeypatch, chunk_values):
+        post, ctx, _, _ = _kriging_setup()
+        targets = self._targets()
+        assert {t.day for t in targets} == {1, 2, 3, 4}
+        if chunk_values is not None:
+            # 1000 values make chunks of a few targets: several boundaries
+            monkeypatch.setattr(evaluate, "PREDICT_CHUNK_VALUES", chunk_values)
+        results = predict(post, targets, ctx, np.random.default_rng(3))
+        reference = _reference_predict(post, targets, ctx, np.random.default_rng(3))
+        for res, (_, _, pct, mean) in zip(results, reference):
+            np.testing.assert_allclose(
+                [res.lo_log, np.log(res.point), res.hi_log], pct, rtol=1e-10, atol=1e-12
+            )
+            assert res.mean_log == pytest.approx(mean, rel=1e-10, abs=1e-12)
+
+    def test_conditional_moments_match_direct_solves(self):
+        post, ctx, _, _ = _kriging_setup()
+        targets = [t for t in self._targets() if t.mode == "interpolation"]
+        reference = _reference_predict(post, targets, ctx, np.random.default_rng(0))
+        lower = post.coreg_draws()
+        cross = lower @ np.swapaxes(lower, 1, 2)
+        draw_idx = np.arange(post.n_draws)
+        for d in (1, 2, 3):
+            factor = evaluate._DayFactor(post, d, draw_idx, cross, post.decay_draws())
+            idx = [i for i, t in enumerate(targets) if t.day == d]
+            mean, var = factor.conditional(
+                np.array([targets[i].x for i in idx]),
+                np.array([targets[i].y for i in idx]),
+                np.array([targets[i].pollutant_id for i in idx]),
+            )
+            for col, i in enumerate(idx):
+                ref_mean, ref_var = reference[i][:2]
+                np.testing.assert_allclose(mean[:, col], ref_mean, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(var[:, col], ref_var, rtol=1e-10, atol=1e-12)
+
+    def test_design_rows_reproduce_training_design(self):
+        post, ctx, stations, obs = _kriging_setup()
+        design = ctx.design
+        cells = cell_indices(design.row_x, design.row_y, ctx.spec)
+        rows = evaluate._design_rows(ctx, cells, design.row_pollutant, design.row_day)
+        np.testing.assert_allclose(rows, design.X, rtol=1e-14, atol=1e-14)
+
+    def test_coincident_stations_krige_through_jitter(self):
+        # two stations at one site make each day's covariance singular; the
+        # jitter rule factors it, and the field's conditional sd at the
+        # shared site is of the jitter's relative scale, about 1e-4
+        rng = np.random.default_rng(12)
+        sites = rng.uniform(0, 100, size=(10, 2))
+        sites[1] = sites[0]
+        days = (1, 2, 3)
+        day = np.repeat(days, len(sites))
+        coords = np.tile(sites, (len(days), 1))
+        layout = StackedLayout(day=day, pollutant=np.zeros(day.size, int), coords=coords)
+        w = sample_w(layout, Coregionalization(np.array([[1.0]])), SpatialDecay(0.05), rng)
+        y = 1.0 + w + rng.normal(0, 0.3, size=day.size)
+        batch = BatchData(days=days, y=y, X=np.ones((day.size, 1)), layout=layout, n_pollutants=1)
+        variant = ModelVariant("SD", False, True)
+        post = fit_batch_mcmc(
+            batch,
+            variant,
+            Priors(decay_bounds=(0.01, 0.2)),
+            McmcConfig(iterations=300, burnin=100, thin=2, seed=4),
+        )
+        design = DesignMatrix(
+            X=np.ones((day.size, 1)),
+            columns=(ColumnMeta("intercept", 0),),
+            row_day=day,
+            row_pollutant=np.zeros(day.size, int),
+            row_site=tuple(f"s{i}" for i in range(day.size)),
+            row_x=coords[:, 0],
+            row_y=coords[:, 1],
+            col_mean=np.zeros(1),
+            col_sd=np.ones(1),
+            standardized=False,
+            zero_variance=(),
+        )
+        ctx = PredictionContext(
+            variant=variant, design=design, spec=GridSpec(10, 10, 12.0), train_days=days
+        )
+        shared, off = sites[0], (55.0, 45.0)
+        targets = [
+            PredictionTarget(float(x), float(y), 0, d, "interpolation", name)
+            for d in days
+            for name, (x, y) in (("shared", shared), ("off", off))
+        ]
+        results = predict(post, targets, ctx, np.random.default_rng(0))
+        for r in results:
+            assert np.all(np.isfinite([r.mean_log, r.lo_log, r.hi_log, r.point]))
+
+        lower = post.coreg_draws()
+        cross = lower @ np.swapaxes(lower, 1, 2)
+        field_sd = np.sqrt(cross[:, 0, 0])
+        for d in days:
+            factor = evaluate._DayFactor(
+                post, d, np.arange(post.n_draws), cross, post.decay_draws()
+            )
+            _, var = factor.conditional(
+                np.array([shared[0]]), np.array([shared[1]]), np.zeros(1, int)
+            )
+            ratio = np.sqrt(np.maximum(var[:, 0], 0.0)) / field_sd
+            assert np.all(ratio < 1e-3)
+            assert np.median(ratio) > 1e-5
 
 
 class TestScore:

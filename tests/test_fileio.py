@@ -1,0 +1,119 @@
+"""Posterior files: write -> read round trips."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from specdown.fileio import read_posterior, write_posterior
+from specdown.inference import BatchPosterior
+from specdown.lmc import StackedLayout
+
+# printable names, commas and quotes included: parameter labels such as
+# beta[k=0,j=0,b=0] hold commas
+NAME = st.text(
+    alphabet=st.characters(blacklist_categories=("Cc", "Cs")) | st.sampled_from(',"[]=.'),
+    min_size=1,
+    max_size=12,
+)
+FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@st.composite
+def posteriors(draw):
+    n_draws = draw(st.integers(2, 5))
+    names = draw(st.lists(NAME, min_size=1, max_size=5, unique=True))
+    p = len(names)
+    values = draw(st.lists(FINITE, min_size=n_draws * p, max_size=n_draws * p))
+    draws = np.array(values).reshape(n_draws, p)
+    spatial = draw(st.booleans())
+    w_draws = w_layout = None
+    if spatial:
+        days = draw(st.lists(st.integers(0, 400), min_size=1, max_size=3, unique=True))
+        per_day = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w_layout = StackedLayout(
+            day=np.repeat(days, per_day),
+            pollutant=rng.integers(0, 3, per_day * len(days)),
+            coords=rng.uniform(0, 100, (per_day * len(days), 2)),
+        )
+        w_draws = {d: rng.standard_normal((n_draws, per_day)) for d in days}
+    natural = None
+    if draw(st.booleans()):
+        natural = np.array(draw(st.lists(FINITE, min_size=draws.size, max_size=draws.size)))
+        natural = natural.reshape(draws.shape)
+    return BatchPosterior(
+        draws=draws,
+        param_names=tuple(names),
+        transforms=tuple(draw(st.sampled_from(["id", "log", "logit"])) for _ in names),
+        sample_cov=np.eye(p),
+        n_beta=draw(st.integers(0, p)),
+        n_pollutants=draw(st.integers(1, 3)),
+        days=tuple(draw(st.lists(st.integers(0, 400), max_size=4))),
+        seed=draw(st.none() | st.integers(0, 2**31)),
+        decay_bounds=draw(st.none() | st.tuples(FINITE, FINITE)),
+        acceptance=draw(st.dictionaries(NAME, st.floats(0, 1), max_size=3)),
+        w_draws=w_draws,
+        w_layout=w_layout,
+        natural=natural,
+    )
+
+
+class TestPosteriorRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(post=posteriors())
+    def test_write_read(self, post):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch_000.csv"
+            write_posterior(post, path)
+            back = read_posterior(path)
+            assert back.param_names == post.param_names
+            np.testing.assert_array_equal(back.draws, post.draws)
+            for attr in ("transforms", "n_beta", "n_pollutants", "days", "seed", "acceptance"):
+                assert getattr(back, attr) == getattr(post, attr)
+            assert back.decay_bounds == post.decay_bounds
+            if post.w_draws is None:
+                assert back.w_draws is None and back.w_layout is None
+            else:
+                assert sorted(back.w_draws) == sorted(post.w_draws)
+                for d, arr in post.w_draws.items():
+                    np.testing.assert_array_equal(back.w_draws[d], arr)
+                for attr in ("day", "pollutant", "coords"):
+                    np.testing.assert_array_equal(
+                        getattr(back.w_layout, attr), getattr(post.w_layout, attr)
+                    )
+            if post.natural is None:
+                assert back.natural is None
+            else:
+                np.testing.assert_array_equal(back.natural, post.natural)
+
+            # writing what was read gives the same bytes
+            again = Path(tmp) / "again.csv"
+            write_posterior(back, again)
+            pairs = [(path, again), (path.with_suffix(".json"), again.with_suffix(".json"))]
+            if post.natural is not None:
+                pairs.append(
+                    (Path(tmp) / "batch_000_natural.csv", Path(tmp) / "again_natural.csv")
+                )
+            for first, second in pairs:
+                assert first.read_bytes() == second.read_bytes()
+
+    def test_comma_names_are_one_column_each(self, tmp_path):
+        names = ("beta0[0]", "beta[k=0,j=0,b=0]", "beta[k=0,j=1,b=2]", "decay.logit")
+        post = BatchPosterior(
+            draws=np.arange(8.0).reshape(2, 4),
+            param_names=names,
+            transforms=("id", "id", "id", "logit"),
+            sample_cov=np.eye(4),
+            n_beta=3,
+            n_pollutants=1,
+            days=(1,),
+            decay_bounds=(0.01, 0.2),
+            natural=np.arange(8.0).reshape(2, 4),
+        )
+        write_posterior(post, tmp_path / "combined.csv")
+        back = read_posterior(tmp_path / "combined.csv")
+        assert back.param_names == names
+        header = (tmp_path / "combined_natural.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header.endswith(",decay")

@@ -12,6 +12,7 @@ from specdown.stations import (
     OutOfGridError,
     Station,
     assemble_design,
+    cell_indices,
     cell_lookup,
     coef_to_raw,
     destandardize,
@@ -76,6 +77,16 @@ class TestCellLookup:
             cell_lookup(_station("a", -1.0, 5.0), SPEC)
         with pytest.raises(OutOfGridError):
             cell_lookup(_station("a", 48.0, 5.0), SPEC)
+
+    def test_array_form_matches_scalar(self):
+        x = np.array([6.0, 12.0, 6.0, 0.0, 47.999, 24.0])
+        y = np.array([6.0, 0.0, 18.0, 0.0, 47.999, 36.0])
+        expected = [cell_lookup(_station("a", a, b), SPEC) for a, b in zip(x, y)]
+        assert cell_indices(x, y, SPEC).tolist() == expected
+
+    def test_array_form_names_first_point_outside(self):
+        with pytest.raises(OutOfGridError, match="station q at"):
+            cell_indices([5.0, 5.0, 60.0], [5.0, -1.0, 5.0], SPEC, ["p", "q", "r"])
 
 
 class TestAssembleDesign:
