@@ -11,9 +11,10 @@ of the log-scale draws.
 Prediction is vectorised over targets.  Design rows are gathered from the
 field or covariate grids by each target's cell.  Per interpolation day, the
 LMC covariances of the observed sites, one (n, n) matrix per posterior draw,
-are factored once as C = L L^T under the jitter rule of the sampler (a
-relative diagonal jitter when plain Cholesky fails;
-:class:`~specdown.lmc.CovarianceNotPDError` when that fails too).  With c0
+are built by :class:`~specdown.lmc.LmcKernel` and factored once as
+C = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter rule when plain
+Cholesky fails; :class:`~specdown.lmc.CovarianceNotPDError` when that fails
+too).  With c0
 the cross-covariances between a target and the sites, the conditional mean
 is (L^{-1} c0) . (L^{-1} w) = c0 . C^{-1} w and the variance is
 sigma_kk^2 - ||L^{-1} c0||^2, both by batched matrix products over draws and
@@ -31,8 +32,8 @@ import numpy as np
 
 from .filters import MAX_MAGNITUDE, SpectralBasis, period_of
 from .grid import GridSpec
-from .inference import BatchPosterior, _stack_chol
-from .lmc import CovarianceNotPDError
+from .inference import BatchPosterior
+from .lmc import LmcKernel, chol_pd
 from .stations import DesignMatrix, ModelVariant, Station, cell_indices
 
 __all__ = [
@@ -228,18 +229,12 @@ class _DayFactor:
         self.pol = layout.pollutant[pos]
         self.cross = cross  # (I, K, K)
         self.rate = rate  # (I,)
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
         # (I, n, n) stacks are the largest arrays here: build them in place
-        cov = -self.rate[:, None, None] * dist[None, :, :]
-        np.exp(cov, out=cov)
-        cov *= self.cross[:, self.pol[:, None], self.pol[None, :]]
-        chol, _ = _stack_chol(cov)
+        kernel = LmcKernel(self.coords, self.pol, cross.shape[-1])
+        cov = kernel.corr(rate)
+        kernel.cov(cross, cov, out=cov)
+        chol, _ = chol_pd(cov)
         del cov
-        if chol is None:
-            raise CovarianceNotPDError(
-                f"residual covariance of day {day} not positive definite after jitter"
-            )
         _invert_lower(chol)
         self.chol_inv = chol  # (I, n, n)
         w = posterior.w_draws[day][draw_idx]  # (I, n)
@@ -248,10 +243,8 @@ class _DayFactor:
     def conditional(self, x, y, k):
         """Conditional mean and variance of the field at points (x, y) of
         pollutants k, per draw; each of shape (I, T)."""
-        d0 = np.hypot(x[:, None] - self.coords[None, :, 0], y[:, None] - self.coords[None, :, 1])
-        c0 = self.cross[:, k[:, None], self.pol[None, :]] * np.exp(
-            -self.rate[:, None, None] * d0[None, :, :]
-        )  # (I, T, n)
+        kernel = LmcKernel(np.column_stack([x, y]), k, self.cross.shape[-1], self.coords, self.pol)
+        c0 = kernel.cov(self.cross, kernel.corr(self.rate))  # (I, T, n)
         v = np.matmul(c0, np.swapaxes(self.chol_inv, 1, 2))  # rows (L^{-1} c0)^T
         mean = np.matmul(v, self.z)[..., 0]
         var = self.cross[:, k, k] - np.einsum("itn,itn->it", v, v)

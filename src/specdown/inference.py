@@ -23,15 +23,16 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import cho_solve, qr
 from scipy.linalg.blas import dtrsv
 
 from .lmc import (
-    JITTER_SCALE,
     Coregionalization,
     CovarianceNotPDError,
+    LmcKernel,
     SpatialDecay,
     StackedLayout,
+    chol_pd,
 )
 from .stations import DesignMatrix, ModelVariant
 
@@ -456,19 +457,9 @@ class _BlockGroup:
 
     def __init__(self, rows: np.ndarray, layout: StackedLayout, n_pollutants: int):
         self.rows = rows  # (G, n) stacked-vector indices per day
-        coords = layout.coords[rows]  # (G, n, 2)
-        diff = coords[:, :, None, :] - coords[:, None, :, :]
-        self.dist = np.sqrt((diff**2).sum(-1))  # (G, n, n)
-        pol = layout.pollutant[rows]  # (G, n)
-        self.pair = pol[:, :, None] * n_pollutants + pol[:, None, :]  # flat index into cross
+        self.kernel = LmcKernel(layout.coords[rows], layout.pollutant[rows], n_pollutants)
         G, n = rows.shape
         self.diag = (np.arange(G)[:, None] * n * n + np.arange(n) * (n + 1)).ravel()
-
-    def corr(self, rate: float) -> np.ndarray:
-        return np.exp(-rate * self.dist)
-
-    def cov(self, cross: np.ndarray, corr: np.ndarray) -> np.ndarray:
-        return np.take(cross, self.pair) * corr
 
     def add_diag(self, stack: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Copy of ``stack`` with ``values`` (stacked-vector order) added on each diagonal."""
@@ -502,28 +493,10 @@ class _DayBlocks:
             self.group_days.append([self.days[p] for p in positions])
 
     def corr(self, rate: float):
-        return [g.corr(rate) for g in self.groups]
+        return [g.kernel.corr(rate) for g in self.groups]
 
     def cov(self, cross: np.ndarray, corr_stacks):
-        return [g.cov(cross, R) for g, R in zip(self.groups, corr_stacks)]
-
-
-def _stack_chol(covs_stack: np.ndarray):
-    """Batched Cholesky with the one-shot relative jitter retry.
-
-    Returns (lower factors, matrices factored), or (None, input) when even
-    the jittered stack is not positive definite.
-    """
-    try:
-        return np.linalg.cholesky(covs_stack), covs_stack
-    except np.linalg.LinAlgError:
-        n = covs_stack.shape[-1]
-        trace = np.trace(covs_stack, axis1=1, axis2=2)
-        jittered = covs_stack + (JITTER_SCALE * trace / n)[:, None, None] * np.eye(n)
-        try:
-            return np.linalg.cholesky(jittered), jittered
-        except np.linalg.LinAlgError:
-            return None, covs_stack
+        return [g.kernel.cov(cross, R) for g, R in zip(self.groups, corr_stacks)]
 
 
 def _tri_solve(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -542,13 +515,10 @@ def _solve_lower(chols: np.ndarray, b: np.ndarray, transpose: bool = False) -> n
 
 def _factor_marginal(blocks: _DayBlocks, covs, nugget_row):
     """Lower factors of C + D per size group, or None if one is not PD."""
-    chols = []
-    for group, C in zip(blocks.groups, covs):
-        L, _ = _stack_chol(group.add_diag(C, nugget_row))
-        if L is None:
-            return None
-        chols.append(L)
-    return chols
+    try:
+        return [chol_pd(group.add_diag(C, nugget_row))[0] for group, C in zip(blocks.groups, covs)]
+    except CovarianceNotPDError:
+        return None
 
 
 def _marginal_loglik(blocks: _DayBlocks, chols, resid: np.ndarray) -> float:
@@ -872,12 +842,10 @@ def fit_batch_mcmc(
         # (2) stacked residual field
         if cfg.update_w:
             if prior_chols is None:
-                prior_chols = []
-                for C in covs:
-                    L, _ = _stack_chol(C)
-                    if L is None:
-                        raise McmcError("day covariance not positive definite even after jitter")
-                    prior_chols.append(L)
+                try:
+                    prior_chols = [chol_pd(C)[0] for C in covs]
+                except CovarianceNotPDError:
+                    raise McmcError("day covariance not positive definite even after jitter")
             w = _draw_w_grouped(blocks, covs, prior_chols, chols, resid, nugget2[pol_row], rng)
 
         # (3) coefficients
@@ -995,7 +963,7 @@ def _draws_key(post: BatchPosterior):
     return (post.days, hashlib.sha256(np.ascontiguousarray(post.draws).tobytes()).hexdigest())
 
 
-def consensus_combine(posteriors, ridge: float = 1e-8) -> BatchPosterior:
+def consensus_combine(posteriors) -> BatchPosterior:
     """Precision-weighted average of aligned batch draws.
 
     Draw i of the output is (sum_m W_m)^{-1} sum_m W_m theta_m^(i) with
@@ -1003,7 +971,8 @@ def consensus_combine(posteriors, ridge: float = 1e-8) -> BatchPosterior:
     transformed scale.  Batches are processed in a canonical order so the
     result is invariant to input permutation; a single batch is returned
     unchanged.  Draw counts are truncated to the shortest batch; a singular
-    batch covariance is ridge-regularized with a warning.
+    batch covariance is factored under the jitter rule of
+    :func:`~specdown.lmc.chol_pd`, with a warning.
     """
     posteriors = list(posteriors)
     if not posteriors:
@@ -1024,22 +993,17 @@ def consensus_combine(posteriors, ridge: float = 1e-8) -> BatchPosterior:
 
     weights = []
     for post in posteriors:
-        cov = post.sample_cov
-        try:
-            cf = cho_factor(cov, lower=True)
-        except np.linalg.LinAlgError:
+        L, jittered = chol_pd(post.sample_cov)
+        if jittered:
             warnings.warn("singular batch covariance; ridge-regularizing", stacklevel=2)
-            cov = cov + np.eye(P) * (ridge * np.trace(cov) / P)
-            cf = cho_factor(cov, lower=True)
-        weights.append(cho_solve(cf, np.eye(P)))
+        weights.append(cho_solve((L, True), np.eye(P)))
 
     total = np.zeros((P, P))
     weighted = np.zeros((P, n_draws))
     for post, wgt in zip(posteriors, weights):
         total += wgt
         weighted += wgt @ post.draws[:n_draws].T
-    cf_total = cho_factor(total, lower=True)
-    combined = cho_solve(cf_total, weighted).T
+    combined = cho_solve((np.linalg.cholesky(total), True), weighted).T
 
     all_days = tuple(sorted({d for post in posteriors for d in post.days}))
     result = BatchPosterior(

@@ -9,6 +9,14 @@ distance zero the K x K block is A A^T.
 Observations are spatially misaligned and intermittent, so covariance
 matrices are always built for an explicit stacked layout of (day, pollutant,
 coordinate) triples; distinct days are independent blocks.
+
+This module is the one home of the covariance and of its factorization.
+:class:`LmcKernel` computes the distances and pollutant pairs of a set of
+site pairs once and builds take(A A^T, pair) * exp(-rate * distance) on
+them, for the sampler's day blocks, the simulator's draws and the kriging
+stacks of prediction alike.  :func:`chol_pd` is the jitter rule: when plain
+Cholesky fails, add JITTER_SCALE * trace / n to the diagonal and retry once,
+and raise :class:`CovarianceNotPDError` if that fails too.
 """
 
 from __future__ import annotations
@@ -16,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "Coregionalization",
     "SpatialDecay",
     "StackedLayout",
     "CovarianceNotPDError",
+    "LmcKernel",
     "exp_corr",
     "lmc_covariance",
     "sample_w",
@@ -92,7 +99,7 @@ def exp_corr(distance, decay: SpatialDecay):
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
-    out = np.exp(-decay.rate * d)
+    out = _decay_corr(decay.rate, d)
     return float(out) if np.isscalar(distance) else out
 
 
@@ -139,66 +146,79 @@ class StackedLayout:
         return {int(d): np.flatnonzero(self.day == d) for d in np.unique(self.day)}
 
 
-def _day_block(layout: StackedLayout, idx: np.ndarray, coreg, decay) -> np.ndarray:
-    cross = coreg.cross_cov()
-    coords = layout.coords[idx]
-    pol = layout.pollutant[idx]
-    dist = cdist(coords, coords)
-    return cross[np.ix_(pol, pol)] * np.exp(-decay.rate * dist)
+class LmcKernel:
+    """Geometry of a set of site pairs, computed once, and the LMC covariance on it.
+
+    Rows are the sites ``coords`` (..., n, 2) of pollutants ``pollutant``
+    (..., n); columns are ``coords_b``/``pollutant_b`` (..., m, 2)/(..., m),
+    by default the rows themselves.  Leading batch axes broadcast, so one
+    day's (n, n) block, (G, n, n) stacks of day blocks and targets x sites
+    (T, n) all go through here.  ``dist`` holds the distances and ``pair``
+    the flat pollutant-pair index ``pol_a * K + pol_b`` into a K x K cross
+    block.
+    """
+
+    def __init__(self, coords, pollutant, n_pollutants: int, coords_b=None, pollutant_b=None):
+        coords = np.asarray(coords, dtype=float)
+        pollutant = np.asarray(pollutant)
+        if coords_b is None:
+            coords_b, pollutant_b = coords, pollutant
+        diff = coords[..., :, None, :] - np.asarray(coords_b, dtype=float)[..., None, :, :]
+        self.dist = np.sqrt((diff**2).sum(-1))
+        self.pair = pollutant[..., :, None] * n_pollutants + np.asarray(pollutant_b)[..., None, :]
+
+    def corr(self, rate) -> np.ndarray:
+        """exp(-rate * distance); a rate of shape (I,) adds a leading draw axis."""
+        rate = np.asarray(rate, dtype=float)
+        return _decay_corr(rate.reshape(rate.shape + (1,) * self.dist.ndim), self.dist)
+
+    def cov(self, cross, corr, out=None) -> np.ndarray:
+        """take(cross, pair) * corr for a cross block ``cross`` (K, K), or
+        (I, K, K) per draw; ``out=corr`` overwrites the correlations."""
+        cross = np.asarray(cross)
+        table = cross.reshape(cross.shape[:-2] + (-1,))
+        return np.multiply(np.take(table, self.pair, axis=-1), corr, out=out)
+
+
+def _decay_corr(rate, dist) -> np.ndarray:
+    """exp(-rate * dist), built in one array."""
+    out = np.asarray(-rate * dist)
+    return np.exp(out, out=out)
 
 
 def chol_pd(cov: np.ndarray):
-    """Cholesky with the single jitter retry; raises with the smallest
-    eigenvalue when the matrix is still not positive definite."""
+    """Lower Cholesky factor of ``cov`` (n, n) or of each member of a stack
+    (..., n, n), under the jitter rule: (L, jittered).
+
+    When plain Cholesky fails, every member gets JITTER_SCALE * trace / n on
+    its diagonal and the stack is factored again; if that fails too,
+    :class:`CovarianceNotPDError` carries the smallest eigenvalue.
+    """
     try:
-        return cho_factor(cov, lower=True)
+        return np.linalg.cholesky(cov), False
     except np.linalg.LinAlgError:
         pass
-    n = cov.shape[0]
-    jittered = cov + np.eye(n) * (JITTER_SCALE * np.trace(cov) / n)
+    n = cov.shape[-1]
+    trace = np.trace(cov, axis1=-2, axis2=-1)
+    jittered = cov + (JITTER_SCALE * trace / n)[..., None, None] * np.eye(n)
     try:
-        return cho_factor(jittered, lower=True)
+        return np.linalg.cholesky(jittered), True
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(cov)[0])
+        smallest = float(np.linalg.eigvalsh(cov).min())
         raise CovarianceNotPDError(
             f"covariance not positive definite after jitter; smallest eigenvalue {smallest:.3e}"
-        )
+        ) from None
 
 
-def lmc_covariance(
-    layout: StackedLayout,
-    coreg: Coregionalization,
-    decay: SpatialDecay,
-    ensure_pd: bool = True,
-) -> np.ndarray:
+def lmc_covariance(layout: StackedLayout, coreg: Coregionalization, decay: SpatialDecay) -> np.ndarray:
     """Dense covariance of the stacked residual vector.
 
     Entries pair (pollutant i at s, day d) with (pollutant j at s', d'):
     zero when d != d', otherwise sum_m A_im A_jm exp(-rate ||s - s'||).
-    With ``ensure_pd`` the jitter rule is applied when plain Cholesky fails,
-    and a ``CovarianceNotPDError`` carries the smallest eigenvalue if even
-    that does not help.
     """
-    cross = coreg.cross_cov()
-    dist = cdist(layout.coords, layout.coords)
-    same_day = layout.day[:, None] == layout.day[None, :]
-    cov = cross[np.ix_(layout.pollutant, layout.pollutant)] * np.exp(-decay.rate * dist)
-    cov = np.where(same_day, cov, 0.0)
-    if ensure_pd:
-        try:
-            cho_factor(cov, lower=True)
-        except np.linalg.LinAlgError:
-            n = cov.shape[0]
-            cov = cov + np.eye(n) * (JITTER_SCALE * np.trace(cov) / n)
-            try:
-                cho_factor(cov, lower=True)
-            except np.linalg.LinAlgError:
-                smallest = float(np.linalg.eigvalsh(cov)[0])
-                raise CovarianceNotPDError(
-                    "stacked covariance not positive definite after jitter; "
-                    f"smallest eigenvalue {smallest:.3e}"
-                )
-    return cov
+    kernel = LmcKernel(layout.coords, layout.pollutant, coreg.k)
+    cov = kernel.cov(coreg.cross_cov(), kernel.corr(decay.rate))
+    return np.where(layout.day[:, None] == layout.day[None, :], cov, 0.0)
 
 
 def sample_w(
@@ -214,9 +234,7 @@ def sample_w(
     """
     out = np.empty(layout.n)
     for _, idx in sorted(layout.day_groups().items()):
-        block = _day_block(layout, idx, coreg, decay)
-        c, lower = chol_pd(block)
-        factor = np.tril(c) if lower else c.T
-        out[idx] = factor @ rng.standard_normal(idx.size)
+        kernel = LmcKernel(layout.coords[idx], layout.pollutant[idx], coreg.k)
+        lower, _ = chol_pd(kernel.cov(coreg.cross_cov(), kernel.corr(decay.rate)))
+        out[idx] = lower @ rng.standard_normal(idx.size)
     return out
-

@@ -143,6 +143,11 @@ def _grid_paths(cfg: RunConfig) -> list:
     return paths
 
 
+def _first_grid_spec(cfg: RunConfig) -> GridSpec:
+    """Grid spec of the first grid file; every file of a run shares it."""
+    return read_grid(_grid_paths(cfg)[0]).spec
+
+
 def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
     """Read every grid file under ``grids_dir``, log-transforming at ingest."""
     fields = {}
@@ -403,17 +408,6 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> list:
     ]
 
 
-def _prediction_context(cfg: RunConfig, spec, fields, covs, design, variant, train_days):
-    return PredictionContext(
-        variant=variant,
-        design=design,
-        spec=spec,
-        train_days=tuple(int(d) for d in train_days),
-        fields=fields,
-        covs=covs,
-    )
-
-
 def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     """Predict at every station for the test (forecast) or training
     (interpolation) days and write the predictions CSV."""
@@ -421,7 +415,7 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     out = Path(cfg.output_dir)
     rec = json.loads((out / "design.json").read_text(encoding="utf-8"))
     design = _design_from_record(rec)
-    ctx = _prediction_context(cfg, spec, fields, covs, design, variant, train_days)
+    ctx = PredictionContext(variant, design, spec, train_days, fields, covs)
     rng = derive_rng(cfg.seed, 9000)
     results = []
     if mode == "forecast":
@@ -481,7 +475,7 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, varian
                 train_days,
                 seed_key=(vi, fold),
             )
-            ctx = _prediction_context(cfg, spec, fields, use_covs, design, variant, train_days)
+            ctx = PredictionContext(variant, design, spec, train_days, fields, use_covs)
             rng = derive_rng(cfg.seed, 500, vi, fold)
 
             # interpolation at held-out stations, training days with data
@@ -539,7 +533,9 @@ def cmd_cv(cfg: RunConfig) -> list:
 
 
 def cmd_coherence(cfg: RunConfig) -> list:
-    spec, fields, stations, observations, train_days, _, variant, basis, covs = _prepare_training(cfg)
+    """Coherence curves of the combined posterior; reads only the first grid
+    file, for the grid spacing."""
+    variant = variant_from_name(cfg.variant)
     if variant.mean_kind != "SD":
         raise ValueError("coherence curves require an SD variant")
     out = Path(cfg.output_dir)
@@ -549,10 +545,9 @@ def cmd_coherence(cfg: RunConfig) -> list:
     pairs = sorted(
         {(c.k, c.j) for c in design.columns if c.kind == "covariate"}
     )
-    curves = [
-        coherence_curve(combined, k, j, basis, design=design, dx=spec.dx)
-        for k, j in pairs
-    ]
+    basis = make_basis(cfg.basis_size, cfg.basis_degree)
+    dx = _first_grid_spec(cfg).dx
+    curves = [coherence_curve(combined, k, j, basis, design=design, dx=dx) for k, j in pairs]
     path = out / "coherence.csv"
     write_coherence_csv(curves, path)
     return [path]
@@ -583,8 +578,7 @@ def cmd_aggregate(cfg: RunConfig, predictions_path) -> list:
                 point=float(pred),
             )
         )
-    spec = read_grid(_grid_paths(cfg)[0]).spec
-    rows = aggregate_means(results, spec)
+    rows = aggregate_means(results, _first_grid_spec(cfg))
     path = Path(cfg.output_dir) / "aggregate.csv"
     write_aggregate_csv(rows, path, cfg.pollutants)
     return [path]

@@ -1,4 +1,4 @@
-"""Posterior files: write -> read round trips."""
+"""Posterior, grid and covariate files: write -> read round trips."""
 
 import tempfile
 from pathlib import Path
@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from specdown.fileio import read_posterior, write_posterior
+from specdown.fileio import (
+    read_covariate,
+    read_grid,
+    read_posterior,
+    write_covariate,
+    write_grid,
+    write_posterior,
+)
+from specdown.filters import CovariateStack
+from specdown.grid import GridField, GridSpec
 from specdown.inference import BatchPosterior
 from specdown.lmc import StackedLayout
 
@@ -117,3 +126,49 @@ class TestPosteriorRoundTrip:
         assert back.param_names == names
         header = (tmp_path / "combined_natural.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header.endswith(",decay")
+
+
+@st.composite
+def grid_fields(draw):
+    spec = GridSpec(
+        draw(st.integers(2, 5)),
+        draw(st.integers(2, 5)),
+        draw(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)),
+    )
+    values = draw(st.lists(FINITE, min_size=spec.ncells, max_size=spec.ncells))
+    return GridField(spec, values, draw(st.integers(0, 9)), draw(st.integers(0, 400)))
+
+
+def _assert_same_field(back, field):
+    assert back.spec == field.spec
+    assert (back.pollutant_id, back.day) == (field.pollutant_id, field.day)
+    np.testing.assert_array_equal(back.values, field.values)
+
+
+class TestGridRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(field=grid_fields())
+    def test_write_read(self, field):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "grid.txt", Path(tmp) / "again.txt"
+            write_grid(field, path)
+            back = read_grid(path)
+            _assert_same_field(back, field)
+            write_grid(back, again)
+            assert again.read_bytes() == path.read_bytes()
+
+
+class TestCovariateRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(field=grid_fields(), j=st.integers(0, 9), b=st.integers(0, 20))
+    def test_write_read(self, field, j, b):
+        stack = CovariateStack(spec=field.spec, pollutant_id=j, basis_index=b, field=field)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "cov.txt", Path(tmp) / "again.txt"
+            write_covariate(stack, path)
+            back = read_covariate(path)
+            assert back.spec == stack.spec
+            assert (back.pollutant_id, back.basis_index) == (j, b)
+            _assert_same_field(back.field, field)
+            write_covariate(back, again)
+            assert again.read_bytes() == path.read_bytes()

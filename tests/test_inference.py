@@ -21,8 +21,15 @@ from specdown.inference import (
     mh_logit_walk,
     ols_posterior,
 )
-from specdown.inference import _IndependenceProposal, _stack_chol
-from specdown.lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
+from specdown.inference import _IndependenceProposal
+from specdown.lmc import (
+    JITTER_SCALE,
+    Coregionalization,
+    SpatialDecay,
+    StackedLayout,
+    chol_pd,
+    sample_w,
+)
 from specdown.stations import ModelVariant
 
 SPATIAL = ModelVariant("SD", True, True)
@@ -361,10 +368,12 @@ class TestIndependenceProposal:
 
 class TestDegenerateBatches:
     def test_jitter_path_factors_singular_stack(self):
-        L, used = _stack_chol(np.ones((1, 3, 3)))
-        assert L is not None
-        assert np.allclose(L @ np.swapaxes(L, 1, 2), used)
-        assert np.all(np.diagonal(used, axis1=1, axis2=2) > 1.0)
+        L, jittered = chol_pd(np.ones((1, 3, 3)))
+        assert jittered
+        # trace / n is 1, so the jitter is JITTER_SCALE on each diagonal entry
+        expected = np.ones((1, 3, 3)) + JITTER_SCALE * np.eye(3)
+        np.testing.assert_allclose(L @ np.swapaxes(L, 1, 2), expected, rtol=0, atol=1e-12)
+        assert np.all(np.diagonal(L @ np.swapaxes(L, 1, 2), axis1=1, axis2=2) > 1.0)
 
     def test_coincident_stations(self):
         # two stations at identical coordinates make every day's LMC block
@@ -545,6 +554,32 @@ class TestConsensus:
         assert np.allclose(nat[:, k], np.exp(combined.draws[:, k]))
         lo, hi = combined.decay_bounds
         assert np.all((nat[:, -1] > lo) & (nat[:, -1] < hi))
+
+    def test_singular_batch_covariance_takes_jitter_path(self):
+        rng = np.random.default_rng(8)
+
+        def post(draws, days):
+            return BatchPosterior(
+                draws=draws,
+                param_names=("a", "b"),
+                transforms=("id", "id"),
+                sample_cov=np.cov(draws, rowvar=False),
+                n_beta=2,
+                n_pollutants=1,
+                days=days,
+            )
+
+        regular = post(rng.normal(size=(200, 2)), (1,))
+        draws = rng.normal(size=(200, 2))
+        draws[:, 1] = 0.5  # a constant column: the sample covariance is singular
+        singular = post(draws, (2,))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular.sample_cov)
+        with pytest.warns(UserWarning, match="ridge-regularizing"):
+            combined = consensus_combine([regular, singular])
+        assert np.all(np.isfinite(combined.draws))
+        # the jittered variance is tiny, so that batch pins the constant coordinate
+        assert np.allclose(combined.draws[:, 1], 0.5, rtol=0, atol=1e-4)
 
 
 class TestOlsPosterior:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdown.lmc import (
+    JITTER_SCALE,
     Coregionalization,
     CovarianceNotPDError,
+    LmcKernel,
     SpatialDecay,
     StackedLayout,
     chol_pd,
@@ -142,6 +144,46 @@ class TestCovariance:
         assert np.allclose(cov, np.kron(lower @ lower.T, R))
 
 
+class TestLmcKernel:
+    def test_batch_shapes_match_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        K, G, n, T, I = 2, 3, 5, 4, 6
+        coords = rng.uniform(0, 60, size=(G, n, 2))
+        pol = rng.integers(0, K, size=(G, n))
+        lowers = np.tril(rng.uniform(0.2, 1.0, size=(I, K, K)))
+        crosses = lowers @ np.swapaxes(lowers, 1, 2)
+        rates = rng.uniform(0.01, 0.1, size=I)
+
+        def by_hand(xy_a, pol_a, xy_b, pol_b, cross, rate):
+            d = np.hypot(xy_a[:, None, 0] - xy_b[None, :, 0], xy_a[:, None, 1] - xy_b[None, :, 1])
+            return cross[np.ix_(pol_a, pol_b)] * np.exp(-rate * d)
+
+        # (G, n, n) day blocks under one rate and one cross block
+        days = LmcKernel(coords, pol, K)
+        stack = days.cov(crosses[0], days.corr(rates[0]))
+        for g in range(G):
+            expected = by_hand(coords[g], pol[g], coords[g], pol[g], crosses[0], rates[0])
+            np.testing.assert_allclose(stack[g], expected, rtol=1e-13)
+
+        # one day's (n, n) block per draw, written over the correlations
+        day = LmcKernel(coords[0], pol[0], K)
+        corr = day.corr(rates)
+        out = day.cov(crosses, corr, out=corr)
+        assert out is corr and out.shape == (I, n, n)
+        for i in range(I):
+            expected = by_hand(coords[0], pol[0], coords[0], pol[0], crosses[i], rates[i])
+            np.testing.assert_allclose(out[i], expected, rtol=1e-13)
+
+        # targets x sites per draw
+        xy_t, pol_t = rng.uniform(0, 60, size=(T, 2)), rng.integers(0, K, size=T)
+        cross_t = LmcKernel(xy_t, pol_t, K, coords[0], pol[0])
+        c0 = cross_t.cov(crosses, cross_t.corr(rates))
+        assert c0.shape == (I, T, n)
+        for i in range(I):
+            expected = by_hand(xy_t, pol_t, coords[0], pol[0], crosses[i], rates[i])
+            np.testing.assert_allclose(c0[i], expected, rtol=1e-13)
+
+
 class TestSampleW:
     def test_fixed_seed_reproducible(self):
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
@@ -192,6 +234,19 @@ class TestPdGuard:
         layout = _layout([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]], [0, 0, 0])
         cov = lmc_covariance(layout, Coregionalization(np.array([[1.0]])), SpatialDecay(0.1))
         chol_pd(cov)  # should not raise
+
+    def test_plain_factor_when_positive_definite(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        L, jittered = chol_pd(cov)
+        assert not jittered
+        np.testing.assert_array_equal(L, np.linalg.cholesky(cov))
+
+    def test_stack_jitters_every_member(self):
+        stack = np.stack([np.eye(2), np.ones((2, 2))])  # second member singular
+        L, jittered = chol_pd(stack)
+        assert jittered
+        rebuilt = L @ np.swapaxes(L, 1, 2)
+        np.testing.assert_allclose(rebuilt, stack + JITTER_SCALE * np.eye(2), rtol=0, atol=1e-14)
 
     def test_error_carries_smallest_eigenvalue(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1

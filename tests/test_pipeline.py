@@ -1,10 +1,20 @@
-"""Pipeline helpers: prediction targets and aggregation."""
+"""Pipeline helpers and subcommands on a tiny simulated dataset."""
+
+import warnings
 
 import numpy as np
+import pytest
 
 from specdown.fileio import RunConfig, write_grid
 from specdown.grid import GridField, GridSpec
-from specdown.pipeline import cmd_aggregate, targets_for
+from specdown.pipeline import (
+    cmd_aggregate,
+    cmd_coherence,
+    cmd_combine,
+    cmd_fit,
+    cmd_simulate,
+    targets_for,
+)
 from specdown.stations import Observation, Station
 
 STATIONS = {
@@ -65,3 +75,53 @@ class TestAggregate:
             "EN,PM25,1,8.0,NA",
             "WS,PM25,2,3.0,NA",
         ]
+
+
+def _tiny_config(data, out, **overrides):
+    """16x16 grid, 20 stations, 7 days (two 3-day training batches), 40 iterations."""
+    cfg = RunConfig(
+        grids_dir=str(data / "grids"),
+        stations_file=str(data / "stations.csv"),
+        output_dir=str(out),
+        seed=5,
+        mcmc={"iterations": 40, "burnin": 20, "thin": 1},
+        **overrides,
+    )
+    cfg.simulate = {**cfg.simulate, "nx": 16, "ny": 16, "n_stations": 20, "days": 7}
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny_data")
+    cmd_simulate(_tiny_config(data, data))
+    return data
+
+
+class TestFitJobs:
+    def test_batch_files_identical_for_one_and_two_jobs(self, tiny_data, tmp_path):
+        outputs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                artifacts = cmd_fit(_tiny_config(tiny_data, out, jobs=jobs))
+            outputs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert len([p for p in artifacts if p.name.startswith("batch_")]) == 2
+        assert sorted(outputs[1]) == sorted(outputs[2])
+        assert [name for name in outputs[1] if outputs[1][name] != outputs[2][name]] == []
+
+
+class TestCoherence:
+    def test_runs_without_the_station_file(self, tiny_data, tmp_path):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cmd_fit(_tiny_config(tiny_data, out))
+            cmd_combine(_tiny_config(tiny_data, out))
+        cfg = _tiny_config(tiny_data, out)
+        cfg.stations_file = str(tmp_path / "missing.csv")
+        (path,) = cmd_coherence(cfg)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # one curve per (observed, gridded) pair, 100 magnitudes each
+        assert len(lines) == 1 + 2 * 2 * 100
