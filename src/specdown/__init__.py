@@ -7,73 +7,4 @@ by consensus averaging, and a cross-validation harness for the eight model
 variants.
 """
 
-from .evaluate import (
-    CoherenceCurve,
-    PredictionContext,
-    PredictionResult,
-    PredictionTarget,
-    Scorecard,
-    coherence_curve,
-    cv_split,
-    predict,
-    score,
-    split_season,
-)
-from .filters import (
-    CovariateStack,
-    FrequencyBand,
-    SpectralBasis,
-    band_filter,
-    bin_covariates,
-    eight_bins,
-    make_basis,
-    period_of,
-    spectral_covariates,
-)
-from .grid import (
-    FrequencyLattice,
-    GridField,
-    GridSpec,
-    SpectrumField,
-    SpectrumSymmetryError,
-    dft_forward,
-    dft_inverse,
-    frequency_lattice,
-)
-from .inference import (
-    BatchData,
-    BatchPosterior,
-    McmcConfig,
-    Priors,
-    consensus_combine,
-    fit_batch_mcmc,
-    fit_ols,
-    make_batches,
-    marginal_loglik,
-    ols_posterior,
-)
-from .lmc import (
-    Coregionalization,
-    CovarianceNotPDError,
-    SpatialDecay,
-    StackedLayout,
-    exp_corr,
-    lmc_covariance,
-    sample_w,
-)
-from .stations import (
-    ALL_VARIANTS,
-    DesignMatrix,
-    ModelVariant,
-    Observation,
-    Station,
-    assemble_design,
-    cell_lookup,
-    coef_to_raw,
-    destandardize,
-    standardize,
-    variant_from_name,
-)
-from .synthetic import FieldSpectrum, SimConfig, SyntheticTruth, simulate
-
 __version__ = "0.1.0"

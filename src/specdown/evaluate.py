@@ -9,7 +9,9 @@ reported on the original concentration scale as exp of the posterior median
 of the log-scale draws.
 
 Prediction is vectorised over targets.  Design rows are gathered from the
-field or covariate grids by each target's cell.  Per interpolation day, the
+field or covariate grids by each target's cell with
+:func:`~specdown.stations.design_rows`, which also makes the training
+design, and standardized as the training design was.  Per interpolation day, the
 LMC covariances of the observed sites, one (n, n) matrix per posterior draw,
 are built by :class:`~specdown.lmc.LmcKernel` and factored once as
 C = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter rule when plain
@@ -34,14 +36,13 @@ from .filters import MAX_MAGNITUDE, SpectralBasis, period_of
 from .grid import GridSpec
 from .inference import BatchPosterior
 from .lmc import LmcKernel, chol_pd
-from .stations import DesignMatrix, ModelVariant, Station, cell_indices
+from .stations import DesignMatrix, ModelVariant, Station, cell_indices, design_rows
 
 __all__ = [
     "PredictionTarget",
     "PredictionResult",
     "PredictionContext",
     "Scorecard",
-    "CoherenceCurve",
     "cv_split",
     "split_season",
     "predict",
@@ -57,6 +58,12 @@ TRAIN_FRACTION = 78.0 / 90.0
 #: I draws, T targets and n sites of a day stay under it, which bounds the
 #: memory a prediction call adds beyond its per-day factors.
 PREDICT_CHUNK_VALUES = 2**16
+
+#: Magnitudes per coherence curve, evenly spaced over (0, MAX_MAGNITUDE].
+COHERENCE_POINTS = 100
+
+#: Family-wise level of the Bonferroni-corrected coefficient intervals.
+COHERENCE_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,10 @@ class PredictionContext:
 # ---------------------------------------------------------------------------
 
 
-def _stratum(station: Station, total_id: int = 0) -> str:
-    has_total = total_id in station.measures
-    has_species = any(m != total_id for m in station.measures)
+def _stratum(station: Station) -> str:
+    """Stratum by what a station measures; pollutant 0 is the total."""
+    has_total = 0 in station.measures
+    has_species = any(m != 0 for m in station.measures)
     if has_total and has_species:
         return "both"
     if has_total:
@@ -109,7 +117,7 @@ def _stratum(station: Station, total_id: int = 0) -> str:
     return "species-only"
 
 
-def cv_split(stations, folds: int = 5, seed: int = 0, total_id: int = 0) -> dict:
+def cv_split(stations, folds: int = 5, seed: int = 0) -> dict:
     """Stratified random fold assignment, one fold id per site.
 
     Stations are stratified by what they measure (total only, species only,
@@ -123,7 +131,7 @@ def cv_split(stations, folds: int = 5, seed: int = 0, total_id: int = 0) -> dict
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
     assignment = {}
     for stratum in ("total-only", "species-only", "both"):
-        members = sorted(s.site_id for s in stations if _stratum(s, total_id) == stratum)
+        members = sorted(s.site_id for s in stations if _stratum(s) == stratum)
         if not members:
             warnings.warn(f"stratum {stratum!r} is empty", stacklevel=2)
             continue
@@ -175,24 +183,10 @@ def _design_rows(ctx: PredictionContext, cells, pollutant, day) -> np.ndarray:
     training set; shape (T, p).  A covariate column is zero where the
     target's pollutant is not the column's."""
     design = ctx.design
-    rows = np.zeros((cells.size, design.p))
-    by_day = [(int(d), day == d) for d in np.unique(day)]
-    for idx, col in enumerate(design.columns):
-        active = pollutant == col.k
-        if col.kind == "intercept":
-            rows[active, idx] = 1.0
-            continue
-        for d, on_day in by_day:
-            sel = active & on_day
-            if not sel.any():
-                continue
-            if ctx.variant.mean_kind == "LD":
-                source = ctx.fields[(col.j, d)]
-            else:
-                source = ctx.covs[(col.j, col.b, d)].field
-            rows[sel, idx] = source.values[cells[sel]]
-        if design.standardized:
-            rows[active, idx] = (rows[active, idx] - design.col_mean[idx]) / design.col_sd[idx]
+    rows = design_rows(
+        design.columns, ctx.variant.mean_kind, ctx.fields, ctx.covs, cells, pollutant, day
+    )
+    design.scale_rows(rows, pollutant)
     return rows
 
 
@@ -454,65 +448,44 @@ def coherence_curve(
     k: int,
     j: int,
     basis: SpectralBasis,
-    n_grid: int = 100,
-    design: DesignMatrix | None = None,
-    dx: float = 12.0,
-    family: str = "all",
-    alpha: float = 0.05,
+    design: DesignMatrix,
+    dx: float,
 ) -> CoherenceCurve:
     """Curve of the association between observed pollutant k and field j.
 
-    Per draw the curve at magnitude m is the basis expansion of the (k, j)
-    coefficients; the band is the pointwise 2.5/97.5 percentile envelope.
-    Significance uses a Bonferroni-corrected credible interval per basis
-    coefficient: the family is every covariate coefficient of the fitted
-    variant (``family="all"``) or just this pair's B coefficients
-    (``family="pair"``); the curve is flagged significant when any
-    coefficient's corrected interval excludes zero.
-
-    When ``design`` is given the coefficients are mapped back to the raw
-    covariate scale before plotting, matching the field units.
+    Per draw the curve at each of ``COHERENCE_POINTS`` magnitudes is the
+    basis expansion of the (k, j) coefficients, mapped back to the raw
+    covariate scale with the standardization recorded in ``design``; the band
+    is the pointwise 2.5/97.5 percentile envelope.  Significance uses a
+    credible interval per basis coefficient at level ``COHERENCE_ALPHA``,
+    Bonferroni-corrected over every covariate coefficient of the fitted
+    variant; the curve is flagged significant when any coefficient's
+    corrected interval excludes zero.  ``dx`` (km) converts magnitudes to
+    periods.
     """
-    if design is not None:
-        cols = [
-            (i, c)
-            for i, c in enumerate(design.columns)
-            if c.kind == "covariate" and c.k == k and c.j == j
-        ]
-        n_family = sum(1 for c in design.columns if c.kind == "covariate")
-        slopes = posterior.beta_draws()[:, [i for i, _ in cols]]
-        sds = np.array([design.col_sd[i] for i, _ in cols])
-        slopes = slopes / sds
-        order = np.argsort([c.b for _, c in cols])
-        slopes = slopes[:, order]
-    else:
-        idx = [
-            i
-            for i, name in enumerate(posterior.param_names[: posterior.n_beta])
-            if name.startswith(f"beta[k={k},j={j},")
-        ]
-        n_family = sum(
-            1 for name in posterior.param_names[: posterior.n_beta] if name.startswith("beta[k=")
-        )
-        slopes = posterior.beta_draws()[:, idx]
-    if slopes.shape[1] == 0:
+    cols = [
+        (i, c)
+        for i, c in enumerate(design.columns)
+        if c.kind == "covariate" and c.k == k and c.j == j
+    ]
+    if not cols:
         raise ValueError(f"posterior has no coefficients for pair (k={k}, j={j})")
-    if slopes.shape[1] != basis.count:
+    if len(cols) != basis.count:
         raise ValueError(
-            f"pair (k={k}, j={j}) has {slopes.shape[1]} coefficients but basis has {basis.count}"
+            f"pair (k={k}, j={j}) has {len(cols)} coefficients but basis has {basis.count}"
         )
-    if family == "pair":
-        n_family = basis.count
-    elif family != "all":
-        raise ValueError("family must be 'all' or 'pair'")
+    n_family = sum(1 for c in design.columns if c.kind == "covariate")
+    slopes = posterior.beta_draws()[:, [i for i, _ in cols]]
+    slopes = slopes / np.array([design.col_sd[i] for i, _ in cols])
+    slopes = slopes[:, np.argsort([c.b for _, c in cols])]
 
-    mags = np.linspace(0.0, MAX_MAGNITUDE, n_grid + 1)[1:]
-    weights = basis.evaluate(mags)  # (n_grid, B)
-    curves = slopes @ weights.T  # (I, n_grid)
+    mags = np.linspace(0.0, MAX_MAGNITUDE, COHERENCE_POINTS + 1)[1:]
+    weights = basis.evaluate(mags)  # (COHERENCE_POINTS, B)
+    curves = slopes @ weights.T  # (I, COHERENCE_POINTS)
     mean = curves.mean(axis=0)
     lo, hi = np.percentile(curves, [2.5, 97.5], axis=0)
 
-    level = alpha / n_family
+    level = COHERENCE_ALPHA / n_family
     q_lo, q_hi = np.percentile(slopes, [100 * level / 2, 100 * (1 - level / 2)], axis=0)
     coef_significant = (q_lo > 0) | (q_hi < 0)
 

@@ -31,7 +31,6 @@ from .stations import Observation, OutOfGridError, Station, cell_lookup
 
 __all__ = [
     "ParseError",
-    "DEFAULT_POLLUTANTS",
     "write_grid",
     "read_grid",
     "write_covariate",
@@ -40,6 +39,7 @@ __all__ = [
     "parse_station_file",
     "write_posterior",
     "read_posterior",
+    "PREDICTIONS_HEADER",
     "write_predictions_csv",
     "write_scorecard_csv",
     "write_coherence_csv",
@@ -58,6 +58,11 @@ DEFAULT_POLLUTANTS = {"PM25": 0, "EC": 1, "OC": 2, "NO3": 3, "SO4": 4, "NH4": 5}
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _fmt_values(values: np.ndarray) -> str:
+    """Space-separated :func:`_fmt` of each value."""
+    return " ".join(map(repr, values.tolist()))
 
 
 def _write_draws_csv(path, names, draws) -> None:
@@ -87,7 +92,7 @@ def _read_draws_csv(path):
 def write_grid(field: GridField, path) -> None:
     spec = field.spec
     lines = [f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day}"]
-    lines.append(" ".join(_fmt(v) for v in field.values))
+    lines.append(_fmt_values(field.values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -103,7 +108,7 @@ def _parse_grid_lines(tokens_header, tokens_values, path):
         raise ParseError(
             f"{path}: expected {spec.ncells} values, found {len(tokens_values)}"
         )
-    values = np.array([float(t) for t in tokens_values])
+    values = np.array(tokens_values, dtype=float)
     return GridField(spec, values, pollutant_id=pollutant_id, day=day)
 
 
@@ -124,7 +129,7 @@ def write_covariate(stack: CovariateStack, path) -> None:
     spec = stack.spec
     f = stack.field
     lines = [f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {f.pollutant_id} {f.day}"]
-    lines.append(" ".join(_fmt(v) for v in f.values))
+    lines.append(_fmt_values(f.values))
     lines.append(f"{stack.pollutant_id} {stack.basis_index}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -302,11 +307,14 @@ def read_posterior(csv_path) -> BatchPosterior:
 # ---------------------------------------------------------------------------
 
 
+PREDICTIONS_HEADER = "site_or_cell,x,y,day,pollutant,pred,lo95,hi95"
+
+
 def write_predictions_csv(results, path, pollutants=None) -> None:
     """``site_or_cell,x,y,day,pollutant,pred,lo95,hi95``; pred and the 95%
     bounds are on the original concentration scale."""
     names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
-    lines = ["site_or_cell,x,y,day,pollutant,pred,lo95,hi95"]
+    lines = [PREDICTIONS_HEADER]
     for r in results:
         t = r.target
         name = names.get(t.pollutant_id, str(t.pollutant_id))

@@ -23,7 +23,6 @@ from .grid import GridField, GridSpec, dft_forward, dft_inverse, frequency_latti
 
 __all__ = [
     "MAX_MAGNITUDE",
-    "BIN_COUNT",
     "BIN_RANGE_HI",
     "FrequencyBand",
     "SpectralBasis",
@@ -31,7 +30,6 @@ __all__ = [
     "band_filter",
     "make_basis",
     "spectral_covariates",
-    "bin_covariates",
     "eight_bins",
     "period_of",
 ]
@@ -175,26 +173,6 @@ def spectral_covariates(
                 pollutant_id=field.pollutant_id,
                 basis_index=b,
                 field=cov_field,
-            )
-        )
-    return stacks
-
-
-def bin_covariates(field: GridField) -> list[CovariateStack]:
-    """The 8 band-filtered fields over the equal-width magnitude bins.
-
-    These feed the exploratory banded least-squares regression; they sum back
-    to the input field because the bins partition the lattice.
-    """
-    stacks = []
-    for b, band in enumerate(eight_bins()):
-        filtered = band_filter(field, band)
-        stacks.append(
-            CovariateStack(
-                spec=field.spec,
-                pollutant_id=field.pollutant_id,
-                basis_index=b,
-                field=filtered,
             )
         )
     return stacks

@@ -20,13 +20,18 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "GridField",
-    "FrequencyLattice",
     "SpectrumField",
     "SpectrumSymmetryError",
     "frequency_lattice",
     "dft_forward",
     "dft_inverse",
 ]
+
+
+#: Largest imaginary residue, relative to the result norm, that
+#: :func:`dft_inverse` discards; more means the spectrum was not
+#: conjugate-symmetric.
+SYMMETRY_REL_TOL = 1e-6
 
 
 class SpectrumSymmetryError(ValueError):
@@ -164,16 +169,11 @@ def dft_forward(field: GridField) -> SpectrumField:
     return SpectrumField(spec=field.spec, coeffs=coeffs.ravel())
 
 
-def dft_inverse(
-    spectrum: SpectrumField,
-    pollutant_id: int = 0,
-    day: int = 0,
-    rel_tol: float = 1e-6,
-) -> GridField:
+def dft_inverse(spectrum: SpectrumField, pollutant_id: int = 0, day: int = 0) -> GridField:
     """Inverse transform: field(s) = sum_l coeffs[l] * exp(i w_l . s).
 
-    The imaginary residue is discarded; if it exceeds ``rel_tol`` relative to
-    the result norm the input was not conjugate-symmetric and a
+    The imaginary residue is discarded; if it exceeds ``SYMMETRY_REL_TOL``
+    relative to the result norm the input was not conjugate-symmetric and a
     ``SpectrumSymmetryError`` is raised instead.
     """
     spec = spectrum.spec
@@ -181,9 +181,9 @@ def dft_inverse(
     scale = np.linalg.norm(z)
     if scale > 0.0:
         residue = np.linalg.norm(z.imag) / scale
-        if residue > rel_tol:
+        if residue > SYMMETRY_REL_TOL:
             raise SpectrumSymmetryError(
-                f"imaginary residue {residue:.3e} exceeds {rel_tol:.1e}; "
+                f"imaginary residue {residue:.3e} exceeds {SYMMETRY_REL_TOL:.1e}; "
                 "spectrum is not conjugate-symmetric"
             )
     return GridField(spec=spec, values=z.real.ravel(), pollutant_id=pollutant_id, day=day)

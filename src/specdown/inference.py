@@ -41,18 +41,14 @@ __all__ = [
     "McmcConfig",
     "BatchData",
     "BatchPosterior",
-    "OlsFit",
     "RankDeficientError",
-    "McmcError",
     "fit_ols",
     "ols_posterior",
     "make_batches",
     "fit_batch_mcmc",
     "consensus_combine",
     "marginal_loglik",
-    "draw_beta_conditional",
     "draw_nugget2_conditional",
-    "mh_logit_walk",
     "derive_rng",
 ]
 
@@ -95,12 +91,6 @@ class Priors:
         for name in ("beta_sd", "coreg_offdiag_sd", "coreg_diag_log_sd", "nugget_shape", "nugget_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def for_domain(cls, diameter_km: float, **overrides) -> "Priors":
-        """Default priors for a domain of the given maximum distance."""
-        bounds = (3.0 / (0.75 * diameter_km), 3.0 / (0.1 * diameter_km))
-        return cls(decay_bounds=bounds, **overrides)
 
 
 @dataclass(frozen=True)
@@ -194,17 +184,12 @@ def make_batches(
         if rows.size == 0:
             warnings.warn(f"batch {window} has no observations; skipped", stacklevel=2)
             continue
-        layout = StackedLayout(
-            day=design.row_day[rows],
-            pollutant=design.row_pollutant[rows],
-            coords=np.column_stack([design.row_x[rows], design.row_y[rows]]),
-        )
         batches.append(
             BatchData(
                 days=window,
                 y=np.asarray(y)[rows],
                 X=design.X[rows],
-                layout=layout,
+                layout=design.layout(rows),
                 n_pollutants=K,
                 design=design,
             )
@@ -420,31 +405,6 @@ def _expit(u):
 def _logit_jacobian(u):
     s = _expit(u)
     return np.log(s) + np.log1p(-s)
-
-
-def mh_logit_walk(value, bounds, step, loglik, current_loglik, rng):
-    """One random-walk Metropolis step for a uniformly-bounded parameter.
-
-    The walk happens on the logit of the parameter's position within
-    ``bounds``; the Jacobian of the transform enters the acceptance ratio so
-    the chain targets the stated density on the natural scale.  ``loglik``
-    maps a proposed natural value to (loglik, payload) or ``None`` when the
-    proposal is invalid (forced rejection).  Returns (value, loglik, payload,
-    accepted); payload is ``None`` when the proposal was rejected.
-    """
-    lo, hi = bounds
-    u = _logit((value - lo) / (hi - lo))
-    u_prop = u + step * rng.standard_normal()
-    x_prop = lo + (hi - lo) * _expit(u_prop)
-    evaluated = loglik(x_prop)
-    logu = np.log(rng.uniform())
-    if evaluated is None:
-        return value, current_loglik, None, False
-    ll_prop, payload = evaluated
-    delta = (ll_prop + _logit_jacobian(u_prop)) - (current_loglik + _logit_jacobian(u))
-    if logu < delta:
-        return x_prop, ll_prop, payload, True
-    return value, current_loglik, None, False
 
 
 # ---------------------------------------------------------------------------
@@ -753,24 +713,22 @@ def fit_batch_mcmc(
             ll_p = _marginal_loglik(blocks, chols_p, resid)
             return (chols_p, ll_p) if logu < ll_p - ll + log_ratio else None
 
-        # (1a) decay rate, random walk on the logit scale
+        # (1a) decay rate, random walk on the logit scale; the rate's
+        # uniform prior puts the logit transform's Jacobian into the ratio
         if cfg.update_decay:
-
-            def decay_loglik(rate_prop):
-                corr_p = blocks.corr(rate_prop)
-                covs_p = blocks.cov(cross, corr_p)
-                chols_p = _factor_marginal(blocks, covs_p, nugget2[pol_row])
-                if chols_p is None:
-                    return None
-                return _marginal_loglik(blocks, chols_p, resid), (corr_p, covs_p, chols_p)
-
-            rate, ll, payload, accepted = mh_logit_walk(
-                rate, (lo, hi), adapt_decay.step, decay_loglik, ll, rng
+            u = _logit((rate - lo) / (hi - lo))
+            u_prop = u + adapt_decay.step * rng.standard_normal()
+            rate_prop = lo + (hi - lo) * _expit(u_prop)
+            corr_p = blocks.corr(rate_prop)
+            covs_p = blocks.cov(cross, corr_p)
+            result = propose(
+                covs_p, nugget2[pol_row], _logit_jacobian(u_prop) - _logit_jacobian(u)
             )
-            if accepted:
-                corr, covs, chols = payload
+            if result is not None:
+                chols, ll = result
+                rate, corr, covs = rate_prop, corr_p, covs_p
                 prior_chols = None
-            adapt_decay.record(accepted, adapting)
+            adapt_decay.record(result is not None, adapting)
 
         # (1b) mixing-matrix entries
         if cfg.update_coreg:

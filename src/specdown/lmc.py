@@ -31,8 +31,6 @@ __all__ = [
     "StackedLayout",
     "CovarianceNotPDError",
     "LmcKernel",
-    "exp_corr",
-    "lmc_covariance",
     "sample_w",
     "chol_pd",
     "JITTER_SCALE",
@@ -94,15 +92,6 @@ class SpatialDecay:
             raise ValueError(f"decay rate must be positive, got {self.rate}")
 
 
-def exp_corr(distance, decay: SpatialDecay):
-    """exp(-rate * distance); equals 1 at distance zero."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distances must be nonnegative")
-    out = _decay_corr(decay.rate, d)
-    return float(out) if np.isscalar(distance) else out
-
-
 @dataclass(frozen=True)
 class StackedLayout:
     """Alignment between a stacked residual vector and its observations.
@@ -129,13 +118,6 @@ class StackedLayout:
         object.__setattr__(self, "day", day)
         object.__setattr__(self, "pollutant", pol)
         object.__setattr__(self, "coords", xy)
-
-    @classmethod
-    def from_observations(cls, observations, stations) -> "StackedLayout":
-        day = [o.day for o in observations]
-        pol = [o.pollutant_id for o in observations]
-        xy = [(stations[o.site_id].x, stations[o.site_id].y) for o in observations]
-        return cls(day=np.array(day), pollutant=np.array(pol), coords=np.array(xy))
 
     @property
     def n(self) -> int:
@@ -170,7 +152,8 @@ class LmcKernel:
     def corr(self, rate) -> np.ndarray:
         """exp(-rate * distance); a rate of shape (I,) adds a leading draw axis."""
         rate = np.asarray(rate, dtype=float)
-        return _decay_corr(rate.reshape(rate.shape + (1,) * self.dist.ndim), self.dist)
+        out = np.asarray(-rate.reshape(rate.shape + (1,) * self.dist.ndim) * self.dist)
+        return np.exp(out, out=out)
 
     def cov(self, cross, corr, out=None) -> np.ndarray:
         """take(cross, pair) * corr for a cross block ``cross`` (K, K), or
@@ -178,12 +161,6 @@ class LmcKernel:
         cross = np.asarray(cross)
         table = cross.reshape(cross.shape[:-2] + (-1,))
         return np.multiply(np.take(table, self.pair, axis=-1), corr, out=out)
-
-
-def _decay_corr(rate, dist) -> np.ndarray:
-    """exp(-rate * dist), built in one array."""
-    out = np.asarray(-rate * dist)
-    return np.exp(out, out=out)
 
 
 def chol_pd(cov: np.ndarray):
@@ -208,17 +185,6 @@ def chol_pd(cov: np.ndarray):
         raise CovarianceNotPDError(
             f"covariance not positive definite after jitter; smallest eigenvalue {smallest:.3e}"
         ) from None
-
-
-def lmc_covariance(layout: StackedLayout, coreg: Coregionalization, decay: SpatialDecay) -> np.ndarray:
-    """Dense covariance of the stacked residual vector.
-
-    Entries pair (pollutant i at s, day d) with (pollutant j at s', d'):
-    zero when d != d', otherwise sum_m A_im A_jm exp(-rate ||s - s'||).
-    """
-    kernel = LmcKernel(layout.coords, layout.pollutant, coreg.k)
-    cov = kernel.cov(coreg.cross_cov(), kernel.corr(decay.rate))
-    return np.where(layout.day[:, None] == layout.day[None, :], cov, 0.0)
 
 
 def sample_w(

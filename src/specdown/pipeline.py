@@ -17,6 +17,7 @@ import numpy as np
 
 from .evaluate import (
     PredictionContext,
+    PredictionResult,
     PredictionTarget,
     aggregate_means,
     coherence_curve,
@@ -26,6 +27,8 @@ from .evaluate import (
     split_season,
 )
 from .fileio import (
+    PREDICTIONS_HEADER,
+    ParseError,
     RunConfig,
     read_grid,
     read_posterior,
@@ -50,6 +53,7 @@ from .inference import (
     ols_posterior,
 )
 from .stations import (
+    ALL_VARIANTS,
     ColumnMeta,
     DesignMatrix,
     ModelVariant,
@@ -61,12 +65,10 @@ from .synthetic import FieldSpectrum, SimConfig, simulate
 
 __all__ = [
     "derived_seed",
-    "build_sim_config",
     "load_fields",
     "build_covariates",
     "fit_variant",
     "targets_for",
-    "run_cv_protocol",
     "cmd_simulate",
     "cmd_filter",
     "cmd_covariates",
@@ -217,7 +219,7 @@ def fit_variant(
             days=tuple(int(d) for d in train_days),
             y=y,
             X=design.X,
-            layout=_layout_of(design),
+            layout=design.layout(),
             n_pollutants=design.n_pollutants,
             design=design,
         )
@@ -225,16 +227,6 @@ def fit_variant(
             ols_posterior(batch, n_draws=cfg.n_ols_draws, seed=derived_seed(cfg.seed, *seed_key, 0))
         ]
     return design, y, posteriors
-
-
-def _layout_of(design: DesignMatrix):
-    from .lmc import StackedLayout
-
-    return StackedLayout(
-        day=design.row_day,
-        pollutant=design.row_pollutant,
-        coords=np.column_stack([design.row_x, design.row_y]),
-    )
 
 
 def _design_record(design: DesignMatrix, variant: ModelVariant, train_days) -> dict:
@@ -437,7 +429,7 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     return [path]
 
 
-def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, variants=None):
+def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
     """The model-comparison protocol on one dataset.
 
     Stations are split into stratified folds.  Per variant and fold the model
@@ -445,21 +437,20 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, varian
     scored at the held-out stations over the training days (spatial variants
     krige from that batch's residual draws); forecasting is scored at all
     stations over the test days using the consensus-combined (or
-    least-squares) posterior.  Returns (interpolation cards, forecast cards).
+    least-squares) posterior.  Every variant of ``ALL_VARIANTS`` is compared.
+    Returns (interpolation cards, forecast cards).
     """
-    variants = list(variants) if variants is not None else list(_default_variants())
     days = sorted({int(o.day) for o in observations})
     train_days, test_days = split_season(days)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
-    needs_sd = any(v.mean_kind == "SD" for v in variants)
-    covs = build_covariates(fields, basis, cfg.center) if needs_sd else {}
+    covs = build_covariates(fields, basis, cfg.center)
     folds = cv_split(stations.values(), cfg.folds, seed=derived_seed(cfg.seed, 77))
     observed_raw = {
         (o.site_id, int(o.day), o.pollutant_id): float(np.exp(o.value)) for o in observations
     }
 
     interp_cards, forecast_cards = [], []
-    for vi, variant in enumerate(variants):
+    for vi, variant in enumerate(ALL_VARIANTS):
         use_covs = covs if variant.mean_kind == "SD" else {}
         for fold in range(cfg.folds):
             heldout = {sid for sid, f in folds.items() if f == fold}
@@ -514,12 +505,6 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations, varian
     return interp_cards, forecast_cards
 
 
-def _default_variants():
-    from .stations import ALL_VARIANTS
-
-    return ALL_VARIANTS
-
-
 def cmd_cv(cfg: RunConfig) -> list:
     spec, fields = load_fields(cfg)
     stations, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
@@ -554,20 +539,31 @@ def cmd_coherence(cfg: RunConfig) -> list:
 
 
 def cmd_aggregate(cfg: RunConfig, predictions_path) -> list:
-    from .evaluate import PredictionResult
-
-    names = {v: k for k, v in cfg.pollutants.items()}
-    inv = {k: v for v, k in names.items()}
-    lines = Path(predictions_path).read_text(encoding="utf-8").splitlines()
+    """Quadrant-by-pollutant means of a predictions CSV."""
+    path = Path(predictions_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != PREDICTIONS_HEADER:
+        raise ParseError(f"{path}:1: expected header {PREDICTIONS_HEADER!r}")
     results = []
-    for line in lines[1:]:
-        sid, x, y, day, pol, pred, lo, hi = line.split(",")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise ParseError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+        sid, x, y, day, pol, pred, lo, hi = parts
+        if pol in cfg.pollutants:
+            pollutant_id = cfg.pollutants[pol]
+        elif pol.isdigit():
+            pollutant_id = int(pol)
+        else:
+            raise ParseError(f"{path}:{lineno}: unknown pollutant {pol!r}")
         results.append(
             PredictionResult(
                 target=PredictionTarget(
                     x=float(x),
                     y=float(y),
-                    pollutant_id=inv.get(pol, int(pol) if pol.isdigit() else -1),
+                    pollutant_id=pollutant_id,
                     day=int(day),
                     mode="forecast",
                     site_id=sid,
@@ -579,6 +575,6 @@ def cmd_aggregate(cfg: RunConfig, predictions_path) -> list:
             )
         )
     rows = aggregate_means(results, _first_grid_spec(cfg))
-    path = Path(cfg.output_dir) / "aggregate.csv"
-    write_aggregate_csv(rows, path, cfg.pollutants)
-    return [path]
+    out = Path(cfg.output_dir) / "aggregate.csv"
+    write_aggregate_csv(rows, out, cfg.pollutants)
+    return [out]

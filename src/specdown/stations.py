@@ -5,6 +5,11 @@ Stations sit at point coordinates inside the grid; each observation is one
 design-matrix layout: K one-hot intercept columns followed by covariate
 columns grouped by observed pollutant k, so the matrix is block-diagonal by
 pollutant and joint least squares decouples into per-pollutant fits.
+
+:func:`design_rows` is the one place design rows are built: the fitting
+rows of :func:`assemble_design` and the prediction rows of
+:func:`specdown.evaluate.predict` both gather a column's gridded field (LD)
+or spectral covariate (SD) at the rows' cells through it.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .filters import CovariateStack
 from .grid import GridSpec
+from .lmc import StackedLayout
 
 __all__ = [
     "Station",
@@ -28,8 +33,8 @@ __all__ = [
     "cell_lookup",
     "cell_indices",
     "assemble_design",
+    "design_rows",
     "standardize",
-    "destandardize",
     "coef_to_raw",
 ]
 
@@ -191,25 +196,40 @@ class DesignMatrix:
         return [c.label for c in self.columns]
 
     def rows_for_days(self, days) -> np.ndarray:
-        wanted = set(int(d) for d in days)
-        return np.array([i for i, d in enumerate(self.row_day) if int(d) in wanted], dtype=int)
+        return np.flatnonzero(np.isin(self.row_day, [int(d) for d in days]))
+
+    def layout(self, rows=slice(None)) -> StackedLayout:
+        """Stacked-residual layout of the given rows, all rows by default."""
+        return StackedLayout(
+            day=self.row_day[rows],
+            pollutant=self.row_pollutant[rows],
+            coords=np.column_stack([self.row_x[rows], self.row_y[rows]]),
+        )
+
+    def scale_rows(self, X: np.ndarray, pollutant: np.ndarray) -> None:
+        """Apply the recorded (x - col_mean) / col_sd in place to each
+        covariate column of rows ``X``, over the rows of the column's
+        pollutant; the identity on an unstandardized design."""
+        for idx, col in enumerate(self.columns):
+            if col.kind == "covariate":
+                active = pollutant == col.k
+                X[active, idx] = (X[active, idx] - self.col_mean[idx]) / self.col_sd[idx]
 
 
 def assemble_design(
     variant: ModelVariant,
     fields: dict,
-    covs: list[CovariateStack] | dict,
+    covs: dict,
     observations: list[Observation],
     stations: dict,
 ) -> DesignMatrix:
     """Build the regression design for ``variant``.
 
-    ``fields`` maps (pollutant j, day) to its GridField; ``covs`` is the
-    spectral covariate collection, either a list of CovariateStack (whose
-    fields carry day tags) or a dict keyed by (j, b, day).  ``stations`` maps
-    site_id to Station.  The assembly is deterministic: rows follow the order
-    of ``observations``; columns are intercepts for k = 0..K-1 followed by
-    each k's covariate block ordered by (j, b).
+    ``fields`` maps (pollutant j, day) to its GridField; ``covs`` maps
+    (j, b, day) to the spectral CovariateStack.  ``stations`` maps site_id
+    to Station.  The assembly is deterministic: rows follow the order of
+    ``observations``; columns are intercepts for k = 0..K-1 followed by each
+    k's covariate block ordered by (j, b).
 
     Raises a configuration ``ValueError`` when a needed field or covariate
     stack is missing.
@@ -217,93 +237,40 @@ def assemble_design(
     if not observations:
         raise ValueError("no observations to assemble")
     K = max(o.pollutant_id for o in observations) + 1
-
-    cov_lookup = {}
     if variant.mean_kind == "SD":
-        if isinstance(covs, dict):
-            cov_lookup = dict(covs)
-        else:
-            for st in covs:
-                cov_lookup[(st.pollutant_id, st.basis_index, st.field.day)] = st
-        if not cov_lookup:
+        if not covs:
             raise ValueError("SD variant requires spectral covariates")
-        J = max(key[0] for key in cov_lookup) + 1
-        B = max(key[1] for key in cov_lookup) + 1
+        J = max(key[0] for key in covs) + 1
+        B = max(key[1] for key in covs) + 1
     else:
         if not fields:
             raise ValueError("LD variant requires gridded fields")
         J = max(key[0] for key in fields) + 1
-        B = None
-
-    spec = None
-    for f in fields.values() if fields else ():
-        spec = f.spec
-        break
-    if spec is None:
-        spec = next(iter(cov_lookup.values())).spec
+    spec = next(iter(fields.values() if fields else covs.values())).spec
 
     # column layout: K intercepts, then per-k blocks
-    columns: list[ColumnMeta] = [ColumnMeta("intercept", k) for k in range(K)]
-    block_start = {}
+    columns = [ColumnMeta("intercept", k) for k in range(K)]
     for k in range(K):
-        js = range(J) if variant.cross else (k,)
-        block_start[k] = len(columns)
-        for j in js:
+        for j in range(J) if variant.cross else (k,):
             if variant.mean_kind == "LD":
                 columns.append(ColumnMeta("covariate", k, j))
             else:
-                for b in range(B):
-                    columns.append(ColumnMeta("covariate", k, j, b))
+                columns.extend(ColumnMeta("covariate", k, j, b) for b in range(B))
+
+    sites = [stations[o.site_id] for o in observations]
+    row_site = tuple(o.site_id for o in observations)
+    row_x = np.array([st.x for st in sites], dtype=float)
+    row_y = np.array([st.y for st in sites], dtype=float)
+    row_day = np.array([o.day for o in observations], dtype=int)
+    row_pol = np.array([o.pollutant_id for o in observations], dtype=int)
+    cells = cell_indices(row_x, row_y, spec, row_site)
     p = len(columns)
-
-    n = len(observations)
-    X = np.zeros((n, p))
-    row_day = np.empty(n, dtype=int)
-    row_pol = np.empty(n, dtype=int)
-    row_x = np.empty(n)
-    row_y = np.empty(n)
-    row_site = []
-
-    cell_cache = {}
-    for i, obs in enumerate(observations):
-        st = stations[obs.site_id]
-        if obs.site_id not in cell_cache:
-            cell_cache[obs.site_id] = cell_lookup(st, spec)
-        cell = cell_cache[obs.site_id]
-        k = obs.pollutant_id
-        row_day[i] = obs.day
-        row_pol[i] = k
-        row_x[i] = st.x
-        row_y[i] = st.y
-        row_site.append(obs.site_id)
-        X[i, k] = 1.0
-        js = range(J) if variant.cross else (k,)
-        col = block_start[k]
-        for j in js:
-            if variant.mean_kind == "LD":
-                try:
-                    field = fields[(j, obs.day)]
-                except KeyError:
-                    raise ValueError(f"missing field for pollutant {j} day {obs.day}")
-                X[i, col] = field.values[cell]
-                col += 1
-            else:
-                for b in range(B):
-                    try:
-                        stack = cov_lookup[(j, b, obs.day)]
-                    except KeyError:
-                        raise ValueError(
-                            f"missing covariate stack (j={j}, b={b}, day={obs.day})"
-                        )
-                    X[i, col] = stack.field.values[cell]
-                    col += 1
-
     return DesignMatrix(
-        X=X,
+        X=design_rows(columns, variant.mean_kind, fields, covs, cells, row_pol, row_day),
         columns=tuple(columns),
         row_day=row_day,
         row_pollutant=row_pol,
-        row_site=tuple(row_site),
+        row_site=row_site,
         row_x=row_x,
         row_y=row_y,
         col_mean=np.zeros(p),
@@ -313,66 +280,75 @@ def assemble_design(
     )
 
 
-def _active_rows(design: DesignMatrix, col: ColumnMeta) -> np.ndarray:
-    return design.row_pollutant == col.k
+def design_rows(columns, mean_kind: str, fields, covs, cells, pollutant, day) -> np.ndarray:
+    """Raw design rows of observations in grid ``cells`` of pollutants
+    ``pollutant`` on days ``day``; shape (T, len(columns)).
+
+    An intercept column is 1 on the rows of its pollutant.  A covariate
+    column (k, j[, b]) holds, on the rows of pollutant k, the value at the
+    row's cell of field ``fields[(j, day)]`` (LD) or covariate stack
+    ``covs[(j, b, day)]`` (SD), gathered one column and day at a time; it is
+    0 on the other rows.  A missing field or stack raises ``ValueError``.
+    """
+    rows = np.zeros((cells.size, len(columns)))
+    by_day = [(int(d), day == d) for d in np.unique(day)]
+    for idx, col in enumerate(columns):
+        active = pollutant == col.k
+        if col.kind == "intercept":
+            rows[active, idx] = 1.0
+            continue
+        for d, on_day in by_day:
+            sel = active & on_day
+            if not sel.any():
+                continue
+            if mean_kind == "LD":
+                source = fields.get((col.j, d))
+                if source is None:
+                    raise ValueError(f"missing field for pollutant {col.j} day {d}")
+            else:
+                stack = covs.get((col.j, col.b, d))
+                if stack is None:
+                    raise ValueError(f"missing covariate stack (j={col.j}, b={col.b}, day={d})")
+                source = stack.field
+            rows[sel, idx] = source.values[cells[sel]]
+    return rows
 
 
 def standardize(design: DesignMatrix) -> DesignMatrix:
     """Scale covariate columns to mean 0, sd 1 over their active rows.
 
+    A covariate column's active rows are those of its pollutant k.
     Intercept columns are untouched.  Zero-variance columns are flagged and
-    left unscaled with (mean, sd) recorded as (0, 1) so de-standardization is
-    exact.  Sample sd uses the n-1 denominator.
+    left unscaled with (mean, sd) recorded as (0, 1).  Sample sd uses the
+    n-1 denominator.
     """
     if design.standardized:
         raise ValueError("design is already standardized")
-    X = design.X.copy()
     mean = np.zeros(design.p)
     sd = np.ones(design.p)
     flagged = []
     for idx, col in enumerate(design.columns):
         if col.kind != "covariate":
             continue
-        rows = _active_rows(design, col)
-        vals = X[rows, idx]
+        vals = design.X[design.row_pollutant == col.k, idx]
         if vals.size < 2:
             raise ValueError(f"column {col.label} has fewer than 2 active rows")
-        m = vals.mean()
         s = vals.std(ddof=1)
         if s == 0.0:
             flagged.append(col.label)
             continue
-        mean[idx] = m
+        mean[idx] = vals.mean()
         sd[idx] = s
-        X[rows, idx] = (vals - m) / s
-    return replace(
+    scaled = replace(
         design,
-        X=X,
+        X=design.X.copy(),
         col_mean=mean,
         col_sd=sd,
         standardized=True,
         zero_variance=tuple(flagged),
     )
-
-
-def destandardize(design: DesignMatrix) -> DesignMatrix:
-    """Invert :func:`standardize` exactly using the recorded statistics."""
-    if not design.standardized:
-        raise ValueError("design is not standardized")
-    X = design.X.copy()
-    for idx, col in enumerate(design.columns):
-        if col.kind != "covariate":
-            continue
-        rows = _active_rows(design, col)
-        X[rows, idx] = X[rows, idx] * design.col_sd[idx] + design.col_mean[idx]
-    return replace(
-        design,
-        X=X,
-        col_mean=np.zeros(design.p),
-        col_sd=np.ones(design.p),
-        standardized=False,
-        zero_variance=(),
-    )
+    scaled.scale_rows(scaled.X, scaled.row_pollutant)
+    return scaled
 
 
 def coef_to_raw(design: DesignMatrix, coef: np.ndarray) -> np.ndarray:

@@ -24,10 +24,10 @@ from .stations import Observation, Station, cell_lookup
 __all__ = [
     "FieldSpectrum",
     "SimConfig",
-    "SyntheticTruth",
     "simulate_fields",
     "simulate_stations",
     "simulate",
+    "true_raw_coef",
 ]
 
 CADENCE_GAP = {"daily": 1, "1-in-3": 3, "1-in-6": 6}

@@ -617,10 +617,30 @@ class TestCoherenceCurve:
             days=(1,),
         )
 
+    def _design(self, basis):
+        """Unstandardized design record with the columns of :meth:`_posterior`."""
+        columns = (ColumnMeta("intercept", 0),) + tuple(
+            ColumnMeta("covariate", 0, 0, b) for b in range(basis.count)
+        )
+        p = len(columns)
+        return DesignMatrix(
+            X=np.zeros((0, p)),
+            columns=columns,
+            row_day=np.zeros(0, int),
+            row_pollutant=np.zeros(0, int),
+            row_site=(),
+            row_x=np.zeros(0),
+            row_y=np.zeros(0),
+            col_mean=np.zeros(p),
+            col_sd=np.ones(p),
+            standardized=False,
+            zero_variance=(),
+        )
+
     def test_zero_coefficients_flat_not_significant(self):
         basis = make_basis(4, 1)
         post = self._posterior([0.0] * 4, basis)
-        curve = coherence_curve(post, 0, 0, basis)
+        curve = coherence_curve(post, 0, 0, basis, self._design(basis), dx=12.0)
         assert np.allclose(curve.mean, 0.0)
         assert not curve.significant
         assert not curve.coef_significant.any()
@@ -628,7 +648,7 @@ class TestCoherenceCurve:
     def test_constant_basis_point_mass(self):
         basis = make_basis(1, 0)
         post = self._posterior([2.0], basis)
-        curve = coherence_curve(post, 0, 0, basis)
+        curve = coherence_curve(post, 0, 0, basis, self._design(basis), dx=12.0)
         assert np.allclose(curve.mean, 2.0)
         assert curve.significant
         assert np.all(curve.lo <= curve.mean) and np.all(curve.mean <= curve.hi)
@@ -637,12 +657,12 @@ class TestCoherenceCurve:
         basis = make_basis(4, 1)
         post = self._posterior([0.0] * 4, basis)
         with pytest.raises(ValueError, match="no coefficients"):
-            coherence_curve(post, 1, 3, basis)
+            coherence_curve(post, 1, 3, basis, self._design(basis), dx=12.0)
 
     def test_periods_descend_with_magnitude(self):
         basis = make_basis(4, 1)
         post = self._posterior([0.1] * 4, basis)
-        curve = coherence_curve(post, 0, 0, basis, dx=12.0)
+        curve = coherence_curve(post, 0, 0, basis, self._design(basis), dx=12.0)
         assert np.all(np.diff(curve.magnitudes) > 0)
         assert np.all(np.diff(curve.periods_km) < 0)
         assert curve.periods_km[-1] == pytest.approx(12 * 2 * np.pi / curve.magnitudes[-1])

@@ -1,0 +1,65 @@
+"""Every package name the benchmark reads, and every ``__all__`` entry, exists.
+
+``bench/run.py`` reads ``<module>.<attr>`` on specdown modules and hands
+``(<module>, "<attr>")`` pairs to its tracer, which looks each one up with
+``getattr``: one missing name stops every benchmark run before it reports.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p.stem for p in (ROOT / "src" / "specdown").glob("*.py") if p.stem != "__init__")
+
+
+def _bench_names() -> set:
+    """(module, attr) pairs that bench/run.py reads on specdown modules."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    modules = {"specdown": "specdown"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "specdown":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"specdown.{alias.name}"
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.add((modules[node.value.id], node.attr))
+        pair = None
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            pair = node.elts
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "wrap":
+            pair = node.args[:2]
+        if (
+            pair is not None
+            and len(pair) == 2
+            and isinstance(pair[0], ast.Name)
+            and pair[0].id in modules
+            and isinstance(pair[1], ast.Constant)
+        ):
+            names.add((modules[pair[0].id], pair[1].value))
+    return names
+
+
+def test_bench_reads_and_wraps_are_found():
+    names = _bench_names()
+    # the tracer's light set and the sampler probe must have been seen
+    assert ("specdown.pipeline", "fit_variant") in names
+    assert ("specdown.pipeline", "ProcessPoolExecutor") in names
+    assert ("specdown.inference", "fit_batch_mcmc") in names
+    assert ("specdown.stations", "coef_to_raw") in names
+
+
+@pytest.mark.parametrize("module,attr", sorted(_bench_names()))
+def test_bench_name_resolves(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"bench reads {module}.{attr}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist(module):
+    mod = importlib.import_module(f"specdown.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

@@ -157,6 +157,17 @@ class TestGridRoundTrip:
             write_grid(back, again)
             assert again.read_bytes() == path.read_bytes()
 
+    def test_text_is_shortest_repr(self, tmp_path):
+        # a subnormal, a negative zero and a huge value keep the spelling of
+        # repr(float), which makes reruns byte-identical
+        values = [5e-324, -0.0, 1e300, 0.1, -2.5, 1.0 / 3.0]
+        field = GridField(GridSpec(3, 2, 12.5), values, 1, 7)
+        path = tmp_path / "grid.txt"
+        write_grid(field, path)
+        expected = "3 2 12.5 1 7\n" + " ".join(repr(float(v)) for v in values) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        _assert_same_field(read_grid(path), field)
+
 
 class TestCovariateRoundTrip:
     @settings(max_examples=60, deadline=None)

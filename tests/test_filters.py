@@ -11,7 +11,6 @@ from specdown.filters import (
     MAX_MAGNITUDE,
     FrequencyBand,
     band_filter,
-    bin_covariates,
     eight_bins,
     make_basis,
     period_of,
@@ -196,28 +195,11 @@ class TestSpectralCovariates:
 
 
 class TestBinCovariates:
-    def test_partition(self):
-        spec = GridSpec(9, 8, 12.0)
-        f = _random_field(spec, 11)
-        stacks = bin_covariates(f)
-        assert len(stacks) == 8
-        total = sum(st.field.values for st in stacks)
-        assert np.max(np.abs(total - f.values)) < 1e-9
-
-    def test_constant_field_only_first_bin(self):
-        spec = GridSpec(6, 6, 12.0)
-        f = GridField(spec, np.full(36, 2.0))
-        stacks = bin_covariates(f)
-        assert np.allclose(stacks[0].field.values, 2.0)
-        for st in stacks[1:]:
-            assert np.allclose(st.field.values, 0.0, atol=1e-12)
-
     def test_single_tone_lands_in_third_bin(self):
         spec = GridSpec(8, 8, 12.0)
         x = np.arange(8)
         f = GridField.from_2d(spec, np.tile(np.cos((PI / 2) * x), (8, 1)))
-        stacks = bin_covariates(f)
-        norms = [np.linalg.norm(st.field.values) for st in stacks]
+        norms = [np.linalg.norm(band_filter(f, band).values) for band in eight_bins()]
         assert norms[2] > 1.0
         for b, n in enumerate(norms):
             if b != 2:

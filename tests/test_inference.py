@@ -18,7 +18,6 @@ from specdown.inference import (
     fit_ols,
     make_batches,
     marginal_loglik,
-    mh_logit_walk,
     ols_posterior,
 )
 from specdown.inference import _IndependenceProposal
@@ -181,35 +180,6 @@ class TestConjugateBeta:
         emp_cov = np.cov(draws, rowvar=False)
         se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n_draws)
         assert np.all(np.abs(emp_cov - cov) < 3.0 * se_cov)
-
-
-class TestMhKernel:
-    def test_flat_target_stationary_uniform(self):
-        # with a flat log-likelihood the chain on the natural scale must be
-        # uniform over the bounds; a wrong transform Jacobian fails this
-        bounds = (2.0, 7.0)
-        rng = np.random.default_rng(17)
-        flat = lambda x: (0.0, None)
-        value, ll = 4.0, 0.0
-        kept = []
-        for i in range(400_000):
-            value, ll, _, _ = mh_logit_walk(value, bounds, 1.5, flat, ll, rng)
-            if i % 50 == 0:
-                kept.append(value)
-        kept = np.array(kept[1000:])
-        n_bins = 20
-        counts, _ = np.histogram(kept, bins=np.linspace(*bounds, n_bins + 1))
-        expected = kept.size / n_bins
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        # chi-square(19) 1% critical value
-        assert chi2 < 36.19
-
-    def test_invalid_proposal_rejected(self):
-        rng = np.random.default_rng(3)
-        value, ll, payload, accepted = mh_logit_walk(
-            3.0, (2.0, 7.0), 0.5, lambda x: None, 0.0, rng
-        )
-        assert (value, ll, payload, accepted) == (3.0, 0.0, None, False)
 
 
 class TestBatchSampler:

@@ -12,10 +12,19 @@ from specdown.lmc import (
     SpatialDecay,
     StackedLayout,
     chol_pd,
-    exp_corr,
-    lmc_covariance,
     sample_w,
 )
+
+
+def lmc_covariance(layout: StackedLayout, coreg: Coregionalization, decay: SpatialDecay) -> np.ndarray:
+    """Dense covariance of the stacked residual vector.
+
+    Entries pair (pollutant i at s, day d) with (pollutant j at s', d'):
+    zero when d != d', otherwise sum_m A_im A_jm exp(-rate ||s - s'||).
+    """
+    kernel = LmcKernel(layout.coords, layout.pollutant, coreg.k)
+    cov = kernel.cov(coreg.cross_cov(), kernel.corr(decay.rate))
+    return np.where(layout.day[:, None] == layout.day[None, :], cov, 0.0)
 
 
 def _layout(coords, pollutants, days=None):
@@ -43,18 +52,19 @@ class TestTypes:
             StackedLayout(day=np.empty(0, int), pollutant=np.empty(0, int), coords=np.empty((0, 2)))
 
 
+def _corr(distance, rate):
+    """LmcKernel correlation between the origin and a point ``distance`` km along x."""
+    return LmcKernel([[0.0, 0.0], [distance, 0.0]], [0, 0], 1).corr(rate)[0, 1]
+
+
 class TestExpCorr:
     def test_zero_distance(self):
-        assert exp_corr(0.0, SpatialDecay(0.13)) == 1.0
+        assert _corr(0.0, 0.13) == 1.0
 
     def test_effective_range(self):
         phi = 0.02
-        assert exp_corr(3.0 / phi, SpatialDecay(phi)) == pytest.approx(np.exp(-3), rel=1e-12)
-        assert exp_corr(3.0 / phi, SpatialDecay(phi)) == pytest.approx(0.0498, abs=1e-4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            exp_corr(-1.0, SpatialDecay(0.1))
+        assert _corr(3.0 / phi, phi) == pytest.approx(np.exp(-3), rel=1e-12)
+        assert _corr(3.0 / phi, phi) == pytest.approx(0.0498, abs=1e-4)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -63,8 +73,7 @@ class TestExpCorr:
         phi=st.floats(min_value=1e-4, max_value=1.0),
     )
     def test_monotone_decreasing(self, h1, gap, phi):
-        decay = SpatialDecay(phi)
-        assert exp_corr(h1, decay) > exp_corr(h1 + gap, decay)
+        assert _corr(h1, phi) > _corr(h1 + gap, phi)
 
 
 class TestCovariance:

@@ -1,11 +1,13 @@
 """Pipeline helpers and subcommands on a tiny simulated dataset."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from specdown.fileio import RunConfig, write_grid
+from specdown.cli import main
+from specdown.fileio import RunConfig, read_posterior, write_grid
 from specdown.grid import GridField, GridSpec
 from specdown.pipeline import (
     cmd_aggregate,
@@ -125,3 +127,83 @@ class TestCoherence:
         lines = path.read_text(encoding="utf-8").splitlines()
         # one curve per (observed, gridded) pair, 100 magnitudes each
         assert len(lines) == 1 + 2 * 2 * 100
+
+
+# Bounds of the end-to-end recovery test, from the same config on seeds
+# 101-140: forecast coverage ran 0.856-0.972, combined nugget median / truth
+# 0.80-5.04 (the second pollutant's median 2.2: every batch applies the full
+# nugget prior), decay median / truth 0.73-1.62.  Each ratio bound is the
+# extreme seen there, widened by a factor of 1.5.
+RECOVERY_COVERAGE = (0.80, 0.99)
+RECOVERY_NUGGET = (0.53, 7.6)
+RECOVERY_DECAY = (0.49, 2.4)
+
+
+class TestEndToEndRecovery:
+    def test_simulate_to_coherence_recovers_truth(self, tmp_path, capsys):
+        # desk data (32x32 grid, 60 stations, 18 days: five 3-day batches);
+        # 100 kept draws per batch for 28 parameters, so consensus weighs
+        # full-rank batch covariances
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "grids_dir": str(tmp_path / "grids"),
+                    "stations_file": str(tmp_path / "stations.csv"),
+                    "output_dir": str(tmp_path),
+                    "variant": "Spatial SD + Cross",
+                    "seed": 1,
+                    "mcmc": {"iterations": 200, "burnin": 100, "thin": 1},
+                }
+            ),
+            encoding="utf-8",
+        )
+        written = []
+        for args in (
+            ["simulate"],
+            ["fit"],
+            ["combine"],
+            ["predict", "--mode", "forecast"],
+            ["predict", "--mode", "interpolation"],
+            ["coherence"],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["--config", str(cfg)] + args) == 0, capsys.readouterr().err
+            written += capsys.readouterr().out.split()
+        assert all((tmp_path / p).is_file() for p in written)
+        names = {p.rsplit("/", 1)[-1] for p in written}
+        batches = [f"batch_{i:03d}.csv" for i in range(5)]
+        assert names >= {
+            "stations.csv",
+            "truth.json",
+            "design.json",
+            "combined.csv",
+            "predictions_forecast.csv",
+            "predictions_interpolation.csv",
+            "coherence.csv",
+            *batches,
+        }
+        for batch in batches:
+            assert (tmp_path / batch).with_suffix(".w.npz").is_file()
+
+        observed = {}
+        for line in (tmp_path / "stations.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            sid, _, _, day, pol, value = line.split(",")
+            observed[(sid, day, pol)] = float(value)
+        hits = total = 0
+        forecast = (tmp_path / "predictions_forecast.csv").read_text(encoding="utf-8")
+        for line in forecast.splitlines()[1:]:
+            sid, _, _, day, pol, _, lo, hi = line.split(",")
+            if (sid, day, pol) in observed:
+                total += 1
+                hits += float(lo) <= observed[(sid, day, pol)] <= float(hi)
+        assert total > 100
+        assert RECOVERY_COVERAGE[0] <= hits / total <= RECOVERY_COVERAGE[1]
+
+        truth = json.loads((tmp_path / "truth.json").read_text(encoding="utf-8"))
+        combined = read_posterior(tmp_path / "combined.csv")
+        nugget = np.median(combined.nugget2_draws(), axis=0) / np.asarray(truth["nugget2"])
+        decay = np.median(combined.decay_draws()) / truth["decay"]
+        assert np.all((RECOVERY_NUGGET[0] <= nugget) & (nugget <= RECOVERY_NUGGET[1])), nugget
+        assert RECOVERY_DECAY[0] <= decay <= RECOVERY_DECAY[1], decay
