@@ -9,7 +9,10 @@ append a ``j b`` suffix line.  Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count.  Posterior draws are CSV plus a JSON
-sidecar; residual-field draws ride along in an .npz when present.
+sidecar; residual-field draws ride along in an .npz when present.  The
+natural-scale draws of the combined posterior are written by ``combine``
+for readers outside the pipeline and never read back: every stage derives
+them from the transformed draws.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "parse_station_file",
     "write_posterior",
     "read_posterior",
+    "write_natural_csv",
     "PREDICTIONS_HEADER",
     "write_predictions_csv",
     "write_scorecard_csv",
@@ -80,7 +84,7 @@ def _read_draws_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = tuple(next(reader))
-        draws = np.array([[float(v) for v in row] for row in reader if row])
+        draws = np.loadtxt(fh, delimiter=",", ndmin=2)
     return names, draws
 
 
@@ -256,10 +260,11 @@ def write_posterior(post: BatchPosterior, csv_path) -> None:
         arrays["layout_coords"] = post.w_layout.coords
         np.savez(csv_path.with_suffix(".w.npz"), **arrays)
 
-    if post.natural is not None:
-        nat_path = csv_path.with_name(csv_path.stem + "_natural.csv")
-        names = [n.replace(".logit", "").replace(".log", "") for n in post.param_names]
-        _write_draws_csv(nat_path, names, post.natural)
+
+def write_natural_csv(post: BatchPosterior, path) -> None:
+    """Draws on the natural scale, the transform suffixes cut from the names."""
+    names = [n.replace(".logit", "").replace(".log", "") for n in post.param_names]
+    _write_draws_csv(path, names, post.natural_draws())
 
 
 def read_posterior(csv_path) -> BatchPosterior:
@@ -281,15 +286,10 @@ def read_posterior(csv_path) -> BatchPosterior:
                 for key in data.files
                 if key.startswith("w_day_")
             }
-    natural = None
-    nat_path = csv_path.with_name(csv_path.stem + "_natural.csv")
-    if nat_path.exists():
-        natural = _read_draws_csv(nat_path)[1]
     return BatchPosterior(
         draws=draws,
         param_names=names,
         transforms=tuple(meta["transforms"]),
-        sample_cov=np.cov(draws, rowvar=False),
         n_beta=int(meta["n_beta"]),
         n_pollutants=int(meta["n_pollutants"]),
         days=tuple(meta["days"]),
@@ -298,7 +298,6 @@ def read_posterior(csv_path) -> BatchPosterior:
         acceptance=dict(meta["acceptance"]),
         w_draws=w_draws,
         w_layout=w_layout,
-        natural=natural,
     )
 
 

@@ -7,8 +7,8 @@ the magnitude it yields the spectral covariates used as regression features.
 
 Weighting happens on the principal frequency domain, so energy aliased onto
 low lattice frequencies stays there; no anti-alias correction is applied.
-The per-basis loop in :func:`spectral_covariates` has no shared state and is
-safe to parallelize.
+The per-basis loop in :func:`spectral_covariates` only reads the shared
+forward transform and is safe to parallelize.
 """
 
 from __future__ import annotations
@@ -134,24 +134,14 @@ class CovariateStack:
     field: GridField
 
 
-def _weighted_inverse(field: GridField, weights: np.ndarray) -> np.ndarray:
-    spectrum = dft_forward(field)
-    out = dft_inverse(
-        type(spectrum)(spec=field.spec, coeffs=spectrum.coeffs * weights),
-        pollutant_id=field.pollutant_id,
-        day=field.day,
-    )
-    return out.values
-
-
 def spectral_covariates(
     field: GridField, basis: SpectralBasis, center: bool = False
 ) -> list[CovariateStack]:
     """Construct one covariate field per basis function.
 
-    Transform, multiply coefficient l by basis function b evaluated at
-    ||w_l||, transform back.  By partition of unity the covariates sum back
-    to the input field.  With ``center=True`` the grid mean is removed first,
+    Transform once, multiply coefficient l by basis function b evaluated at
+    ||w_l||, transform back per basis function.  By partition of unity the
+    covariates sum back to the input field.  With ``center=True`` the grid mean is removed first,
     so covariates describe the anomaly field only; the removed mean is then
     absorbed by a regression intercept downstream.  Centering defaults off
     because the daily grid mean itself carries predictive signal.
@@ -163,9 +153,14 @@ def spectral_covariates(
         work = GridField(
             field.spec, field.values - field.mean(), field.pollutant_id, field.day
         )
+    spectrum = dft_forward(work)
     stacks = []
     for b in range(basis.count):
-        values = _weighted_inverse(work, weights[:, b])
+        values = dft_inverse(
+            type(spectrum)(spec=field.spec, coeffs=spectrum.coeffs * weights[:, b]),
+            pollutant_id=field.pollutant_id,
+            day=field.day,
+        ).values
         cov_field = GridField(field.spec, values, field.pollutant_id, field.day)
         stacks.append(
             CovariateStack(

@@ -12,15 +12,25 @@ conjugate Gibbs updates given w.  Batch subposteriors are merged by
 precision-weighted averaging of aligned draws, performed on the transformed
 parameter scale.
 
+The hyperparameters theta (the K nugget variances, the lower-triangular
+mixing matrix A and the decay rate) have one representation on the
+sampler's scale, written and read only by :func:`_pack_hyper` and
+:func:`_unpack_hyper`: log nuggets, then A's free entries column-major with
+the diagonal logged (index pairs from :func:`_coreg_index`), then the logit
+of the rate within its bounds (:func:`_rate_logit`, decoded by
+:func:`_rate`).  Posterior draws, the block proposal and the parameter names
+all use this codec.
+
 Every sampler owns its generator; a batch seeded identically reproduces its
 draws bit for bit, so batches may run in parallel worker processes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, qr
@@ -119,10 +129,7 @@ class McmcConfig:
     update_nugget: bool = True
     update_coreg: bool = True
     update_decay: bool = True
-    init_beta: np.ndarray | None = None
     init_nugget2: np.ndarray | None = None
-    init_coreg: np.ndarray | None = None
-    init_decay: float | None = None
 
     def __post_init__(self):
         if not self.iterations > self.burnin >= 0:
@@ -250,16 +257,17 @@ class BatchPosterior:
     """MCMC draws for one batch (or the consensus of several).
 
     ``draws`` live on the transformed scale: regression coefficients as-is,
-    log nugget variances, the lower-triangular mixing entries column-major
-    with the diagonal logged, and the logit of the decay rate within its
-    prior bounds.  ``sample_cov`` is the draw covariance used as the
-    precision weight during consensus combination.
+    then theta in the layout of :func:`_pack_hyper` (log nugget variances,
+    the mixing entries column-major with the diagonal logged, the logit of
+    the decay rate within its prior bounds).  Only the draws are stored;
+    the accessors below decode them through the same codec, and
+    ``sample_cov``, the precision weight of consensus combination, is
+    computed from them on request.
     """
 
     draws: np.ndarray
     param_names: tuple
     transforms: tuple
-    sample_cov: np.ndarray
     n_beta: int
     n_pollutants: int
     days: tuple
@@ -268,7 +276,6 @@ class BatchPosterior:
     acceptance: dict = field(default_factory=dict)
     w_draws: dict | None = None
     w_layout: StackedLayout | None = None
-    natural: np.ndarray | None = None
 
     @property
     def n_draws(self) -> int:
@@ -278,92 +285,108 @@ class BatchPosterior:
     def has_spatial(self) -> bool:
         return "logit" in self.transforms
 
-    def _coreg_slice(self):
-        start = self.n_beta + self.n_pollutants
-        m = self.n_pollutants * (self.n_pollutants + 1) // 2
-        return slice(start, start + m)
+    @property
+    def sample_cov(self) -> np.ndarray:
+        return np.atleast_2d(np.cov(self.draws, rowvar=False))
+
+    def _hyper(self):
+        """(nugget2, lower, decay_u) per draw."""
+        if not self.has_spatial:
+            raise ValueError("posterior has no spatial parameters")
+        return _unpack_hyper(self.draws[:, self.n_beta :], self.n_pollutants)
 
     def beta_draws(self) -> np.ndarray:
         return self.draws[:, : self.n_beta]
 
     def nugget2_draws(self) -> np.ndarray:
-        sl = slice(self.n_beta, self.n_beta + self.n_pollutants)
-        return np.exp(self.draws[:, sl])
+        return np.exp(self.draws[:, self.n_beta : self.n_beta + self.n_pollutants])
 
     def coreg_draws(self) -> np.ndarray:
         """Mixing matrices per draw, shape (I, K, K)."""
-        if not self.has_spatial:
-            raise ValueError("posterior has no spatial parameters")
-        K = self.n_pollutants
-        vech = self.draws[:, self._coreg_slice()]
-        out = np.zeros((self.n_draws, K, K))
-        pos = 0
-        for c in range(K):
-            for r in range(c, K):
-                vals = vech[:, pos]
-                out[:, r, c] = np.exp(vals) if r == c else vals
-                pos += 1
-        return out
+        return self._hyper()[1]
 
     def decay_draws(self) -> np.ndarray:
-        if not self.has_spatial:
-            raise ValueError("posterior has no spatial parameters")
-        lo, hi = self.decay_bounds
-        u = self.draws[:, -1]
-        return lo + (hi - lo) / (1.0 + np.exp(-u))
+        return _rate(self._hyper()[2], self.decay_bounds)
 
     def natural_draws(self) -> np.ndarray:
         """Draws mapped back to the natural scale, column for column."""
-        if self.natural is not None:
-            return self.natural
         out = self.draws.copy()
         for i, t in enumerate(self.transforms):
             if t == "log":
                 out[:, i] = np.exp(out[:, i])
             elif t == "logit":
-                lo, hi = self.decay_bounds
-                out[:, i] = lo + (hi - lo) / (1.0 + np.exp(-out[:, i]))
+                out[:, i] = _rate(out[:, i], self.decay_bounds)
         return out
 
 
-def _vech_names_transforms(K: int):
-    names, trans = [], []
-    for c in range(K):
-        for r in range(c, K):
-            if r == c:
-                names.append(f"coreg[{r},{c}].log")
-                trans.append("log")
-            else:
-                names.append(f"coreg[{r},{c}]")
-                trans.append("id")
-    return names, trans
+# ---------------------------------------------------------------------------
+# The theta codec
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _coreg_index(K: int) -> tuple:
+    """Row and column indices of A's free entries, column-major (shared, read-only)."""
+    cols, rows = np.triu_indices(K)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def _theta_labels(K: int) -> tuple:
+    """Names and transforms of the coordinates of :func:`_pack_hyper`."""
+    rows, cols = _coreg_index(K)
+    diag = rows == cols
+    names = [f"nugget2[{k}].log" for k in range(K)]
+    names += [f"coreg[{r},{c}]" + (".log" if d else "") for r, c, d in zip(rows, cols, diag)]
+    transforms = ["log"] * K + ["log" if d else "id" for d in diag]
+    return names + ["decay.logit"], transforms + ["logit"]
 
 
 def _pack_hyper(nugget2, lower, decay_u) -> np.ndarray:
-    """Log nuggets, mixing entries column-major (diagonal logged), logit decay."""
-    K = nugget2.shape[0]
-    vech = []
-    for c in range(K):
-        for r in range(c, K):
-            v = lower[r, c]
-            vech.append(np.log(v) if r == c else v)
-    return np.concatenate([np.log(nugget2), np.array(vech), [decay_u]])
+    """Log nuggets, mixing entries column-major (diagonal logged), logit decay.
 
-
-def _pack_state(beta, nugget2, lower, decay_u) -> np.ndarray:
-    return np.concatenate([beta, _pack_hyper(nugget2, lower, decay_u)])
+    Takes any leading draw axes: nugget2 (..., K), lower (..., K, K),
+    decay_u (...).
+    """
+    rows, cols = _coreg_index(np.shape(nugget2)[-1])
+    vech = lower[..., rows, cols]
+    diag = rows == cols
+    vech[..., diag] = np.log(vech[..., diag])
+    return np.concatenate([np.log(nugget2), vech, np.asarray(decay_u)[..., None]], axis=-1)
 
 
 def _unpack_hyper(v: np.ndarray, K: int):
     """Inverse of :func:`_pack_hyper`: (nugget2, lower, decay_u)."""
-    nugget2 = np.exp(v[:K])
-    lower = np.zeros((K, K))
-    pos = K
-    for c in range(K):
-        for r in range(c, K):
-            lower[r, c] = np.exp(v[pos]) if r == c else v[pos]
-            pos += 1
-    return nugget2, lower, float(v[pos])
+    rows, cols = _coreg_index(K)
+    diag = rows == cols
+    vech = v[..., K:-1].copy()
+    vech[..., diag] = np.exp(vech[..., diag])
+    lower = np.zeros(v.shape[:-1] + (K, K))
+    lower[..., rows, cols] = vech
+    return np.exp(v[..., :K]), lower, v[..., -1]
+
+
+def _expit(u):
+    return 1.0 / (1.0 + np.exp(-u))
+
+
+def _rate(u, bounds):
+    """Decay rate from its logit within ``bounds``."""
+    lo, hi = bounds
+    return lo + (hi - lo) * _expit(u)
+
+
+def _rate_logit(rate, bounds):
+    """Inverse of :func:`_rate`."""
+    lo, hi = bounds
+    x = (rate - lo) / (hi - lo)
+    return np.log(x) - np.log1p(-x)
+
+
+def _logit_jacobian(u):
+    s = _expit(u)
+    return np.log(s) + np.log1p(-s)
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +415,6 @@ def draw_nugget2_conditional(ssq, count, priors: Priors, rng, size=None):
     shape = priors.nugget_shape + 0.5 * count
     scale = priors.nugget_scale + 0.5 * ssq
     return scale / rng.gamma(shape, 1.0, size=size)
-
-
-def _logit(x):
-    return np.log(x) - np.log1p(-x)
-
-
-def _expit(u):
-    return 1.0 / (1.0 + np.exp(-u))
-
-
-def _logit_jacobian(u):
-    s = _expit(u)
-    return np.log(s) + np.log1p(-s)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +621,9 @@ def fit_batch_mcmc(
     target and w is drawn afresh afterwards (van Dyk & Park 2008).  A
     switched-off ``update_*`` block holds its initial value; with w held,
     steps 3-4 condition on the held field, and the block proposal runs only
-    when decay, mixing and nuggets all update.  Draws kept after burn-in and
-    thinning are returned with their sample covariance.
+    when decay, mixing and nuggets all update.  Every Metropolis step goes
+    through one accept/reject path that rebuilds only what its proposal
+    changed.  Draws kept after burn-in and thinning are returned.
     """
     if not variant.spatial:
         raise ValueError("fit_batch_mcmc requires a spatial variant")
@@ -622,13 +633,10 @@ def fit_batch_mcmc(
     X, y = batch.X, batch.y
     pol_row = batch.layout.pollutant
     blocks = _DayBlocks(batch.layout, K)
-    lo, hi = priors.decay_bounds
+    lo, hi = bounds = tuple(priors.decay_bounds)
 
     # deterministic initial state
-    if cfg.init_beta is not None:
-        beta = np.asarray(cfg.init_beta, dtype=float).copy()
-    else:
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid0 = y - X @ beta
     if cfg.init_nugget2 is not None:
         nugget2 = np.asarray(cfg.init_nugget2, dtype=float).copy()
@@ -637,19 +645,11 @@ def fit_batch_mcmc(
         for k in range(K):
             rk = resid0[pol_row == k]
             nugget2[k] = max(0.5 * rk.var(), 1e-4) if rk.size > 1 else 0.1
-    if cfg.init_coreg is not None:
-        lower = np.asarray(cfg.init_coreg, dtype=float).copy()
-    else:
-        lower = np.zeros((K, K))
-        for k in range(K):
-            rk = resid0[pol_row == k]
-            lower[k, k] = max(np.sqrt(0.5) * rk.std(), 1e-2) if rk.size > 1 else 0.3
-    if cfg.init_decay is not None:
-        rate = float(cfg.init_decay)
-        if not lo < rate < hi:
-            raise ValueError(f"init_decay {rate} outside prior bounds ({lo}, {hi})")
-    else:
-        rate = 0.5 * (lo + hi)
+    lower = np.zeros((K, K))
+    for k in range(K):
+        rk = resid0[pol_row == k]
+        lower[k, k] = max(np.sqrt(0.5) * rk.std(), 1e-2) if rk.size > 1 else 0.3
+    rate = 0.5 * (lo + hi)
 
     cross = lower @ lower.T
     corr = blocks.corr(rate)
@@ -660,15 +660,38 @@ def fit_batch_mcmc(
     prior_chols = None  # factors of the C blocks, made when w is next drawn
     w = np.zeros(n)
 
+    def move(nugget_p, lower_p, rate_p, log_ratio) -> bool:
+        """Metropolis test of theta' against the marginal; moves the state if accepted.
+
+        The correlation is rebuilt only when the rate changes, the cross
+        block only when the mixing matrix does, and the covariances only
+        when either does.
+        """
+        nonlocal rate, corr, lower, cross, covs, nugget2, chols, ll, prior_chols
+        corr_p = corr if rate_p == rate else blocks.corr(rate_p)
+        cross_p = cross if lower_p is lower else lower_p @ lower_p.T
+        covs_p = covs if corr_p is corr and cross_p is cross else blocks.cov(cross_p, corr_p)
+        chols_p = _factor_marginal(blocks, covs_p, nugget_p[pol_row])
+        logu = np.log(rng.uniform())
+        if chols_p is None:
+            return False
+        ll_p = _marginal_loglik(blocks, chols_p, resid)
+        if not logu < ll_p - ll + log_ratio:
+            return False
+        if covs_p is not covs:
+            prior_chols = None
+        rate, corr, lower, cross, covs = rate_p, corr_p, lower_p, cross_p, covs_p
+        nugget2, chols, ll = nugget_p, chols_p, ll_p
+        return True
+
     def coreg_logprior(mat):
         total = 0.0
-        for c in range(K):
-            for r in range(c, K):
-                v = mat[r, c]
-                if r == c:
-                    total += -0.5 * (np.log(v) / priors.coreg_diag_log_sd) ** 2
-                else:
-                    total += -0.5 * (v / priors.coreg_offdiag_sd) ** 2
+        for r, c in entries:
+            v = mat[r, c]
+            if r == c:
+                total += -0.5 * (np.log(v) / priors.coreg_diag_log_sd) ** 2
+            else:
+                total += -0.5 * (v / priors.coreg_offdiag_sd) ** 2
         return total
 
     def nugget_logprior(log_tau2):
@@ -680,17 +703,17 @@ def fit_batch_mcmc(
         nugget_part = float(nugget_logprior(np.log(nug)).sum())
         return nugget_part + coreg_logprior(mat) + _logit_jacobian(decay_u)
 
+    entries = [(int(r), int(c)) for r, c in zip(*_coreg_index(K))]
     adapt_decay = _StepAdapter(cfg.step_decay, cfg.adapt)
-    coreg_entries = [(r, c) for c in range(K) for r in range(c, K)]
-    adapt_coreg = {e: _StepAdapter(cfg.step_coreg, cfg.adapt) for e in coreg_entries}
+    adapt_coreg = [_StepAdapter(cfg.step_coreg, cfg.adapt) for _ in entries]
     adapt_nugget = [_StepAdapter(cfg.step_coreg, cfg.adapt) for _ in range(K)]
     block_moves = cfg.adapt and cfg.update_decay and cfg.update_coreg and cfg.update_nugget
     block_history = []
     block_proposal = None
     block_tried = block_taken = 0
 
-    P = p + K + len(coreg_entries) + 1
-    kept = np.empty((cfg.n_draws, P))
+    names, transforms = _theta_labels(K)
+    kept = np.empty((cfg.n_draws, p + len(names)))
     w_store = (
         {d: np.empty((cfg.n_draws, idx.size)) for d, idx in zip(blocks.days, blocks.idx)}
         if cfg.store_w
@@ -704,54 +727,24 @@ def fit_batch_mcmc(
         if cfg.update_decay or cfg.update_coreg or cfg.update_nugget:
             ll = _marginal_loglik(blocks, chols, resid)
 
-        def propose(covs_p, nugget_row_p, log_ratio):
-            """Metropolis test of a move on the marginal; (chols, loglik) if accepted."""
-            chols_p = _factor_marginal(blocks, covs_p, nugget_row_p)
-            logu = np.log(rng.uniform())
-            if chols_p is None:
-                return None
-            ll_p = _marginal_loglik(blocks, chols_p, resid)
-            return (chols_p, ll_p) if logu < ll_p - ll + log_ratio else None
-
         # (1a) decay rate, random walk on the logit scale; the rate's
         # uniform prior puts the logit transform's Jacobian into the ratio
         if cfg.update_decay:
-            u = _logit((rate - lo) / (hi - lo))
+            u = _rate_logit(rate, bounds)
             u_prop = u + adapt_decay.step * rng.standard_normal()
-            rate_prop = lo + (hi - lo) * _expit(u_prop)
-            corr_p = blocks.corr(rate_prop)
-            covs_p = blocks.cov(cross, corr_p)
-            result = propose(
-                covs_p, nugget2[pol_row], _logit_jacobian(u_prop) - _logit_jacobian(u)
-            )
-            if result is not None:
-                chols, ll = result
-                rate, corr, covs = rate_prop, corr_p, covs_p
-                prior_chols = None
-            adapt_decay.record(result is not None, adapting)
+            log_ratio = _logit_jacobian(u_prop) - _logit_jacobian(u)
+            adapt_decay.record(move(nugget2, lower, _rate(u_prop, bounds), log_ratio), adapting)
 
         # (1b) mixing-matrix entries
         if cfg.update_coreg:
-            for entry in coreg_entries:
-                r_i, c_i = entry
-                adapter = adapt_coreg[entry]
+            for (r_i, c_i), adapter in zip(entries, adapt_coreg):
                 prop = lower.copy()
                 if r_i == c_i:
-                    prop[r_i, c_i] = lower[r_i, c_i] * np.exp(
-                        adapter.step * rng.standard_normal()
-                    )
+                    prop[r_i, c_i] = lower[r_i, c_i] * np.exp(adapter.step * rng.standard_normal())
                 else:
                     prop[r_i, c_i] = lower[r_i, c_i] + adapter.step * rng.standard_normal()
-                cross_prop = prop @ prop.T
-                covs_p = blocks.cov(cross_prop, corr)
-                result = propose(
-                    covs_p, nugget2[pol_row], coreg_logprior(prop) - coreg_logprior(lower)
-                )
-                if result is not None:
-                    chols, ll = result
-                    lower, cross, covs = prop, cross_prop, covs_p
-                    prior_chols = None
-                adapter.record(result is not None, adapting)
+                log_ratio = coreg_logprior(prop) - coreg_logprior(lower)
+                adapter.record(move(nugget2, prop, rate, log_ratio), adapting)
 
         # (1c) nugget variances, random walk on the log scale
         if cfg.update_nugget:
@@ -760,40 +753,25 @@ def fit_batch_mcmc(
                 log_t_prop = log_t + adapter.step * rng.standard_normal()
                 prop = nugget2.copy()
                 prop[k] = np.exp(log_t_prop)
-                result = propose(
-                    covs, prop[pol_row], nugget_logprior(log_t_prop) - nugget_logprior(log_t)
-                )
-                if result is not None:
-                    chols, ll = result
-                    nugget2 = prop
-                adapter.record(result is not None, adapting)
+                log_ratio = nugget_logprior(log_t_prop) - nugget_logprior(log_t)
+                adapter.record(move(prop, lower, rate, log_ratio), adapting)
 
         # (1d) the whole block from the proposal fitted during burn-in
         if block_proposal is not None:
-            u = _logit((rate - lo) / (hi - lo))
+            u = _rate_logit(rate, bounds)
             v = _pack_hyper(nugget2, lower, u)
             v_prop = block_proposal.draw(rng)
             nugget_prop, prop, u_prop = _unpack_hyper(v_prop, K)
-            rate_prop = lo + (hi - lo) * _expit(u_prop)
-            corr_p = blocks.corr(rate_prop)
-            cross_prop = prop @ prop.T
-            covs_p = blocks.cov(cross_prop, corr_p)
             log_ratio = (
                 block_logprior(nugget_prop, prop, u_prop)
                 - block_logprior(nugget2, lower, u)
                 + block_proposal.logpdf(v)
                 - block_proposal.logpdf(v_prop)
             )
-            result = propose(covs_p, nugget_prop[pol_row], log_ratio)
-            if result is not None:
-                chols, ll = result
-                rate, corr, lower, cross, covs = rate_prop, corr_p, prop, cross_prop, covs_p
-                nugget2 = nugget_prop
-                prior_chols = None
             block_tried += 1
-            block_taken += result is not None
+            block_taken += move(nugget_prop, prop, _rate(u_prop, bounds), log_ratio)
         elif block_moves and adapting and it >= cfg.burnin // 2:
-            block_history.append(_pack_hyper(nugget2, lower, _logit((rate - lo) / (hi - lo))))
+            block_history.append(_pack_hyper(nugget2, lower, _rate_logit(rate, bounds)))
             if it == cfg.burnin - 1:
                 block_proposal = _IndependenceProposal.fit(block_history)
 
@@ -821,8 +799,8 @@ def fit_batch_mcmc(
                 raise McmcError("marginal covariance not positive definite even after jitter")
 
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
-            decay_u = _logit((rate - lo) / (hi - lo))
-            kept[keep_i] = _pack_state(beta, nugget2, lower, decay_u)
+            kept[keep_i, :p] = beta
+            kept[keep_i, p:] = _pack_hyper(nugget2, lower, _rate_logit(rate, bounds))
             if w_store is not None:
                 for d, idx in zip(blocks.days, blocks.idx):
                     w_store[d][keep_i] = w[idx]
@@ -833,26 +811,22 @@ def fit_batch_mcmc(
         if batch.design is not None
         else [f"beta[{i}]" for i in range(p)]
     )
-    vech_names, vech_trans = _vech_names_transforms(K)
-    names = labels + [f"nugget2[{k}].log" for k in range(K)] + vech_names + ["decay.logit"]
-    transforms = ["id"] * p + ["log"] * K + vech_trans + ["logit"]
     acceptance = {"decay": adapt_decay.rate}
-    for entry, adapter in adapt_coreg.items():
-        acceptance[f"coreg[{entry[0]},{entry[1]}]"] = adapter.rate
+    for (r, c), adapter in zip(entries, adapt_coreg):
+        acceptance[f"coreg[{r},{c}]"] = adapter.rate
     for k, adapter in enumerate(adapt_nugget):
         acceptance[f"nugget2[{k}]"] = adapter.rate
     acceptance["block"] = block_taken / block_tried if block_tried else float("nan")
 
     return BatchPosterior(
         draws=kept,
-        param_names=tuple(names),
-        transforms=tuple(transforms),
-        sample_cov=np.cov(kept, rowvar=False),
+        param_names=tuple(labels + names),
+        transforms=tuple(["id"] * p + transforms),
         n_beta=p,
         n_pollutants=K,
         days=batch.days,
         seed=cfg.seed,
-        decay_bounds=(lo, hi),
+        decay_bounds=bounds,
         acceptance=acceptance,
         w_draws=w_store,
         w_layout=batch.layout if cfg.store_w else None,
@@ -897,14 +871,11 @@ def ols_posterior(
         z = rng.standard_normal((n_draws, cols.size))
         beta_draws[:, cols] = fit.coef + np.sqrt(sigma2)[:, None] * (z @ cf.T)
         log_nugget2[:, k] = np.log(np.maximum(sigma2, 1e-300))
-    draws = np.hstack([beta_draws, log_nugget2])
-    names = labels + [f"nugget2[{k}].log" for k in range(K)]
-    transforms = ["id"] * batch.p + ["log"] * K
+    names, transforms = _theta_labels(K)
     return BatchPosterior(
-        draws=draws,
-        param_names=tuple(names),
-        transforms=tuple(transforms),
-        sample_cov=np.cov(draws, rowvar=False),
+        draws=np.hstack([beta_draws, log_nugget2]),
+        param_names=tuple(labels + names[:K]),
+        transforms=tuple(["id"] * batch.p + transforms[:K]),
         n_beta=batch.p,
         n_pollutants=K,
         days=batch.days,
@@ -940,8 +911,7 @@ def consensus_combine(posteriors) -> BatchPosterior:
         if post.param_names != first.param_names:
             raise ValueError("batch posteriors have mismatched parameters")
     if len(posteriors) == 1:
-        natural = first.natural_draws()
-        return replace(first, natural=natural)
+        return first
 
     posteriors = sorted(posteriors, key=_draws_key)
     n_draws = min(post.n_draws for post in posteriors)
@@ -963,19 +933,16 @@ def consensus_combine(posteriors) -> BatchPosterior:
         weighted += wgt @ post.draws[:n_draws].T
     combined = cho_solve((np.linalg.cholesky(total), True), weighted).T
 
-    all_days = tuple(sorted({d for post in posteriors for d in post.days}))
-    result = BatchPosterior(
+    return BatchPosterior(
         draws=combined,
         param_names=first.param_names,
         transforms=first.transforms,
-        sample_cov=np.cov(combined, rowvar=False),
         n_beta=first.n_beta,
         n_pollutants=first.n_pollutants,
-        days=all_days,
+        days=tuple(sorted({d for post in posteriors for d in post.days})),
         seed=None,
         decay_bounds=first.decay_bounds,
     )
-    return replace(result, natural=result.natural_draws())
 
 
 # ---------------------------------------------------------------------------

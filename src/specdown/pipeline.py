@@ -36,6 +36,7 @@ from .fileio import (
     write_coherence_csv,
     write_covariate,
     write_grid,
+    write_natural_csv,
     write_posterior,
     write_predictions_csv,
     write_scorecard_csv,
@@ -356,6 +357,8 @@ def cmd_fit(cfg: RunConfig) -> list:
 
 
 def cmd_combine(cfg: RunConfig) -> list:
+    """Consensus-combine the batch posteriors into ``combined.csv``, with the
+    natural-scale draws beside it in ``combined_natural.csv``."""
     out = Path(cfg.output_dir)
     paths = sorted(out.glob("batch_*.csv"))
     if not paths:
@@ -364,6 +367,7 @@ def cmd_combine(cfg: RunConfig) -> list:
     combined = consensus_combine(posteriors)
     path = out / "combined.csv"
     write_posterior(combined, path)
+    write_natural_csv(combined, out / "combined_natural.csv")
     return [path]
 
 
@@ -438,10 +442,10 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
     krige from that batch's residual draws); forecasting is scored at all
     stations over the test days using the consensus-combined (or
     least-squares) posterior.  Every variant of ``ALL_VARIANTS`` is compared.
+    The season is the set of grid days, as for ``fit`` and ``predict``.
     Returns (interpolation cards, forecast cards).
     """
-    days = sorted({int(o.day) for o in observations})
-    train_days, test_days = split_season(days)
+    train_days, test_days = split_season(sorted({day for _, day in fields}))
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     covs = build_covariates(fields, basis, cfg.center)
     folds = cv_split(stations.values(), cfg.folds, seed=derived_seed(cfg.seed, 77))

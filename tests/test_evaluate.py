@@ -228,7 +228,6 @@ class TestPredict:
             draws=packed,
             param_names=("beta0[0]", "beta[k=0,j=0]", "nugget2[0].log", "coreg[0,0].log", "decay.logit"),
             transforms=("id", "id", "log", "log", "logit"),
-            sample_cov=np.eye(5),
             n_beta=2,
             n_pollutants=1,
             days=(1,),
@@ -307,7 +306,6 @@ def _spatial_posterior(draws, K, n_beta, lo, hi, w_draws, layout):
         draws=packed,
         param_names=tuple(names),
         transforms=tuple(transforms),
-        sample_cov=np.eye(packed.shape[1]),
         n_beta=n_beta,
         n_pollutants=K,
         days=tuple(sorted(w_draws)),
@@ -611,7 +609,6 @@ class TestCoherenceCurve:
             draws=draws,
             param_names=tuple(names),
             transforms=tuple(["id"] * (B + 1)),
-            sample_cov=np.eye(B + 1),
             n_beta=B + 1,
             n_pollutants=1,
             days=(1,),

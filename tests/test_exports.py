@@ -3,13 +3,19 @@
 ``bench/run.py`` reads ``<module>.<attr>`` on specdown modules and hands
 ``(<module>, "<attr>")`` pairs to its tracer, which looks each one up with
 ``getattr``: one missing name stops every benchmark run before it reports.
+Its sampler probe also sets :class:`~specdown.inference.McmcConfig` fields
+by keyword through ``dataclasses.replace``.  No module of the package or
+its tests imports a name it does not use.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from specdown.inference import McmcConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p.stem for p in (ROOT / "src" / "specdown").glob("*.py") if p.stem != "__init__")
@@ -63,3 +69,57 @@ def test_all_names_exist(module):
     mod = importlib.import_module(f"specdown.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def _bench_replace_keywords() -> set:
+    """Keyword names bench/run.py passes to ``dataclasses.replace``."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    return {
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "replace"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "dataclasses"
+        for kw in node.keywords
+        if kw.arg is not None
+    }
+
+
+def test_bench_replace_keywords_are_found():
+    names = _bench_replace_keywords()
+    assert {"update_decay", "update_coreg", "update_w", "update_beta", "update_nugget"} <= names
+
+
+@pytest.mark.parametrize("name", sorted(_bench_replace_keywords()))
+def test_bench_replace_keyword_is_mcmc_field(name):
+    assert name in {f.name for f in dataclasses.fields(McmcConfig)}, f"bench sets McmcConfig.{name}"
+
+
+SOURCES = sorted((ROOT / "src" / "specdown").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unused_imports(path: Path) -> list:
+    """Names ``path`` imports but never reads and does not list in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -12,6 +12,7 @@ from specdown.fileio import (
     read_posterior,
     write_covariate,
     write_grid,
+    write_natural_csv,
     write_posterior,
 )
 from specdown.filters import CovariateStack
@@ -48,15 +49,10 @@ def posteriors(draw):
             coords=rng.uniform(0, 100, (per_day * len(days), 2)),
         )
         w_draws = {d: rng.standard_normal((n_draws, per_day)) for d in days}
-    natural = None
-    if draw(st.booleans()):
-        natural = np.array(draw(st.lists(FINITE, min_size=draws.size, max_size=draws.size)))
-        natural = natural.reshape(draws.shape)
     return BatchPosterior(
         draws=draws,
         param_names=tuple(names),
         transforms=tuple(draw(st.sampled_from(["id", "log", "logit"])) for _ in names),
-        sample_cov=np.eye(p),
         n_beta=draw(st.integers(0, p)),
         n_pollutants=draw(st.integers(1, 3)),
         days=tuple(draw(st.lists(st.integers(0, 400), max_size=4))),
@@ -65,7 +61,6 @@ def posteriors(draw):
         acceptance=draw(st.dictionaries(NAME, st.floats(0, 1), max_size=3)),
         w_draws=w_draws,
         w_layout=w_layout,
-        natural=natural,
     )
 
 
@@ -92,19 +87,11 @@ class TestPosteriorRoundTrip:
                     np.testing.assert_array_equal(
                         getattr(back.w_layout, attr), getattr(post.w_layout, attr)
                     )
-            if post.natural is None:
-                assert back.natural is None
-            else:
-                np.testing.assert_array_equal(back.natural, post.natural)
 
             # writing what was read gives the same bytes
             again = Path(tmp) / "again.csv"
             write_posterior(back, again)
             pairs = [(path, again), (path.with_suffix(".json"), again.with_suffix(".json"))]
-            if post.natural is not None:
-                pairs.append(
-                    (Path(tmp) / "batch_000_natural.csv", Path(tmp) / "again_natural.csv")
-                )
             for first, second in pairs:
                 assert first.read_bytes() == second.read_bytes()
 
@@ -114,14 +101,13 @@ class TestPosteriorRoundTrip:
             draws=np.arange(8.0).reshape(2, 4),
             param_names=names,
             transforms=("id", "id", "id", "logit"),
-            sample_cov=np.eye(4),
             n_beta=3,
             n_pollutants=1,
             days=(1,),
             decay_bounds=(0.01, 0.2),
-            natural=np.arange(8.0).reshape(2, 4),
         )
         write_posterior(post, tmp_path / "combined.csv")
+        write_natural_csv(post, tmp_path / "combined_natural.csv")
         back = read_posterior(tmp_path / "combined.csv")
         assert back.param_names == names
         header = (tmp_path / "combined_natural.csv").read_text(encoding="utf-8").splitlines()[0]

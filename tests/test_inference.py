@@ -1,7 +1,5 @@
 """Least squares, the batch sampler's full conditionals, consensus merging."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from specdown.inference import (
     marginal_loglik,
     ols_posterior,
 )
-from specdown.inference import _IndependenceProposal
+from specdown.inference import _IndependenceProposal, _pack_hyper, _theta_labels, _unpack_hyper
 from specdown.lmc import (
     JITTER_SCALE,
     Coregionalization,
@@ -233,6 +231,60 @@ class TestBatchSampler:
             covered["phi"] += lo <= truth["phi"] <= hi
         for name, count in covered.items():
             assert count >= 18, f"{name} covered only {count}/{n_rep}"
+
+
+def _k2_batch(seed, n_sites=25, days=(1, 2, 3)):
+    """Two pollutants at every site, one intercept each, drawn from the model."""
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(0, 240, size=(n_sites, 2))
+    day = np.repeat(days, 2 * n_sites)
+    pollutant = np.tile(np.repeat([0, 1], n_sites), len(days))
+    coords = np.tile(np.vstack([sites, sites]), (len(days), 1))
+    layout = StackedLayout(day=day, pollutant=pollutant, coords=coords)
+    coreg = Coregionalization(np.array([[0.8, 0.0], [0.4, 0.6]]))
+    w = sample_w(layout, coreg, SpatialDecay(0.05), rng)
+    X = np.column_stack([pollutant == 0, pollutant == 1]).astype(float)
+    y = X @ np.array([1.0, 0.5]) + w + rng.normal(0, 0.2, size=day.size)
+    return BatchData(days=tuple(days), y=y, X=X, layout=layout, n_pollutants=2)
+
+
+class TestThetaCodec:
+    def test_accessors_match_natural_draws(self):
+        cfg = McmcConfig(iterations=200, burnin=100, thin=2, seed=3)
+        post = fit_batch_mcmc(_k2_batch(5), SPATIAL, _priors(), cfg)
+        assert post.param_names[post.n_beta :] == (
+            "nugget2[0].log",
+            "nugget2[1].log",
+            "coreg[0,0].log",
+            "coreg[1,0]",
+            "coreg[1,1].log",
+            "decay.logit",
+        )
+        column = dict(zip(post.param_names, post.natural_draws().T))
+        for k in range(2):
+            np.testing.assert_array_equal(post.nugget2_draws()[:, k], column[f"nugget2[{k}].log"])
+        lower = post.coreg_draws()
+        for r, c in ((0, 0), (1, 0), (1, 1)):
+            name = f"coreg[{r},{c}]" + (".log" if r == c else "")
+            np.testing.assert_array_equal(lower[:, r, c], column[name])
+        assert np.all(lower[:, 0, 1] == 0.0)
+        np.testing.assert_array_equal(post.decay_draws(), column["decay.logit"])
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_pack_unpack_round_trip(self, K):
+        rng = np.random.default_rng(K)
+        n = 7
+        nugget2 = rng.uniform(0.01, 2.0, (n, K))
+        lower = np.tril(rng.normal(size=(n, K, K)))
+        lower[:, np.arange(K), np.arange(K)] = rng.uniform(0.1, 3.0, (n, K))
+        u = rng.normal(size=n)
+        v = _pack_hyper(nugget2, lower, u)
+        assert v.shape == (n, len(_theta_labels(K)[0])) == (n, K + K * (K + 1) // 2 + 1)
+        for got, want in zip(_unpack_hyper(v, K), (nugget2, lower, u)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        # one draw without the leading axis packs to the same row
+        for i in range(n):
+            np.testing.assert_array_equal(_pack_hyper(nugget2[i], lower[i], u[i]), v[i])
 
 
 def _k1_exact_cdfs(batch, priors, n_decay=190, d_log_nugget=0.04, d_log_l11=0.04):
@@ -456,7 +508,6 @@ def _gaussian_posterior(mean, var, n_draws, seed, days):
         draws=draws,
         param_names=("theta",),
         transforms=("id",),
-        sample_cov=np.atleast_2d(np.cov(draws, rowvar=False)),
         n_beta=1,
         n_pollutants=1,
         days=days,
@@ -495,7 +546,6 @@ class TestConsensus:
             draws=a.draws,
             param_names=("other",),
             transforms=("id",),
-            sample_cov=a.sample_cov,
             n_beta=1,
             n_pollutants=1,
             days=(2,),
@@ -518,7 +568,6 @@ class TestConsensus:
             _k1_batch(4), SPATIAL, _priors(), McmcConfig(**{**cfg.__dict__, "seed": 3})
         )
         combined = consensus_combine([p1, p2])
-        assert combined.natural is not None
         nat = combined.natural_draws()
         k = combined.n_beta
         assert np.allclose(nat[:, k], np.exp(combined.draws[:, k]))
@@ -533,7 +582,6 @@ class TestConsensus:
                 draws=draws,
                 param_names=("a", "b"),
                 transforms=("id", "id"),
-                sample_cov=np.cov(draws, rowvar=False),
                 n_beta=2,
                 n_pollutants=1,
                 days=days,

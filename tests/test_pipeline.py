@@ -129,6 +129,28 @@ class TestCoherence:
         assert len(lines) == 1 + 2 * 2 * 100
 
 
+class TestCvSeason:
+    def test_cv_takes_the_season_from_the_grid_days(self, tmp_path, capsys):
+        # cv once took its days from the observations, so a day with grids
+        # but no station rows broke the season split that fit accepts
+        run = _tiny_config(tmp_path, tmp_path, folds=2)
+        run.seed = 3
+        cfg = tmp_path / "config.json"
+        cfg.write_text(run.to_json(), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["--config", str(cfg), "simulate"]) == 0
+            stations = tmp_path / "stations.csv"
+            lines = stations.read_text(encoding="utf-8").splitlines()
+            kept = [line for line in lines if line.split(",")[3] != "4"]
+            assert len(kept) < len(lines)
+            stations.write_text("\n".join(kept) + "\n", encoding="utf-8")
+            for command in ("fit", "cv"):
+                assert main(["--config", str(cfg), command]) == 0, capsys.readouterr().err
+        for name in ("scorecard_interpolation.csv", "scorecard_forecast.csv"):
+            assert len((tmp_path / name).read_text(encoding="utf-8").splitlines()) == 9
+
+
 # Bounds of the end-to-end recovery test, from the same config on seeds
 # 101-140: forecast coverage ran 0.856-0.972, combined nugget median / truth
 # 0.80-5.04 (the second pollutant's median 2.2: every batch applies the full

@@ -9,7 +9,6 @@ from specdown.synthetic import (
     SimConfig,
     simulate,
     simulate_fields,
-    simulate_stations,
     true_raw_coef,
 )
 
