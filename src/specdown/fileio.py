@@ -5,7 +5,9 @@ shortest round-trip repr, so identical runs produce byte-identical files.
 
 Grid file: header line ``nx ny dx pollutant_id day``, then nx*ny
 whitespace-separated reals in row-major order (x fastest).  Covariate stacks
-append a ``j b`` suffix line.  Station files are CSV with header
+append a ``j b`` suffix line.  :func:`read_grid_header` reads the header line
+alone, so a stage can index a directory of grids without parsing their
+values.  Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count.  Posterior draws are CSV plus a JSON
@@ -36,6 +38,7 @@ __all__ = [
     "ParseError",
     "write_grid",
     "read_grid",
+    "read_grid_header",
     "write_covariate",
     "read_covariate",
     "write_station_csv",
@@ -100,14 +103,19 @@ def write_grid(field: GridField, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_grid_lines(tokens_header, tokens_values, path):
+def _parse_grid_header(line: str, path) -> tuple[GridSpec, int, int]:
+    """(spec, pollutant_id, day) of the header line ``nx ny dx pollutant_id day``."""
+    tokens = line.split()
     try:
-        nx, ny = int(tokens_header[0]), int(tokens_header[1])
-        dx = float(tokens_header[2])
-        pollutant_id, day = int(tokens_header[3]), int(tokens_header[4])
-    except (IndexError, ValueError):
-        raise ParseError(f"{path}: malformed grid header {tokens_header!r}")
-    spec = GridSpec(nx, ny, dx)
+        nx, ny, dx, pollutant_id, day = tokens
+        nx, ny, dx, pollutant_id, day = int(nx), int(ny), float(dx), int(pollutant_id), int(day)
+    except ValueError:
+        raise ParseError(f"{path}: malformed grid header {tokens!r}")
+    return GridSpec(nx, ny, dx), pollutant_id, day
+
+
+def _parse_grid_lines(header_line: str, tokens_values, path) -> GridField:
+    spec, pollutant_id, day = _parse_grid_header(header_line, path)
     if len(tokens_values) != spec.ncells:
         raise ParseError(
             f"{path}: expected {spec.ncells} values, found {len(tokens_values)}"
@@ -116,12 +124,18 @@ def _parse_grid_lines(tokens_header, tokens_values, path):
     return GridField(spec, values, pollutant_id=pollutant_id, day=day)
 
 
+def read_grid_header(path) -> tuple[GridSpec, int, int]:
+    """(spec, pollutant_id, day) of a grid or covariate file, read from its
+    first line only."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_grid_header(fh.readline(), path)
+
+
 def read_grid(path, log: bool = False) -> GridField:
     """Read a grid file; ``log=True`` log-transforms at ingestion and
     requires strictly positive values."""
-    text = Path(path).read_text(encoding="utf-8").split()
-    header, rest = text[:5], text[5:]
-    field = _parse_grid_lines(header, rest, path)
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    field = _parse_grid_lines(header, body.split(), path)
     if log:
         if np.any(field.values <= 0):
             raise ParseError(f"{path}: nonpositive values cannot be log-transformed")
@@ -139,8 +153,9 @@ def write_covariate(stack: CovariateStack, path) -> None:
 
 
 def read_covariate(path) -> CovariateStack:
-    text = Path(path).read_text(encoding="utf-8").split()
-    header, middle, suffix = text[:5], text[5:-2], text[-2:]
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    tokens = body.split()
+    middle, suffix = tokens[:-2], tokens[-2:]
     field = _parse_grid_lines(header, middle, path)
     try:
         j, b = int(suffix[0]), int(suffix[1])

@@ -14,7 +14,7 @@ forward transform and is safe to parallelize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -97,6 +97,20 @@ class SpectralBasis:
     count: int
     degree: int
     knots: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def weights(self, spec: GridSpec) -> np.ndarray:
+        """Read-only (count, M) table: row b is basis function b at the
+        magnitude of each frequency of ``spec``'s lattice, in DFT
+        coefficient order.  Computed on the first call per spec and kept on
+        this basis, so every field of a run shares one table.
+        """
+        table = self._tables.get(spec)
+        if table is None:
+            table = np.ascontiguousarray(self.evaluate(frequency_lattice(spec).magnitudes).T)
+            table.setflags(write=False)
+            self._tables[spec] = table
+        return table
 
     def evaluate(self, magnitudes) -> np.ndarray:
         """Evaluate all basis functions; returns shape (len(magnitudes), count).
@@ -146,8 +160,7 @@ def spectral_covariates(
     absorbed by a regression intercept downstream.  Centering defaults off
     because the daily grid mean itself carries predictive signal.
     """
-    lattice = frequency_lattice(field.spec)
-    weights = basis.evaluate(lattice.magnitudes)
+    weights = basis.weights(field.spec)
     work = field
     if center:
         work = GridField(
@@ -157,7 +170,7 @@ def spectral_covariates(
     stacks = []
     for b in range(basis.count):
         values = dft_inverse(
-            type(spectrum)(spec=field.spec, coeffs=spectrum.coeffs * weights[:, b]),
+            type(spectrum)(spec=field.spec, coeffs=spectrum.coeffs * weights[b]),
             pollutant_id=field.pollutant_id,
             day=field.day,
         ).values

@@ -5,6 +5,15 @@ Each ``cmd_*`` function implements one subcommand against a
 drive the same pipeline in-process.  Batch fitting dispatches across a
 process pool when ``jobs > 1``; every batch owns a seed derived from
 (master seed, batch index), so results do not depend on the pool size.
+
+Every stage that uses ``grids_dir`` first reads the header line of every
+grid file there (:func:`~specdown.fileio.read_grid_header`): two files
+holding one (pollutant, day), or files on different grids, are a
+``ParseError``.  The headers give the season, split into training and test
+days.  A stage then reads only the grid values it uses: ``fit`` and
+interpolation ``predict`` the training days, forecast ``predict`` the test
+days, ``cv`` every day; ``coherence`` and ``aggregate`` read none.  A value
+body is checked only where it is read.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .fileio import (
     ParseError,
     RunConfig,
     read_grid,
+    read_grid_header,
     read_posterior,
     write_aggregate_csv,
     write_coherence_csv,
@@ -146,20 +156,39 @@ def _grid_paths(cfg: RunConfig) -> list:
     return paths
 
 
-def _first_grid_spec(cfg: RunConfig) -> GridSpec:
-    """Grid spec of the first grid file; every file of a run shares it."""
-    return read_grid(_grid_paths(cfg)[0]).spec
-
-
-def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
-    """Read every grid file under ``grids_dir``, log-transforming at ingest."""
-    fields = {}
-    spec = None
+def _grid_index(cfg: RunConfig) -> tuple[GridSpec, dict]:
+    """The run's grid spec and ``{(j, day): path}``, from the header of
+    every grid file; a repeated (j, day) or a second grid spec is a
+    ``ParseError`` naming both files."""
+    spec = first = None
+    index = {}
     for path in _grid_paths(cfg):
-        f = read_grid(path, log=True)
-        spec = f.spec
-        fields[(f.pollutant_id, f.day)] = f
-    return spec, fields
+        file_spec, j, day = read_grid_header(path)
+        if spec is None:
+            spec, first = file_spec, path
+        elif file_spec != spec:
+            raise ParseError(f"{path}: grid {file_spec} differs from {spec} in {first}")
+        held = index.setdefault((j, day), path)
+        if held != path:
+            raise ParseError(f"{path}: pollutant {j} day {day} is already in {held}")
+    return spec, index
+
+
+def _read_fields(index: dict, days=None) -> dict:
+    """Log-transformed fields of the indexed files on ``days`` (all if None)."""
+    wanted = None if days is None else {int(d) for d in days}
+    return {
+        key: read_grid(path, log=True)
+        for key, path in index.items()
+        if wanted is None or key[1] in wanted
+    }
+
+
+def load_fields(cfg: RunConfig, days=None) -> tuple[GridSpec, dict]:
+    """Grid spec and the fields keyed (j, day) of ``days`` under
+    ``grids_dir`` (every file if None), log-transformed at ingest."""
+    spec, index = _grid_index(cfg)
+    return spec, _read_fields(index, days)
 
 
 def build_covariates(fields: dict, basis, center: bool = False) -> dict:
@@ -323,11 +352,13 @@ def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
     return artifacts
 
 
-def _prepare_training(cfg: RunConfig):
-    spec, fields = load_fields(cfg)
+def _prepare_training(cfg: RunConfig, period: str):
+    """Inputs of fit and predict, with the fields and covariates of the
+    ``period`` (``"train"`` or ``"test"``) days only."""
+    spec, index = _grid_index(cfg)
+    train_days, test_days = split_season(sorted({day for _, day in index}))
+    fields = _read_fields(index, {"train": train_days, "test": test_days}[period])
     stations, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
-    days = sorted({f.day for f in fields.values()})
-    train_days, test_days = split_season(days)
     variant = variant_from_name(cfg.variant)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     covs = build_covariates(fields, basis, cfg.center) if variant.mean_kind == "SD" else {}
@@ -336,7 +367,9 @@ def _prepare_training(cfg: RunConfig):
 
 def cmd_fit(cfg: RunConfig) -> list:
     """Fit the configured variant; one posterior file per batch."""
-    spec, fields, stations, observations, train_days, _, variant, _, covs = _prepare_training(cfg)
+    spec, fields, stations, observations, train_days, _, variant, _, covs = _prepare_training(
+        cfg, "train"
+    )
     design, y, posteriors = fit_variant(
         cfg, variant, spec, fields, covs, stations, observations, train_days
     )
@@ -407,7 +440,11 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> list:
 def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     """Predict at every station for the test (forecast) or training
     (interpolation) days and write the predictions CSV."""
-    spec, fields, stations, observations, train_days, test_days, variant, _, covs = _prepare_training(cfg)
+    if mode not in ("forecast", "interpolation"):
+        raise ValueError(f"mode must be forecast or interpolation, got {mode!r}")
+    spec, fields, stations, observations, train_days, test_days, variant, _, covs = _prepare_training(
+        cfg, "test" if mode == "forecast" else "train"
+    )
     out = Path(cfg.output_dir)
     rec = json.loads((out / "design.json").read_text(encoding="utf-8"))
     design = _design_from_record(rec)
@@ -418,7 +455,7 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
         combined = read_posterior(out / "combined.csv")
         targets = targets_for(stations, test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
-    elif mode == "interpolation":
+    else:
         paths = sorted(out.glob("batch_*.csv"))
         for path in paths:
             post = read_posterior(path)
@@ -426,8 +463,6 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
             if post.has_spatial and post.w_draws is None:
                 raise ValueError(f"{path} has no stored residual draws for interpolation")
             results.extend(predict(post, targets, ctx, rng, cfg.max_kriging_draws))
-    else:
-        raise ValueError(f"mode must be forecast or interpolation, got {mode!r}")
     path = out / f"predictions_{mode}.csv"
     write_predictions_csv(results, path, cfg.pollutants)
     return [path]
@@ -522,8 +557,8 @@ def cmd_cv(cfg: RunConfig) -> list:
 
 
 def cmd_coherence(cfg: RunConfig) -> list:
-    """Coherence curves of the combined posterior; reads only the first grid
-    file, for the grid spacing."""
+    """Coherence curves of the combined posterior; reads the grid headers
+    only, for the grid spacing."""
     variant = variant_from_name(cfg.variant)
     if variant.mean_kind != "SD":
         raise ValueError("coherence curves require an SD variant")
@@ -535,7 +570,7 @@ def cmd_coherence(cfg: RunConfig) -> list:
         {(c.k, c.j) for c in design.columns if c.kind == "covariate"}
     )
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
-    dx = _first_grid_spec(cfg).dx
+    dx = _grid_index(cfg)[0].dx
     curves = [coherence_curve(combined, k, j, basis, design=design, dx=dx) for k, j in pairs]
     path = out / "coherence.csv"
     write_coherence_csv(curves, path)
@@ -578,7 +613,7 @@ def cmd_aggregate(cfg: RunConfig, predictions_path) -> list:
                 point=float(pred),
             )
         )
-    rows = aggregate_means(results, _first_grid_spec(cfg))
+    rows = aggregate_means(results, _grid_index(cfg)[0])
     out = Path(cfg.output_dir) / "aggregate.csv"
     write_aggregate_csv(rows, out, cfg.pollutants)
     return [out]

@@ -19,7 +19,7 @@ from .filters import make_basis, spectral_covariates
 from .grid import GridField, GridSpec, frequency_lattice
 from .inference import derive_rng
 from .lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
-from .stations import Observation, Station, cell_lookup
+from .stations import Observation, Station, cell_indices
 
 __all__ = [
     "FieldSpectrum",
@@ -214,7 +214,9 @@ def simulate_stations(config: SimConfig, fields: dict):
 
     stations = _station_layout(config, rng)
     site_ids = sorted(stations)
-    cells = {sid: cell_lookup(stations[sid], spec) for sid in site_ids}
+    cell_index = cell_indices(
+        [stations[s].x for s in site_ids], [stations[s].y for s in site_ids], spec, site_ids
+    )
     gap = CADENCE_GAP[config.cadence]
     offsets = {sid: int(o) for sid, o in zip(site_ids, rng.integers(0, gap, size=len(site_ids)))}
 
@@ -239,22 +241,33 @@ def simulate_stations(config: SimConfig, fields: dict):
             day_w = sample_w(layout, coreg, decay, rng)
             w_days[day] = (layout, day_w)
         for k in range(K):
-            for pos, sid in enumerate(site_ids):
-                if k not in stations[sid].measures:
-                    continue
-                if (day - 1 - offsets[sid]) % gap != 0:
-                    continue
-                mu = config.beta0[k]
-                for j in range(config.n_gridded):
-                    for b in range(config.basis_size):
-                        mu += config.beta[k, j, b] * covariates[(j, b, day)].field.values[cells[sid]]
-                w_val = float(day_w[k * len(site_ids) + pos]) if day_w is not None else 0.0
-                eps = rng.normal(0.0, np.sqrt(config.nugget2[k])) if config.nugget2[k] > 0 else 0.0
-                observations.append(
-                    Observation(site_id=sid, day=day, pollutant_id=k, value=float(mu + w_val + eps))
-                )
-                true_mean.append(float(mu))
-                true_w.append(w_val)
+            pos = np.array(
+                [
+                    p
+                    for p, sid in enumerate(site_ids)
+                    if k in stations[sid].measures and (day - 1 - offsets[sid]) % gap == 0
+                ],
+                dtype=int,
+            )
+            block_cells = cell_index[pos]
+            # summed over (j, b) in this order: another order changes the last bits
+            mu = np.full(pos.size, config.beta0[k])
+            for j in range(config.n_gridded):
+                for b in range(config.basis_size):
+                    mu += config.beta[k, j, b] * covariates[(j, b, day)].field.values[block_cells]
+            w_val = day_w[k * len(site_ids) + pos] if day_w is not None else np.zeros(pos.size)
+            eps = (
+                rng.normal(0.0, np.sqrt(config.nugget2[k]), size=pos.size)
+                if config.nugget2[k] > 0
+                else 0.0
+            )
+            value = mu + w_val + eps
+            observations.extend(
+                Observation(site_id=site_ids[p], day=day, pollutant_id=k, value=float(v))
+                for p, v in zip(pos.tolist(), value.tolist())
+            )
+            true_mean.extend(mu.tolist())
+            true_w.extend(w_val.tolist())
 
     truth = SyntheticTruth(
         config=config,

@@ -142,6 +142,32 @@ class TestBasis:
         assert np.count_nonzero(vals) == 1
 
 
+class TestBasisWeights:
+    def test_table_is_the_evaluated_basis_transposed(self):
+        spec = GridSpec(8, 6, 12.0)
+        basis = make_basis(5, 3)
+        table = basis.weights(spec)
+        assert table.shape == (5, spec.ncells)
+        np.testing.assert_array_equal(table, basis.evaluate(frequency_lattice(spec).magnitudes).T)
+
+    def test_read_only(self):
+        table = make_basis(5, 3).weights(GridSpec(8, 6, 12.0))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_one_table_per_spec(self):
+        basis = make_basis(5, 3)
+        first = basis.weights(GridSpec(8, 6, 12.0))
+        assert basis.weights(GridSpec(8, 6, 12.0)) is first
+        other = basis.weights(GridSpec(6, 8, 12.0))
+        assert other is not first
+        np.testing.assert_array_equal(
+            other, basis.evaluate(frequency_lattice(GridSpec(6, 8, 12.0)).magnitudes).T
+        )
+        assert basis.weights(GridSpec(8, 6, 12.0)) is first
+
+
 class TestSpectralCovariates:
     def test_single_constant_basis_reproduces_field(self):
         spec = GridSpec(6, 5, 12.0)

@@ -1,11 +1,13 @@
 """Pipeline helpers and subcommands on a tiny simulated dataset."""
 
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from specdown import evaluate, fileio, filters, inference, pipeline, stations
 from specdown.cli import main
 from specdown.fileio import RunConfig, read_posterior, write_grid
 from specdown.grid import GridField, GridSpec
@@ -14,7 +16,9 @@ from specdown.pipeline import (
     cmd_coherence,
     cmd_combine,
     cmd_fit,
+    cmd_predict,
     cmd_simulate,
+    load_fields,
     targets_for,
 )
 from specdown.stations import Observation, Station
@@ -149,6 +153,112 @@ class TestCvSeason:
                 assert main(["--config", str(cfg), command]) == 0, capsys.readouterr().err
         for name in ("scorecard_interpolation.csv", "scorecard_forecast.csv"):
             assert len((tmp_path / name).read_text(encoding="utf-8").splitlines()) == 9
+
+
+@pytest.fixture(scope="module")
+def tiny_fit(tiny_data, tmp_path_factory):
+    """Output directory holding fit and combine results on the tiny data."""
+    out = tmp_path_factory.mktemp("tiny_fit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cmd_fit(_tiny_config(tiny_data, out))
+        cmd_combine(_tiny_config(tiny_data, out))
+    return out
+
+
+# The tiny season has 7 days: training days 1-6, test day 7; J = 2 fields.
+TRAIN_KEYS = [(j, day) for j in range(2) for day in range(1, 7)]
+TEST_KEYS = [(0, 7), (1, 7)]
+
+
+def _record(monkeypatch, name, note):
+    """Wrap ``pipeline.<name>`` so each call appends ``note(args, result)``."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(note(args, result))
+        return result
+
+    monkeypatch.setattr(pipeline, name, recorded)
+    return calls
+
+
+def _grid_reads(monkeypatch):
+    """(pollutant, day) of every grid file the pipeline reads, call by call."""
+    return _record(monkeypatch, "read_grid", lambda args, field: (field.pollutant_id, field.day))
+
+
+class TestGridReads:
+    def test_fit_reads_the_training_days(self, tiny_data, tmp_path, monkeypatch):
+        reads = _grid_reads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cmd_fit(_tiny_config(tiny_data, tmp_path))
+        assert sorted(reads) == TRAIN_KEYS
+
+    @pytest.mark.parametrize(
+        "mode,keys",
+        [("forecast", TEST_KEYS), ("interpolation", TRAIN_KEYS)],
+        ids=["forecast", "interpolation"],
+    )
+    def test_predict_reads_its_days(self, tiny_data, tiny_fit, monkeypatch, mode, keys):
+        reads = _grid_reads(monkeypatch)
+        # the benchmark's tracer keys evaluate.predict on args[1][0].mode
+        modes = _record(monkeypatch, "predict", lambda args, _: args[1][0].mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cmd_predict(_tiny_config(tiny_data, tiny_fit), mode)
+        assert sorted(reads) == keys
+        assert modes and set(modes) == {mode}
+
+    def test_coherence_reads_no_grid(self, tiny_data, tiny_fit, monkeypatch):
+        reads = _grid_reads(monkeypatch)
+        cmd_coherence(_tiny_config(tiny_data, tiny_fit))
+        assert reads == []
+
+    def test_load_fields_reads_every_day_unless_told(self, tiny_data, tmp_path, monkeypatch):
+        reads = _grid_reads(monkeypatch)
+        cfg = _tiny_config(tiny_data, tmp_path)
+        spec, fields = load_fields(cfg)
+        assert spec == GridSpec(16, 16, 12.0)
+        assert sorted(fields) == sorted(TRAIN_KEYS + TEST_KEYS)
+        assert len(reads) == len(fields)
+        _, fields = load_fields(cfg, days=[7])
+        assert sorted(fields) == TEST_KEYS
+
+
+class TestBenchProbeReplay:
+    def test_sampler_probe_call_sequence(self, tiny_data):
+        # the ingest of bench/run.py's sampler_probe, call for call: a
+        # signature or return shape it relies on fails here first
+        cfg = _tiny_config(tiny_data, tiny_data)
+        spec, fields = pipeline.load_fields(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sites, observations, _ = fileio.parse_station_file(
+                cfg.stations_file, spec, cfg.pollutants
+            )
+            train_days, _ = evaluate.split_season(sorted({f.day for f in fields.values()}))
+        variant = stations.variant_from_name(cfg.variant)
+        basis = filters.make_basis(cfg.basis_size, cfg.basis_degree)
+        covs = pipeline.build_covariates(fields, basis, cfg.center)
+        train = set(train_days)
+        train_obs = [o for o in observations if o.day in train]
+        design = stations.standardize(
+            stations.assemble_design(variant, fields, covs, train_obs, sites)
+        )
+        y = np.array([o.value for o in train_obs])
+        batch = inference.make_batches(design, y, train_days, cfg.batch_len)[0]
+        priors = cfg.priors_for(spec)
+        full = cfg.mcmc_config(pipeline.derived_seed(cfg.seed, 0))
+        assert batch.days == (1, 2, 3)
+        short = dataclasses.replace(full, iterations=20, burnin=10)
+        post = inference.fit_batch_mcmc(batch, variant, priors, short)
+        assert post.has_spatial
+        assert "decay" in post.acceptance
+        assert any(k.startswith("coreg") for k in post.acceptance)
 
 
 # Bounds of the end-to-end recovery test, from the same config on seeds

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from specdown.grid import GridSpec
+from specdown.inference import derive_rng
+from specdown.lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
+from specdown.stations import cell_lookup
 from specdown.synthetic import (
+    CADENCE_GAP,
     FieldSpectrum,
     SimConfig,
+    _station_layout,
     simulate,
     simulate_fields,
     true_raw_coef,
@@ -89,7 +94,60 @@ class TestSimulateFields:
         assert r > 0.5
 
 
+def _loop_reference(config, covariates):
+    """Observations, true means and residuals of ``simulate_stations`` built
+    one observation at a time: the mean summed over (j, b) per observation,
+    one nugget draw per observation."""
+    rng = derive_rng(config.seed, 2)
+    K = config.n_observed
+    stations = _station_layout(config, rng)
+    site_ids = sorted(stations)
+    cells = {sid: cell_lookup(stations[sid], config.spec) for sid in site_ids}
+    gap = CADENCE_GAP[config.cadence]
+    offsets = {sid: int(o) for sid, o in zip(site_ids, rng.integers(0, gap, size=len(site_ids)))}
+    coreg = Coregionalization(config.coreg) if config.coreg is not None else None
+    decay = SpatialDecay(config.decay) if config.decay is not None else None
+    rows = []
+    for day in config.day_list:
+        day_w = None
+        if coreg is not None:
+            layout = StackedLayout(
+                day=np.full(len(site_ids) * K, day),
+                pollutant=np.repeat(np.arange(K), len(site_ids)),
+                coords=np.tile(
+                    np.array([[stations[s].x, stations[s].y] for s in site_ids]), (K, 1)
+                ),
+            )
+            day_w = sample_w(layout, coreg, decay, rng)
+        for k in range(K):
+            for pos, sid in enumerate(site_ids):
+                if k not in stations[sid].measures or (day - 1 - offsets[sid]) % gap != 0:
+                    continue
+                mu = config.beta0[k]
+                for j in range(config.n_gridded):
+                    for b in range(config.basis_size):
+                        mu += config.beta[k, j, b] * covariates[(j, b, day)].field.values[cells[sid]]
+                w_val = float(day_w[k * len(site_ids) + pos]) if day_w is not None else 0.0
+                eps = rng.normal(0.0, np.sqrt(config.nugget2[k])) if config.nugget2[k] > 0 else 0.0
+                rows.append((sid, day, k, float(mu + w_val + eps), float(mu), w_val))
+    return rows
+
+
 class TestSimulateStations:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"cadence": "1-in-3", "days": 7}, {"nugget2": np.array([0.0, 0.09])}],
+        ids=["daily", "1-in-3", "no-nugget-0"],
+    )
+    def test_blocks_match_the_per_observation_loop(self, overrides):
+        cfg = _config(**overrides)
+        truth = simulate(cfg)
+        got = [
+            (o.site_id, o.day, o.pollutant_id, o.value, m, w)
+            for o, m, w in zip(truth.observations, truth.true_mean.tolist(), truth.true_w.tolist())
+        ]
+        assert got == _loop_reference(cfg, truth.covariates)
+
     def test_deterministic_truth(self):
         t1 = simulate(_config())
         t2 = simulate(_config())
