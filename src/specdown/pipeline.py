@@ -362,12 +362,12 @@ def _prepare_training(cfg: RunConfig, period: str):
     variant = variant_from_name(cfg.variant)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     covs = build_covariates(fields, basis, cfg.center) if variant.mean_kind == "SD" else {}
-    return spec, fields, stations, observations, train_days, test_days, variant, basis, covs
+    return spec, fields, stations, observations, train_days, test_days, variant, covs
 
 
 def cmd_fit(cfg: RunConfig) -> list:
     """Fit the configured variant; one posterior file per batch."""
-    spec, fields, stations, observations, train_days, _, variant, _, covs = _prepare_training(
+    spec, fields, stations, observations, train_days, _, variant, covs = _prepare_training(
         cfg, "train"
     )
     design, y, posteriors = fit_variant(
@@ -442,7 +442,7 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     (interpolation) days and write the predictions CSV."""
     if mode not in ("forecast", "interpolation"):
         raise ValueError(f"mode must be forecast or interpolation, got {mode!r}")
-    spec, fields, stations, observations, train_days, test_days, variant, _, covs = _prepare_training(
+    spec, fields, stations, observations, train_days, test_days, variant, covs = _prepare_training(
         cfg, "test" if mode == "forecast" else "train"
     )
     out = Path(cfg.output_dir)
