@@ -174,21 +174,11 @@ def _grid_index(cfg: RunConfig) -> tuple[GridSpec, dict]:
     return spec, index
 
 
-def _read_fields(index: dict, days=None) -> dict:
-    """Log-transformed fields of the indexed files on ``days`` (all if None)."""
-    wanted = None if days is None else {int(d) for d in days}
-    return {
-        key: read_grid(path, log=True)
-        for key, path in index.items()
-        if wanted is None or key[1] in wanted
-    }
-
-
-def load_fields(cfg: RunConfig, days=None) -> tuple[GridSpec, dict]:
-    """Grid spec and the fields keyed (j, day) of ``days`` under
-    ``grids_dir`` (every file if None), log-transformed at ingest."""
+def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
+    """Grid spec and every field under ``grids_dir`` keyed (j, day),
+    log-transformed at ingest."""
     spec, index = _grid_index(cfg)
-    return spec, _read_fields(index, days)
+    return spec, {key: read_grid(path, log=True) for key, path in index.items()}
 
 
 def build_covariates(fields: dict, basis, center: bool = False) -> dict:
@@ -357,7 +347,8 @@ def _prepare_training(cfg: RunConfig, period: str):
     ``period`` (``"train"`` or ``"test"``) days only."""
     spec, index = _grid_index(cfg)
     train_days, test_days = split_season(sorted({day for _, day in index}))
-    fields = _read_fields(index, {"train": train_days, "test": test_days}[period])
+    wanted = set({"train": train_days, "test": test_days}[period])
+    fields = {key: read_grid(path, log=True) for key, path in index.items() if key[1] in wanted}
     stations, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
     variant = variant_from_name(cfg.variant)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)

@@ -218,15 +218,12 @@ class TestGridReads:
         cmd_coherence(_tiny_config(tiny_data, tiny_fit))
         assert reads == []
 
-    def test_load_fields_reads_every_day_unless_told(self, tiny_data, tmp_path, monkeypatch):
+    def test_load_fields_reads_every_day(self, tiny_data, tmp_path, monkeypatch):
         reads = _grid_reads(monkeypatch)
-        cfg = _tiny_config(tiny_data, tmp_path)
-        spec, fields = load_fields(cfg)
+        spec, fields = load_fields(_tiny_config(tiny_data, tmp_path))
         assert spec == GridSpec(16, 16, 12.0)
         assert sorted(fields) == sorted(TRAIN_KEYS + TEST_KEYS)
         assert len(reads) == len(fields)
-        _, fields = load_fields(cfg, days=[7])
-        assert sorted(fields) == TEST_KEYS
 
 
 class TestBenchProbeReplay:
