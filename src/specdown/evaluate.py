@@ -91,7 +91,9 @@ class PredictionResult:
 
 @dataclass(frozen=True)
 class PredictionContext:
-    """Inputs needed to rebuild design rows at arbitrary locations."""
+    """Inputs needed to rebuild design rows at arbitrary locations:
+    ``fields`` maps (j, day) to a GridField, ``covs`` (j, day) to the
+    field's (B, ncells) spectral covariate array."""
 
     variant: ModelVariant
     design: DesignMatrix
@@ -391,36 +393,22 @@ def score(predictions, observed_raw, variant: str = "", fold: int = -1) -> Score
     return Scorecard(variant=variant, fold=fold, rmse=rmse, corr=corr)
 
 
-def aggregate_means(predictions, spec: GridSpec, observed_raw=None) -> list:
+def aggregate_means(predictions, spec: GridSpec) -> list:
     """Group-by-mean export rows: quadrant region x pollutant means.
 
     Returns rows (region, pollutant_id, n, mean_predicted, mean_observed);
-    the observed column is None where no observation matches.
+    predictions carry no observations, so mean_observed is None.
     """
     half_x, half_y = spec.extent_km[0] / 2.0, spec.extent_km[1] / 2.0
     groups = {}
     for res in predictions:
         t = res.target
         region = ("E" if t.x >= half_x else "W") + ("N" if t.y >= half_y else "S")
-        key = (region, t.pollutant_id)
-        obs = None
-        if observed_raw is not None:
-            obs = observed_raw.get((t.site_id, int(t.day), t.pollutant_id))
-        groups.setdefault(key, []).append((res.point, obs))
-    rows = []
-    for (region, k), vals in sorted(groups.items()):
-        preds = [p for p, _ in vals]
-        obs = [o for _, o in vals if o is not None]
-        rows.append(
-            (
-                region,
-                k,
-                len(preds),
-                float(np.mean(preds)),
-                float(np.mean(obs)) if obs else None,
-            )
-        )
-    return rows
+        groups.setdefault((region, t.pollutant_id), []).append(res.point)
+    return [
+        (region, k, len(preds), float(np.mean(preds)), None)
+        for (region, k), preds in sorted(groups.items())
+    ]
 
 
 # ---------------------------------------------------------------------------

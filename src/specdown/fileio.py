@@ -4,10 +4,10 @@ All artifacts are plain text (UTF-8).  Floats are written with Python's
 shortest round-trip repr, so identical runs produce byte-identical files.
 
 Grid file: header line ``nx ny dx pollutant_id day``, then nx*ny
-whitespace-separated reals in row-major order (x fastest).  Covariate stacks
-append a ``j b`` suffix line.  :func:`read_grid_header` reads the header line
-alone, so a stage can index a directory of grids without parsing their
-values.  Station files are CSV with header
+whitespace-separated reals in row-major order (x fastest).  A covariate
+file is the grid file of covariate b of pollutant j plus a ``j b`` suffix
+line.  :func:`read_grid_header` reads the header line alone, so a stage
+can index a directory of grids without parsing their values.  Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count.  Posterior draws are CSV plus a JSON
@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import CovariateStack
 from .grid import GridField, GridSpec
 from .inference import BatchPosterior, McmcConfig, Priors
 from .lmc import StackedLayout
@@ -96,11 +95,14 @@ def _read_draws_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def write_grid(field: GridField, path) -> None:
+def _grid_lines(field: GridField) -> list:
     spec = field.spec
-    lines = [f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day}"]
-    lines.append(_fmt_values(field.values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day}"
+    return [header, _fmt_values(field.values)]
+
+
+def write_grid(field: GridField, path) -> None:
+    Path(path).write_text("\n".join(_grid_lines(field)) + "\n", encoding="utf-8")
 
 
 def _parse_grid_header(line: str, path) -> tuple[GridSpec, int, int]:
@@ -143,16 +145,14 @@ def read_grid(path, log: bool = False) -> GridField:
     return field
 
 
-def write_covariate(stack: CovariateStack, path) -> None:
-    spec = stack.spec
-    f = stack.field
-    lines = [f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {f.pollutant_id} {f.day}"]
-    lines.append(_fmt_values(f.values))
-    lines.append(f"{stack.pollutant_id} {stack.basis_index}")
+def write_covariate(covariate: GridField, basis_index: int, path) -> None:
+    """The grid file of ``covariate`` with the suffix line ``j b``."""
+    lines = _grid_lines(covariate) + [f"{covariate.pollutant_id} {basis_index}"]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_covariate(path) -> CovariateStack:
+def read_covariate(path) -> tuple[GridField, int]:
+    """(covariate field, basis index) of a covariate file."""
     header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
     tokens = body.split()
     middle, suffix = tokens[:-2], tokens[-2:]
@@ -161,7 +161,9 @@ def read_covariate(path) -> CovariateStack:
         j, b = int(suffix[0]), int(suffix[1])
     except ValueError:
         raise ParseError(f"{path}: malformed covariate suffix {suffix!r}")
-    return CovariateStack(spec=field.spec, pollutant_id=j, basis_index=b, field=field)
+    if j != field.pollutant_id:
+        raise ParseError(f"{path}: suffix pollutant {j} differs from header {field.pollutant_id}")
+    return field, b
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +251,9 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
 # ---------------------------------------------------------------------------
 
 
-def write_posterior(post: BatchPosterior, csv_path) -> None:
-    """Draws CSV + JSON sidecar; residual draws, if any, go to an .npz."""
+def write_posterior(post: BatchPosterior, csv_path) -> list:
+    """Draws CSV + JSON sidecar; residual draws, if any, go to an .npz.
+    Returns the paths written."""
     csv_path = Path(csv_path)
     _write_draws_csv(csv_path, post.param_names, post.draws)
 
@@ -264,16 +267,19 @@ def write_posterior(post: BatchPosterior, csv_path) -> None:
         "transforms": list(post.transforms),
         "decay_bounds": list(post.decay_bounds) if post.decay_bounds else None,
     }
-    csv_path.with_suffix(".json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    meta_path = csv_path.with_suffix(".json")
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    paths = [csv_path, meta_path]
 
     if post.w_draws is not None:
         arrays = {f"w_day_{d}": arr for d, arr in post.w_draws.items()}
         arrays["layout_day"] = post.w_layout.day
         arrays["layout_pollutant"] = post.w_layout.pollutant
         arrays["layout_coords"] = post.w_layout.coords
-        np.savez(csv_path.with_suffix(".w.npz"), **arrays)
+        npz_path = csv_path.with_suffix(".w.npz")
+        np.savez(npz_path, **arrays)
+        paths.append(npz_path)
+    return paths
 
 
 def write_natural_csv(post: BatchPosterior, path) -> None:

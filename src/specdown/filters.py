@@ -7,8 +7,10 @@ the magnitude it yields the spectral covariates used as regression features.
 
 Weighting happens on the principal frequency domain, so energy aliased onto
 low lattice frequencies stays there; no anti-alias correction is applied.
-The per-basis loop in :func:`spectral_covariates` only reads the shared
-forward transform and is safe to parallelize.
+:func:`spectral_covariates` makes one forward transform per field and one
+batched inverse over all B weighted copies of its spectrum, and returns
+the field's covariates as one (B, ncells) array; every covariate dict of
+the package maps (pollutant j, day) to such an array.
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .grid import GridField, GridSpec, dft_forward, dft_inverse, frequency_lattice
+from .grid import GridField, GridSpec, SpectrumField, dft_forward, dft_inverse, frequency_lattice
 
 __all__ = [
     "MAX_MAGNITUDE",
     "BIN_RANGE_HI",
     "FrequencyBand",
     "SpectralBasis",
-    "CovariateStack",
     "band_filter",
     "make_basis",
     "spectral_covariates",
+    "build_covariates",
     "eight_bins",
     "period_of",
 ]
@@ -80,7 +82,7 @@ def band_filter(field: GridField, band: FrequencyBand) -> GridField:
     lattice = frequency_lattice(field.spec)
     kept = np.where(band.contains(lattice.magnitudes), spectrum.coeffs, 0.0 + 0.0j)
     return dft_inverse(
-        type(spectrum)(spec=field.spec, coeffs=kept),
+        SpectrumField(spec=field.spec, coeffs=kept),
         pollutant_id=field.pollutant_id,
         day=field.day,
     )
@@ -138,52 +140,32 @@ def make_basis(count: int, degree: int = 3) -> SpectralBasis:
     return SpectralBasis(count=count, degree=degree, knots=knots)
 
 
-@dataclass(frozen=True)
-class CovariateStack:
-    """One spectral covariate: a field weighted by basis function ``basis_index``."""
-
-    spec: GridSpec
-    pollutant_id: int
-    basis_index: int
-    field: GridField
-
-
 def spectral_covariates(
     field: GridField, basis: SpectralBasis, center: bool = False
-) -> list[CovariateStack]:
-    """Construct one covariate field per basis function.
+) -> np.ndarray:
+    """The field's spectral covariates as one read-only (B, ncells) array.
 
     Transform once, multiply coefficient l by basis function b evaluated at
-    ||w_l||, transform back per basis function.  By partition of unity the
-    covariates sum back to the input field.  With ``center=True`` the grid mean is removed first,
+    ||w_l|| for every b, and transform the (B, M) stack back in one batched
+    inverse; row b is covariate b.  By partition of unity the rows sum back
+    to the input field.  With ``center=True`` the grid mean is removed first,
     so covariates describe the anomaly field only; the removed mean is then
     absorbed by a regression intercept downstream.  Centering defaults off
     because the daily grid mean itself carries predictive signal.
     """
-    weights = basis.weights(field.spec)
     work = field
     if center:
         work = GridField(
             field.spec, field.values - field.mean(), field.pollutant_id, field.day
         )
-    spectrum = dft_forward(work)
-    stacks = []
-    for b in range(basis.count):
-        values = dft_inverse(
-            type(spectrum)(spec=field.spec, coeffs=spectrum.coeffs * weights[b]),
-            pollutant_id=field.pollutant_id,
-            day=field.day,
-        ).values
-        cov_field = GridField(field.spec, values, field.pollutant_id, field.day)
-        stacks.append(
-            CovariateStack(
-                spec=field.spec,
-                pollutant_id=field.pollutant_id,
-                basis_index=b,
-                field=cov_field,
-            )
-        )
-    return stacks
+    coeffs = dft_forward(work).coeffs
+    return dft_inverse(SpectrumField(field.spec, coeffs * basis.weights(field.spec)))
+
+
+def build_covariates(fields: dict, basis: SpectralBasis, center: bool = False) -> dict:
+    """Spectral covariates of every field: maps each (j, day) key of
+    ``fields`` to the field's (B, ncells) array."""
+    return {key: spectral_covariates(f, basis, center=center) for key, f in fields.items()}
 
 
 def period_of(magnitude: float, dx: float) -> float:

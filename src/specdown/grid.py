@@ -131,26 +131,29 @@ def frequency_lattice(spec: GridSpec) -> FrequencyLattice:
 
 @dataclass(frozen=True)
 class SpectrumField:
-    """Complex DFT coefficients aligned with a grid's frequency lattice."""
+    """Complex DFT coefficients aligned with a grid's frequency lattice:
+    one spectrum of M coefficients, or a stack of shape (B, M)."""
 
     spec: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).reshape(-1).copy()
-        if c.size != self.spec.ncells:
-            raise ValueError(f"expected {self.spec.ncells} coefficients, got {c.size}")
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim == 0 or c.ndim > 2 or c.shape[-1] != self.spec.ncells:
+            raise ValueError(
+                f"expected {self.spec.ncells} coefficients or a stack of them, got shape {c.shape}"
+            )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     def grid2d(self) -> np.ndarray:
-        return self.coeffs.reshape(self.spec.ny, self.spec.nx)
+        """View of the coefficients as (ny, nx), or (B, ny, nx) for a stack."""
+        return self.coeffs.reshape(self.coeffs.shape[:-1] + (self.spec.ny, self.spec.nx))
 
     def symmetry_residual(self) -> float:
         """Relative departure from conjugate symmetry Z(-w) = conj(Z(w))."""
         c = self.grid2d()
-        mirrored = np.conj(c[::-1, ::-1])
-        mirrored = np.roll(np.roll(mirrored, 1, axis=0), 1, axis=1)
+        mirrored = np.roll(np.conj(c[..., ::-1, ::-1]), (1, 1), axis=(-2, -1))
         scale = np.linalg.norm(c)
         if scale == 0.0:
             return 0.0
@@ -169,21 +172,36 @@ def dft_forward(field: GridField) -> SpectrumField:
     return SpectrumField(spec=field.spec, coeffs=coeffs.ravel())
 
 
-def dft_inverse(spectrum: SpectrumField, pollutant_id: int = 0, day: int = 0) -> GridField:
+def dft_inverse(spectrum: SpectrumField, pollutant_id: int = 0, day: int = 0):
     """Inverse transform: field(s) = sum_l coeffs[l] * exp(i w_l . s).
 
-    The imaginary residue is discarded; if it exceeds ``SYMMETRY_REL_TOL``
-    relative to the result norm the input was not conjugate-symmetric and a
-    ``SpectrumSymmetryError`` is raised instead.
+    One spectrum gives a GridField tagged ``pollutant_id`` and ``day``.  A
+    stack of shape (B, M) is inverted by one batched FFT and gives the
+    read-only (B, M) array of its members' fields; row b equals, bit for
+    bit, the inverse of member b alone.
+
+    The imaginary residue is discarded; if any member's exceeds
+    ``SYMMETRY_REL_TOL`` relative to that member's result norm, that member
+    was not conjugate-symmetric and a ``SpectrumSymmetryError`` is raised
+    instead.
     """
     spec = spectrum.spec
-    z = np.fft.ifft2(spectrum.grid2d()) * spec.ncells
-    scale = np.linalg.norm(z)
-    if scale > 0.0:
-        residue = np.linalg.norm(z.imag) / scale
-        if residue > SYMMETRY_REL_TOL:
-            raise SpectrumSymmetryError(
-                f"imaginary residue {residue:.3e} exceeds {SYMMETRY_REL_TOL:.1e}; "
-                "spectrum is not conjugate-symmetric"
-            )
-    return GridField(spec=spec, values=z.real.ravel(), pollutant_id=pollutant_id, day=day)
+    z = np.fft.ifft2(spectrum.grid2d()).reshape(spectrum.coeffs.shape)
+    z *= spec.ncells
+    # squared norms by einsum: np.linalg.norm on complex data takes a
+    # strided BLAS dot that is slow under multithreaded OpenBLAS
+    imag2 = np.einsum("...i,...i->...", z.imag, z.imag)
+    norm2 = imag2 + np.einsum("...i,...i->...", z.real, z.real)
+    residue = np.sqrt(np.divide(imag2, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0))
+    bad = np.flatnonzero(residue > SYMMETRY_REL_TOL)
+    if bad.size:
+        member = f"member {bad[0]}: " if residue.ndim else ""
+        raise SpectrumSymmetryError(
+            f"{member}imaginary residue {residue.flat[bad[0]]:.3e} exceeds "
+            f"{SYMMETRY_REL_TOL:.1e}; spectrum is not conjugate-symmetric"
+        )
+    if z.ndim == 1:
+        return GridField(spec=spec, values=z.real, pollutant_id=pollutant_id, day=day)
+    values = z.real.copy()
+    values.setflags(write=False)
+    return values

@@ -395,10 +395,8 @@ def _logit_jacobian(u):
 
 
 def draw_beta_conditional(X, y_minus_w, nugget2_row, beta_sd, rng):
-    """Conjugate Gaussian update of all regression coefficients jointly.
-
-    Returns (draw, posterior mean, posterior precision).
-    """
+    """One draw of all regression coefficients jointly from their conjugate
+    Gaussian full conditional."""
     p = X.shape[1]
     Xw = X / nugget2_row[:, None]
     prec = X.T @ Xw + np.eye(p) / beta_sd**2
@@ -406,8 +404,7 @@ def draw_beta_conditional(X, y_minus_w, nugget2_row, beta_sd, rng):
     L = np.linalg.cholesky(prec)
     mean = _tri_solve(L, _tri_solve(L, b), transpose=True)
     z = rng.standard_normal(p)
-    draw = mean + _tri_solve(L, z, transpose=True)
-    return draw, mean, prec
+    return mean + _tri_solve(L, z, transpose=True)
 
 
 def draw_nugget2_conditional(ssq, count, priors: Priors, rng, size=None):
@@ -786,7 +783,7 @@ def fit_batch_mcmc(
 
         # (3) coefficients
         if cfg.update_beta:
-            beta, _, _ = draw_beta_conditional(X, y - w, nugget2[pol_row], priors.beta_sd, rng)
+            beta = draw_beta_conditional(X, y - w, nugget2[pol_row], priors.beta_sd, rng)
 
         # (4) nuggets
         if cfg.update_nugget:

@@ -53,7 +53,13 @@ from .fileio import (
     write_station_csv,
     parse_station_file,
 )
-from .filters import FrequencyBand, band_filter, make_basis, spectral_covariates
+from .filters import (
+    FrequencyBand,
+    band_filter,
+    build_covariates,
+    make_basis,
+    spectral_covariates,
+)
 from .grid import GridField, GridSpec
 from .inference import (
     BatchData,
@@ -179,15 +185,6 @@ def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
     log-transformed at ingest."""
     spec, index = _grid_index(cfg)
     return spec, {key: read_grid(path, log=True) for key, path in index.items()}
-
-
-def build_covariates(fields: dict, basis, center: bool = False) -> dict:
-    """Spectral covariates for every (field, day); keyed (j, b, day)."""
-    covs = {}
-    for (j, day), f in fields.items():
-        for stack in spectral_covariates(f, basis, center=center):
-            covs[(j, stack.basis_index, day)] = stack
-    return covs
 
 
 def _fit_batch_task(payload):
@@ -335,9 +332,9 @@ def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
-    for stack in spectral_covariates(field, basis, center=cfg.center):
-        path = out / f"covariate_j{stack.pollutant_id}_b{stack.basis_index}_d{field.day:03d}.txt"
-        write_covariate(stack, path)
+    for b, values in enumerate(spectral_covariates(field, basis, center=cfg.center)):
+        path = out / f"covariate_j{field.pollutant_id}_b{b}_d{field.day:03d}.txt"
+        write_covariate(GridField(field.spec, values, field.pollutant_id, field.day), b, path)
         artifacts.append(path)
     return artifacts
 
@@ -368,9 +365,7 @@ def cmd_fit(cfg: RunConfig) -> list:
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for i, post in enumerate(posteriors):
-        path = out / f"batch_{i:03d}.csv"
-        write_posterior(post, path)
-        artifacts.append(path)
+        artifacts.extend(write_posterior(post, out / f"batch_{i:03d}.csv"))
     rec_path = out / "design.json"
     rec_path.write_text(
         json.dumps(_design_record(design, variant, train_days), indent=2, sort_keys=True) + "\n",
@@ -389,10 +384,10 @@ def cmd_combine(cfg: RunConfig) -> list:
         raise FileNotFoundError(f"no batch posteriors under {out}")
     posteriors = [read_posterior(p) for p in paths]
     combined = consensus_combine(posteriors)
-    path = out / "combined.csv"
-    write_posterior(combined, path)
-    write_natural_csv(combined, out / "combined_natural.csv")
-    return [path]
+    artifacts = write_posterior(combined, out / "combined.csv")
+    artifacts.append(out / "combined_natural.csv")
+    write_natural_csv(combined, artifacts[-1])
+    return artifacts
 
 
 def targets_for(stations: dict, days, mode: str, observations=None) -> list:

@@ -225,28 +225,27 @@ def assemble_design(
 ) -> DesignMatrix:
     """Build the regression design for ``variant``.
 
-    ``fields`` maps (pollutant j, day) to its GridField; ``covs`` maps
-    (j, b, day) to the spectral CovariateStack.  ``stations`` maps site_id
-    to Station.  The assembly is deterministic: rows follow the order of
-    ``observations``; columns are intercepts for k = 0..K-1 followed by each
-    k's covariate block ordered by (j, b).
+    ``fields`` maps (pollutant j, day) to its GridField, and J is one more
+    than the largest j there; ``covs`` maps (j, day) to the field's
+    (B, ncells) spectral covariate array, and B is read from its shape.  ``stations`` maps site_id to Station.  The
+    assembly is deterministic: rows follow the order of ``observations``;
+    columns are intercepts for k = 0..K-1 followed by each k's covariate
+    block ordered by (j, b).
 
     Raises a configuration ``ValueError`` when a needed field or covariate
-    stack is missing.
+    array is missing.
     """
     if not observations:
         raise ValueError("no observations to assemble")
+    if not fields:
+        raise ValueError("design assembly requires gridded fields")
     K = max(o.pollutant_id for o in observations) + 1
+    J = max(j for j, _ in fields) + 1
     if variant.mean_kind == "SD":
         if not covs:
             raise ValueError("SD variant requires spectral covariates")
-        J = max(key[0] for key in covs) + 1
-        B = max(key[1] for key in covs) + 1
-    else:
-        if not fields:
-            raise ValueError("LD variant requires gridded fields")
-        J = max(key[0] for key in fields) + 1
-    spec = next(iter(fields.values() if fields else covs.values())).spec
+        B = next(iter(covs.values())).shape[0]
+    spec = next(iter(fields.values())).spec
 
     # column layout: K intercepts, then per-k blocks
     columns = [ColumnMeta("intercept", k) for k in range(K)]
@@ -286,9 +285,10 @@ def design_rows(columns, mean_kind: str, fields, covs, cells, pollutant, day) ->
 
     An intercept column is 1 on the rows of its pollutant.  A covariate
     column (k, j[, b]) holds, on the rows of pollutant k, the value at the
-    row's cell of field ``fields[(j, day)]`` (LD) or covariate stack
-    ``covs[(j, b, day)]`` (SD), gathered one column and day at a time; it is
-    0 on the other rows.  A missing field or stack raises ``ValueError``.
+    row's cell of field ``fields[(j, day)]`` (LD) or of row b of the
+    covariate array ``covs[(j, day)]`` (SD), gathered one column and day at
+    a time; it is 0 on the other rows.  A missing field or covariate array
+    raises ``ValueError``.
     """
     rows = np.zeros((cells.size, len(columns)))
     by_day = [(int(d), day == d) for d in np.unique(day)]
@@ -305,12 +305,13 @@ def design_rows(columns, mean_kind: str, fields, covs, cells, pollutant, day) ->
                 source = fields.get((col.j, d))
                 if source is None:
                     raise ValueError(f"missing field for pollutant {col.j} day {d}")
+                values = source.values
             else:
-                stack = covs.get((col.j, col.b, d))
-                if stack is None:
-                    raise ValueError(f"missing covariate stack (j={col.j}, b={col.b}, day={d})")
-                source = stack.field
-            rows[sel, idx] = source.values[cells[sel]]
+                source = covs.get((col.j, d))
+                if source is None:
+                    raise ValueError(f"missing covariates for pollutant {col.j} day {d}")
+                values = source[col.b]
+            rows[sel, idx] = values[cells[sel]]
     return rows
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import make_basis, spectral_covariates
+from .filters import build_covariates, make_basis
 from .grid import GridField, GridSpec, frequency_lattice
 from .inference import derive_rng
 from .lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
@@ -125,7 +125,7 @@ class SyntheticTruth:
 
     config: SimConfig
     fields: dict  # (j, day) -> GridField
-    covariates: dict  # (j, b, day) -> CovariateStack
+    covariates: dict  # (j, day) -> read-only (B, ncells) spectral covariates
     stations: dict  # site_id -> Station
     observations: tuple
     true_mean: np.ndarray  # per observation, log scale
@@ -205,12 +205,7 @@ def simulate_stations(config: SimConfig, fields: dict):
     rng = derive_rng(config.seed, 2)
     spec = config.spec
     K = config.n_observed
-    basis = make_basis(config.basis_size, config.basis_degree)
-
-    covariates = {}
-    for (j, day), field in fields.items():
-        for stack in spectral_covariates(field, basis):
-            covariates[(j, stack.basis_index, day)] = stack
+    covariates = build_covariates(fields, make_basis(config.basis_size, config.basis_degree))
 
     stations = _station_layout(config, rng)
     site_ids = sorted(stations)
@@ -254,7 +249,7 @@ def simulate_stations(config: SimConfig, fields: dict):
             mu = np.full(pos.size, config.beta0[k])
             for j in range(config.n_gridded):
                 for b in range(config.basis_size):
-                    mu += config.beta[k, j, b] * covariates[(j, b, day)].field.values[block_cells]
+                    mu += config.beta[k, j, b] * covariates[(j, day)][b, block_cells]
             w_val = day_w[k * len(site_ids) + pos] if day_w is not None else np.zeros(pos.size)
             eps = (
                 rng.normal(0.0, np.sqrt(config.nugget2[k]), size=pos.size)

@@ -3,6 +3,7 @@
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +137,19 @@ class TestGridIndex:
         assert payload["error"] == "ParseError"
         assert str(first) in payload["message"] and str(second) in payload["message"]
         assert sorted(p.name for p in run.iterdir()) == before
+
+
+class TestArtifactList:
+    def test_fit_and_combine_print_every_file_they_write(self, tmp_path, capsys):
+        # fit once printed only batch_*.csv, combine only combined.csv
+        cfg = _config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["--config", cfg, "simulate"]) == 0
+            for stage in ("fit", "combine"):
+                capsys.readouterr()
+                before = set(tmp_path.iterdir())
+                assert main(["--config", cfg, stage]) == 0
+                printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+                assert len(printed) == len(set(printed))
+                assert set(printed) == set(tmp_path.iterdir()) - before

@@ -116,8 +116,7 @@ def _fitted_setup(seed=0, tau2=0.04, l11=0.4, n_sites=25, phi=0.05, n_iter=900, 
     for d in days:
         f = GridField(spec, rng.standard_normal(64), 0, d)
         fields[(0, d)] = f
-        for stck in spectral_covariates(f, basis):
-            covs[(0, stck.basis_index, d)] = stck
+        covs[(0, d)] = spectral_covariates(f, basis)
     stations = {
         f"s{i}": Station(f"s{i}", float(rng.uniform(0, 96)), float(rng.uniform(0, 96)), frozenset([0]))
         for i in range(n_sites)

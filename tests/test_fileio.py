@@ -15,7 +15,6 @@ from specdown.fileio import (
     write_natural_csv,
     write_posterior,
 )
-from specdown.filters import CovariateStack
 from specdown.grid import GridField, GridSpec
 from specdown.inference import BatchPosterior
 from specdown.lmc import StackedLayout
@@ -159,13 +158,13 @@ class TestCovariateRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(field=grid_fields(), j=st.integers(0, 9), b=st.integers(0, 20))
     def test_write_read(self, field, j, b):
-        stack = CovariateStack(spec=field.spec, pollutant_id=j, basis_index=b, field=field)
+        field = GridField(field.spec, field.values, j, field.day)
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp) / "cov.txt", Path(tmp) / "again.txt"
-            write_covariate(stack, path)
-            back = read_covariate(path)
-            assert back.spec == stack.spec
-            assert (back.pollutant_id, back.basis_index) == (j, b)
-            _assert_same_field(back.field, field)
-            write_covariate(back, again)
+            write_covariate(field, b, path)
+            back, back_b = read_covariate(path)
+            assert back.spec == field.spec
+            assert (back.pollutant_id, back_b) == (j, b)
+            _assert_same_field(back, field)
+            write_covariate(back, back_b, again)
             assert again.read_bytes() == path.read_bytes()

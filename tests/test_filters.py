@@ -11,12 +11,20 @@ from specdown.filters import (
     MAX_MAGNITUDE,
     FrequencyBand,
     band_filter,
+    build_covariates,
     eight_bins,
     make_basis,
     period_of,
     spectral_covariates,
 )
-from specdown.grid import GridField, GridSpec, dft_forward, frequency_lattice
+from specdown.grid import (
+    GridField,
+    GridSpec,
+    SpectrumField,
+    dft_forward,
+    dft_inverse,
+    frequency_lattice,
+)
 
 PI = np.pi
 
@@ -172,38 +180,38 @@ class TestSpectralCovariates:
     def test_single_constant_basis_reproduces_field(self):
         spec = GridSpec(6, 5, 12.0)
         f = _random_field(spec, 6)
-        stacks = spectral_covariates(f, make_basis(1, 0))
-        assert len(stacks) == 1
-        assert np.max(np.abs(stacks[0].field.values - f.values)) < 1e-12
+        covs = spectral_covariates(f, make_basis(1, 0))
+        assert len(covs) == 1
+        assert np.max(np.abs(covs[0] - f.values)) < 1e-12
 
     def test_matches_direct_weighted_oracle(self):
         spec = GridSpec(8, 8, 12.0)
         f = _random_field(spec, 7)
         basis = make_basis(5, 3)
-        stacks = spectral_covariates(f, basis)
+        covs = spectral_covariates(f, basis)
         lat = frequency_lattice(spec)
         coeffs = dft_forward(f).coeffs
         weights = basis.evaluate(lat.magnitudes)
         sx, sy = np.meshgrid(np.arange(spec.nx), np.arange(spec.ny))
         coords = np.column_stack([sx.ravel(), sy.ravel()])
         phases = np.exp(1j * (coords @ lat.freqs.T))  # (site, freq)
-        for b, stack in enumerate(stacks):
+        for b, cov in enumerate(covs):
             oracle = (phases * (weights[:, b] * coeffs)[None, :]).sum(axis=1)
             assert np.max(np.abs(oracle.imag)) < 1e-8
-            assert np.max(np.abs(stack.field.values - oracle.real)) < 1e-8
+            assert np.max(np.abs(cov - oracle.real)) < 1e-8
 
     def test_covariates_sum_to_field(self):
         spec = GridSpec(10, 6, 12.0)
         f = _random_field(spec, 8)
-        stacks = spectral_covariates(f, make_basis(5, 3))
-        total = sum(st.field.values for st in stacks)
+        covs = spectral_covariates(f, make_basis(5, 3))
+        total = sum(covs)
         assert np.max(np.abs(total - f.values)) < 1e-9
 
     def test_centered_covariates_sum_to_anomaly(self):
         spec = GridSpec(10, 6, 12.0)
         f = _random_field(spec, 9)
-        stacks = spectral_covariates(f, make_basis(5, 3), center=True)
-        total = sum(st.field.values for st in stacks)
+        covs = spectral_covariates(f, make_basis(5, 3), center=True)
+        total = sum(covs)
         assert np.max(np.abs(total - (f.values - f.values.mean()))) < 1e-9
 
     def test_weighted_spectrum_stays_symmetric(self):
@@ -213,11 +221,39 @@ class TestSpectralCovariates:
         lat = frequency_lattice(spec)
         coeffs = dft_forward(f).coeffs
         weights = basis.evaluate(lat.magnitudes)
-        from specdown.grid import SpectrumField
-
         for b in range(5):
             weighted = SpectrumField(spec, coeffs * weights[:, b])
             assert weighted.symmetry_residual() < 1e-8
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("count", [1, 5, 8])
+    def test_rows_equal_single_member_inverse(self, center, count):
+        spec = GridSpec(10, 6, 12.0)
+        f = _random_field(spec, 11)
+        basis = make_basis(count, min(count - 1, 3))
+        covs = spectral_covariates(f, basis, center=center)
+        assert covs.shape == (count, spec.ncells)
+        work = GridField(spec, f.values - f.mean()) if center else f
+        coeffs = dft_forward(work).coeffs
+        weights = basis.weights(spec)
+        for b in range(count):
+            alone = dft_inverse(SpectrumField(spec, coeffs * weights[b])).values
+            assert np.array_equal(covs[b], alone)
+
+    def test_read_only(self):
+        covs = spectral_covariates(_random_field(GridSpec(7, 9, 12.0), 12), make_basis(5, 3))
+        assert not covs.flags.writeable
+        with pytest.raises(ValueError):
+            covs[0, 0] = 1.0
+
+    def test_build_covariates_keys_each_field(self):
+        spec = GridSpec(7, 9, 12.0)
+        basis = make_basis(5, 3)
+        fields = {(j, d): _random_field(spec, 10 * j + d) for j in range(2) for d in (1, 2)}
+        covs = build_covariates(fields, basis, center=True)
+        assert sorted(covs) == sorted(fields)
+        for key, f in fields.items():
+            assert np.array_equal(covs[key], spectral_covariates(f, basis, center=True))
 
 
 class TestBinCovariates:

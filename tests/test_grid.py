@@ -149,6 +149,24 @@ class TestInverse:
         with pytest.raises(SpectrumSymmetryError):
             dft_inverse(SpectrumField(spec, coeffs))
 
+    def test_stack_with_one_asymmetric_member_raises(self):
+        spec = GridSpec(4, 4, 1.0)
+        field = _random_field(spec, seed=4)
+        stack = np.tile(dft_forward(field).coeffs, (3, 1))
+        stack[1, 1] += 1.0 + 1.0j  # no conjugate partner in member 1
+        with pytest.raises(SpectrumSymmetryError, match="member 1"):
+            dft_inverse(SpectrumField(spec, stack))
+
+    def test_stack_rows_are_the_member_inverses(self):
+        spec = GridSpec(7, 5, 1.0)
+        coeffs = dft_forward(_random_field(spec, seed=5)).coeffs
+        stack = np.stack([coeffs, 2.0 * coeffs, np.zeros_like(coeffs)])
+        values = dft_inverse(SpectrumField(spec, stack))
+        assert values.shape == (3, spec.ncells)
+        assert not values.flags.writeable
+        for member, row in zip(stack, values):
+            assert np.array_equal(row, dft_inverse(SpectrumField(spec, member)).values)
+
     def test_metadata_passthrough(self):
         spec = GridSpec(4, 4, 1.0)
         s = dft_forward(GridField(spec, np.ones(16), pollutant_id=2, day=7))

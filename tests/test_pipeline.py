@@ -113,7 +113,7 @@ class TestFitJobs:
                 warnings.simplefilter("ignore")
                 artifacts = cmd_fit(_tiny_config(tiny_data, out, jobs=jobs))
             outputs[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            assert len([p for p in artifacts if p.name.startswith("batch_")]) == 2
+            assert len([p for p in artifacts if p.name.startswith("batch_") and p.suffix == ".csv"]) == 2
         assert sorted(outputs[1]) == sorted(outputs[2])
         assert [name for name in outputs[1] if outputs[1][name] != outputs[2][name]] == []
 

@@ -34,8 +34,7 @@ def _fields_and_covs(spec, J, days, B=5, degree=3, seed=0):
         for d in days:
             f = GridField(spec, rng.standard_normal(spec.ncells), pollutant_id=j, day=d)
             fields[(j, d)] = f
-            for stack in spectral_covariates(f, basis):
-                covs[(j, stack.basis_index, d)] = stack
+            covs[(j, d)] = spectral_covariates(f, basis)
     return fields, covs
 
 
@@ -140,7 +139,7 @@ class TestAssembleDesign:
         stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
         obs = [Observation("a", 1, 0, 0.1), Observation("a", 1, 1, 0.2)]
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
-        covs.pop((1, 4, 1))
+        covs.pop((1, 1))
         with pytest.raises(ValueError, match="missing covariate"):
             assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
 

@@ -126,7 +126,7 @@ def _loop_reference(config, covariates):
                 mu = config.beta0[k]
                 for j in range(config.n_gridded):
                     for b in range(config.basis_size):
-                        mu += config.beta[k, j, b] * covariates[(j, b, day)].field.values[cells[sid]]
+                        mu += config.beta[k, j, b] * covariates[(j, day)][b, cells[sid]]
                 w_val = float(day_w[k * len(site_ids) + pos]) if day_w is not None else 0.0
                 eps = rng.normal(0.0, np.sqrt(config.nugget2[k])) if config.nugget2[k] > 0 else 0.0
                 rows.append((sid, day, k, float(mu + w_val + eps), float(mu), w_val))
