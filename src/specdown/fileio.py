@@ -7,7 +7,8 @@ Grid file: header line ``nx ny dx pollutant_id day``, then nx*ny
 whitespace-separated reals in row-major order (x fastest).  A covariate
 file is the grid file of covariate b of pollutant j plus a ``j b`` suffix
 line.  :func:`read_grid_header` reads the header line alone, so a stage
-can index a directory of grids without parsing their values.  Station files are CSV with header
+can index a directory of grids without parsing their values.  Station
+files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count.  Posterior draws are CSV plus a JSON

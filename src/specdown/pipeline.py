@@ -385,9 +385,9 @@ def cmd_combine(cfg: RunConfig) -> list:
     posteriors = [read_posterior(p) for p in paths]
     combined = consensus_combine(posteriors)
     artifacts = write_posterior(combined, out / "combined.csv")
-    artifacts.append(out / "combined_natural.csv")
-    write_natural_csv(combined, artifacts[-1])
-    return artifacts
+    natural = out / "combined_natural.csv"
+    write_natural_csv(combined, natural)
+    return artifacts + [natural]
 
 
 def targets_for(stations: dict, days, mode: str, observations=None) -> list:

@@ -4,9 +4,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from specdown.fileio import (
+    ParseError,
     read_covariate,
     read_grid,
     read_posterior,
@@ -168,3 +170,10 @@ class TestCovariateRoundTrip:
             _assert_same_field(back, field)
             write_covariate(back, back_b, again)
             assert again.read_bytes() == path.read_bytes()
+
+    def test_suffix_pollutant_must_match_header(self, tmp_path):
+        path = tmp_path / "cov.txt"
+        write_covariate(GridField(GridSpec(2, 2, 12.0), np.ones(4), 1, 3), 2, path)
+        path.write_text(path.read_text(encoding="utf-8").replace("\n1 2\n", "\n0 2\n"), encoding="utf-8")
+        with pytest.raises(ParseError, match="suffix pollutant 0"):
+            read_covariate(path)
