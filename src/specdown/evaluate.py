@@ -1,24 +1,26 @@
 """Posterior prediction, cross-validation splits, scoring, coherence curves.
 
 Interpolation predicts at unmonitored locations inside the training period:
-the regression mean plus a conditional (kriging) draw of the residual field
-given that day's sampled field at the observed sites.  Forecasting predicts
-future days, where the residual field is unconditioned: its mean is zero and
-only its variance enters the predictive draws.  Point predictions are
-reported on the original concentration scale as exp of the posterior median
-of the log-scale draws.
+the regression mean plus a draw of the residual field given that day's
+training data, with the field at the observed sites integrated out
+(the marginal-model prediction of spBayes ``spPredict``; Banerjee, Carlin &
+Gelfand 2014, ch. 6).  Forecasting predicts future days, where the residual
+field is unconditioned: its mean is zero and only its variance enters the
+predictive draws.  Point predictions are reported on the original
+concentration scale as exp of the posterior median of the log-scale draws.
 
 Prediction is vectorised over targets.  Design rows are gathered from the
 field or covariate grids by each target's cell with
 :func:`~specdown.stations.design_rows`, which also makes the training
-design, and standardized as the training design was.  Per interpolation day, the
-LMC covariances of the observed sites, one (n, n) matrix per posterior draw,
-are built by :class:`~specdown.lmc.LmcKernel` and factored once as
-C = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter rule when plain
-Cholesky fails; :class:`~specdown.lmc.CovarianceNotPDError` when that fails
-too).  With c0
-the cross-covariances between a target and the sites, the conditional mean
-is (L^{-1} c0) . (L^{-1} w) = c0 . C^{-1} w and the variance is
+design, and standardized as the training design was.  Per interpolation
+day, the marginal covariances of the day's observations, C + D with C the
+LMC block of the observed sites (built by :class:`~specdown.lmc.LmcKernel`)
+and D the nugget diagonal, one (n, n) matrix per posterior draw, are
+factored once as C + D = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter
+rule when plain Cholesky fails; :class:`~specdown.lmc.CovarianceNotPDError`
+when that fails too).  With r = y - X beta the day's residuals and c0 the
+cross-covariances between a target and the sites, the conditional mean of
+the field is (L^{-1} c0) . (L^{-1} r) = c0 . (C + D)^{-1} r and its variance
 sigma_kk^2 - ||L^{-1} c0||^2, both by batched matrix products over draws and
 targets.  Targets go through in chunks of consecutive targets, sized so that
 no temporary holds more than ``PREDICT_CHUNK_VALUES`` floats; noise is drawn
@@ -93,7 +95,9 @@ class PredictionResult:
 class PredictionContext:
     """Inputs needed to rebuild design rows at arbitrary locations:
     ``fields`` maps (j, day) to a GridField, ``covs`` (j, day) to the
-    field's (B, ncells) spectral covariate array."""
+    field's (B, ncells) spectral covariate array.  Interpolation with a
+    spatial posterior conditions on the training data: ``design`` then holds
+    the standardized training rows and ``y`` their responses, aligned."""
 
     variant: ModelVariant
     design: DesignMatrix
@@ -101,6 +105,7 @@ class PredictionContext:
     train_days: tuple
     fields: dict | None = None
     covs: dict | None = None
+    y: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +216,36 @@ def _invert_lower(L: np.ndarray) -> None:
 
 
 class _DayFactor:
-    """One interpolation day's sampled field, conditioned per draw.
+    """One interpolation day's training data, conditioned on per draw.
 
-    The (I, n, n) LMC covariance stack of the day's observed sites is
-    factored once, C = L L^T, with the jitter rule; the inverse factor then
-    turns kriging a chunk of targets into batched matrix products.
+    The (I, n, n) stack of marginal covariances C + D of the day's
+    observations (C the LMC block of their sites, D the nugget diagonal) is
+    factored once, C + D = L L^T, with the jitter rule, and the day's
+    residuals r = y - X beta are whitened to L^{-1} r; the inverse factor
+    then turns kriging a chunk of targets into batched matrix products.
+    ``beta`` (I, p), ``nugget2`` (I, K), ``cross`` (I, K, K) and ``rate``
+    (I,) hold the draws.
     """
 
-    def __init__(self, posterior: BatchPosterior, day: int, draw_idx, cross, rate):
-        layout = posterior.w_layout
-        pos = np.flatnonzero(layout.day == day)
-        self.coords = layout.coords[pos]
-        self.pol = layout.pollutant[pos]
-        self.cross = cross  # (I, K, K)
-        self.rate = rate  # (I,)
+    def __init__(self, ctx: PredictionContext, day: int, beta, nugget2, cross, rate):
+        rows = ctx.design.rows_for_days([day])
+        layout = ctx.design.layout(rows)
+        self.coords = layout.coords
+        self.pol = layout.pollutant
+        self.cross = cross
+        self.rate = rate
         # (I, n, n) stacks are the largest arrays here: build them in place
         kernel = LmcKernel(self.coords, self.pol, cross.shape[-1])
         cov = kernel.corr(rate)
         kernel.cov(cross, cov, out=cov)
+        n = self.pol.size
+        cov.reshape(-1, n * n)[:, :: n + 1] += nugget2[:, self.pol]
         chol, _ = chol_pd(cov)
         del cov
         _invert_lower(chol)
         self.chol_inv = chol  # (I, n, n)
-        w = posterior.w_draws[day][draw_idx]  # (I, n)
-        self.z = np.matmul(self.chol_inv, w[..., None])  # L^{-1} w, (I, n, 1)
+        resid = ctx.y[rows] - beta @ ctx.design.X[rows].T  # (I, n)
+        self.z = np.matmul(self.chol_inv, resid[..., None])  # L^{-1} r, (I, n, 1)
 
     def conditional(self, x, y, k):
         """Conditional mean and variance of the field at points (x, y) of
@@ -257,11 +268,15 @@ def predict(
     """Predictive draws per target; returns results aligned with ``targets``.
 
     The regression mean uses the posterior coefficient draws against the
-    target's standardized design row.  Interpolation targets add the kriging
-    conditional draw of the residual field given that day's sampled values;
-    forecast targets add an unconditional residual draw (zero mean, same-site
-    variance) when the model is spatial.  All draws include nugget noise, so
-    intervals are predictive for a new observation.
+    target's standardized design row.  With a spatial posterior,
+    interpolation targets add a draw of the residual field from its
+    conditional given that day's training data, y - X beta, per posterior
+    draw: the field at the observed sites is integrated out rather than
+    sampled, which leaves the predictive distribution unchanged.  Their days
+    must lie in ``posterior.days``, and ``ctx`` must carry the training
+    design and responses.  Forecast targets add an unconditional residual
+    draw (zero mean, same-site variance).  All draws include nugget noise,
+    so intervals are predictive for a new observation.
 
     Noise is drawn target by target in ``targets`` order: for a spatial
     posterior a residual block of one normal per draw, then a nugget block;
@@ -292,7 +307,8 @@ def predict(
     else:
         draw_idx = np.arange(n_draws)
     beta = beta[draw_idx]
-    nugget_sd = np.sqrt(posterior.nugget2_draws()[draw_idx])  # (I, K)
+    nugget2 = posterior.nugget2_draws()[draw_idx]  # (I, K)
+    nugget_sd = np.sqrt(nugget2)
     n_blocks = 1
     factors = {}
     if posterior.has_spatial:
@@ -302,12 +318,12 @@ def predict(
         rate = posterior.decay_draws()[draw_idx]
         marginal_sd = np.sqrt(np.einsum("ikm,ikm->ik", lower, lower))  # (I, K)
         interp_days = np.unique(day[interp]).tolist()
-        if interp_days and posterior.w_draws is None:
-            raise ValueError("posterior was fit without stored residual draws")
+        if interp_days and (ctx.y is None or len(ctx.y) != ctx.design.n):
+            raise ValueError("interpolation needs the training responses aligned with ctx.design")
         for d in interp_days:
-            if d not in posterior.w_draws:
-                raise ValueError(f"posterior holds no residual draws for day {d}")
-            factors[d] = _DayFactor(posterior, d, draw_idx, cross, rate)
+            if d not in posterior.days:
+                raise ValueError(f"interpolation day {d} is outside the posterior's days")
+            factors[d] = _DayFactor(ctx, d, beta, nugget2, cross, rate)
 
     I = draw_idx.size
     widest = max([f.pol.size for f in factors.values()] + [n_blocks])
@@ -396,8 +412,7 @@ def score(predictions, observed_raw, variant: str = "", fold: int = -1) -> Score
 def aggregate_means(predictions, spec: GridSpec) -> list:
     """Group-by-mean export rows: quadrant region x pollutant means.
 
-    Returns rows (region, pollutant_id, n, mean_predicted, mean_observed);
-    predictions carry no observations, so mean_observed is None.
+    Returns rows (region, pollutant_id, n, mean_predicted).
     """
     half_x, half_y = spec.extent_km[0] / 2.0, spec.extent_km[1] / 2.0
     groups = {}
@@ -406,7 +421,7 @@ def aggregate_means(predictions, spec: GridSpec) -> list:
         region = ("E" if t.x >= half_x else "W") + ("N" if t.y >= half_y else "S")
         groups.setdefault((region, t.pollutant_id), []).append(res.point)
     return [
-        (region, k, len(preds), float(np.mean(preds)), None)
+        (region, k, len(preds), float(np.mean(preds)))
         for (region, k), preds in sorted(groups.items())
     ]
 

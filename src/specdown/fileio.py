@@ -12,10 +12,11 @@ files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count.  Posterior draws are CSV plus a JSON
-sidecar; residual-field draws ride along in an .npz when present.  The
-natural-scale draws of the combined posterior are written by ``combine``
-for readers outside the pipeline and never read back: every stage derives
-them from the transformed draws.
+sidecar and nothing else: no residual-field draws are stored, because
+interpolation conditions on the training data.  The natural-scale draws of
+the combined posterior are written by ``combine`` for readers outside the
+pipeline and never read back: every stage derives them from the
+transformed draws.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .grid import GridField, GridSpec
 from .inference import BatchPosterior, McmcConfig, Priors
-from .lmc import StackedLayout
 from .stations import Observation, OutOfGridError, Station, cell_lookup
 
 __all__ = [
@@ -253,8 +253,7 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
 
 
 def write_posterior(post: BatchPosterior, csv_path) -> list:
-    """Draws CSV + JSON sidecar; residual draws, if any, go to an .npz.
-    Returns the paths written."""
+    """Draws CSV and its JSON sidecar; returns the two paths written."""
     csv_path = Path(csv_path)
     _write_draws_csv(csv_path, post.param_names, post.draws)
 
@@ -270,17 +269,7 @@ def write_posterior(post: BatchPosterior, csv_path) -> list:
     }
     meta_path = csv_path.with_suffix(".json")
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    paths = [csv_path, meta_path]
-
-    if post.w_draws is not None:
-        arrays = {f"w_day_{d}": arr for d, arr in post.w_draws.items()}
-        arrays["layout_day"] = post.w_layout.day
-        arrays["layout_pollutant"] = post.w_layout.pollutant
-        arrays["layout_coords"] = post.w_layout.coords
-        npz_path = csv_path.with_suffix(".w.npz")
-        np.savez(npz_path, **arrays)
-        paths.append(npz_path)
-    return paths
+    return [csv_path, meta_path]
 
 
 def write_natural_csv(post: BatchPosterior, path) -> None:
@@ -293,21 +282,6 @@ def read_posterior(csv_path) -> BatchPosterior:
     csv_path = Path(csv_path)
     names, draws = _read_draws_csv(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    w_draws = None
-    w_layout = None
-    npz_path = csv_path.with_suffix(".w.npz")
-    if npz_path.exists():
-        with np.load(npz_path) as data:
-            w_layout = StackedLayout(
-                day=data["layout_day"],
-                pollutant=data["layout_pollutant"],
-                coords=data["layout_coords"],
-            )
-            w_draws = {
-                int(key[len("w_day_"):]): data[key]
-                for key in data.files
-                if key.startswith("w_day_")
-            }
     return BatchPosterior(
         draws=draws,
         param_names=names,
@@ -318,8 +292,6 @@ def read_posterior(csv_path) -> BatchPosterior:
         seed=meta["seed"],
         decay_bounds=tuple(meta["decay_bounds"]) if meta["decay_bounds"] else None,
         acceptance=dict(meta["acceptance"]),
-        w_draws=w_draws,
-        w_layout=w_layout,
     )
 
 
@@ -388,16 +360,23 @@ def write_coherence_csv(curves, path) -> None:
 
 def write_aggregate_csv(rows, path, pollutants=None) -> None:
     names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
-    lines = ["region,pollutant,n,mean_pred,mean_obs"]
-    for region, k, n, mean_pred, mean_obs in rows:
-        obs = _fmt(mean_obs) if mean_obs is not None else "NA"
-        lines.append(f"{region},{names.get(k, str(k))},{n},{_fmt(mean_pred)},{obs}")
+    lines = ["region,pollutant,n,mean_pred"]
+    for region, k, n, mean_pred in rows:
+        lines.append(f"{region},{names.get(k, str(k))},{n},{_fmt(mean_pred)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
+
+
+#: Keys the ``mcmc`` and ``priors`` sections may set: the fields of the
+#: dataclass each fills, less the one the run supplies itself.
+_SECTION_KEYS = {
+    "mcmc": frozenset(f.name for f in fields(McmcConfig)) - {"seed"},
+    "priors": frozenset(f.name for f in fields(Priors)) - {"decay_bounds"},
+}
 
 
 @dataclass
@@ -465,12 +444,18 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
+        """The defaults overlaid with a JSON document, dict sections merged key
+        by key.  An unknown key, at the top level or in the ``mcmc`` or
+        ``priors`` section, is a ``ParseError`` naming it."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         cfg = cls()
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ParseError(f"unknown config key {key!r}")
             if isinstance(getattr(cfg, key), dict) and isinstance(value, dict):
+                unknown = sorted(set(value) - _SECTION_KEYS.get(key, set(value)))
+                if unknown:
+                    raise ParseError(f"unknown {key} config key {unknown[0]!r}")
                 merged = dict(getattr(cfg, key))
                 merged.update(value)
                 setattr(cfg, key, merged)

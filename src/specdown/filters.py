@@ -32,16 +32,14 @@ __all__ = [
     "make_basis",
     "spectral_covariates",
     "build_covariates",
-    "eight_bins",
     "period_of",
 ]
 
 #: Largest possible frequency magnitude on any grid: ||(-pi, -pi)||.
 MAX_MAGNITUDE = math.sqrt(2.0) * math.pi
 
-#: The exploratory regression bins the magnitude axis into 8 equal widths
-#: of pi/5 covering [0, 8*pi/5), which contains [0, MAX_MAGNITUDE].
-BIN_COUNT = 8
+#: Upper limit of a band's edges: the exploratory regression's 8 equal bins
+#: of width pi/5 cover [0, 8*pi/5), which contains [0, MAX_MAGNITUDE].
 BIN_RANGE_HI = 8.0 * math.pi / 5.0
 
 
@@ -61,16 +59,6 @@ class FrequencyBand:
     def contains(self, magnitudes) -> np.ndarray:
         m = np.asarray(magnitudes)
         return (self.lo <= m) & (m < self.hi)
-
-
-def eight_bins() -> list[FrequencyBand]:
-    """The 8 equal-width magnitude bins over [0, 8*pi/5).
-
-    Consecutive bands share the exact floating-point edge, so every lattice
-    frequency falls in exactly one bin.
-    """
-    edges = np.linspace(0.0, BIN_RANGE_HI, BIN_COUNT + 1)
-    return [FrequencyBand(edges[i], edges[i + 1]) for i in range(BIN_COUNT)]
 
 
 def band_filter(field: GridField, band: FrequencyBand) -> GridField:

@@ -113,7 +113,10 @@ class McmcConfig:
     nuggets.  With ``adapt`` the second half of burn-in also fits the joint
     proposal of decay, mixing entries and nuggets.  The ``update_*``
     switches hold a block at its initial value, which is how the
-    conjugate-oracle tests isolate a single full conditional.
+    conjugate-oracle tests isolate a single full conditional.  The residual
+    field w is drawn only for the chain's own beta and nugget steps and is
+    never kept: interpolation conditions on the data instead
+    (:func:`specdown.evaluate.predict`).
     """
 
     iterations: int = 5000
@@ -123,7 +126,6 @@ class McmcConfig:
     step_coreg: float = 0.3
     adapt: bool = True
     seed: int = 0
-    store_w: bool = True
     update_w: bool = True
     update_beta: bool = True
     update_nugget: bool = True
@@ -274,8 +276,6 @@ class BatchPosterior:
     seed: int | None = None
     decay_bounds: tuple | None = None
     acceptance: dict = field(default_factory=dict)
-    w_draws: dict | None = None
-    w_layout: StackedLayout | None = None
 
     @property
     def n_draws(self) -> int:
@@ -445,19 +445,12 @@ class _DayBlocks:
     """All day blocks of one batch, grouped by size."""
 
     def __init__(self, layout: StackedLayout, n_pollutants: int):
-        day_groups = sorted(layout.day_groups().items())
-        self.days = [d for d, _ in day_groups]
-        self.idx = [idx for _, idx in day_groups]
         by_size: dict = {}
-        for pos, idx in enumerate(self.idx):
-            by_size.setdefault(idx.size, []).append(pos)
-        self.groups = []
-        self.group_days = []
-        for size in sorted(by_size):
-            positions = by_size[size]
-            rows = np.array([self.idx[p] for p in positions])
-            self.groups.append(_BlockGroup(rows, layout, n_pollutants))
-            self.group_days.append([self.days[p] for p in positions])
+        for _, idx in sorted(layout.day_groups().items()):
+            by_size.setdefault(idx.size, []).append(idx)
+        self.groups = [
+            _BlockGroup(np.array(by_size[size]), layout, n_pollutants) for size in sorted(by_size)
+        ]
 
     def corr(self, rate: float):
         return [g.kernel.corr(rate) for g in self.groups]
@@ -711,11 +704,6 @@ def fit_batch_mcmc(
 
     names, transforms = _theta_labels(K)
     kept = np.empty((cfg.n_draws, p + len(names)))
-    w_store = (
-        {d: np.empty((cfg.n_draws, idx.size)) for d, idx in zip(blocks.days, blocks.idx)}
-        if cfg.store_w
-        else None
-    )
     keep_i = 0
 
     for it in range(cfg.iterations):
@@ -798,9 +786,6 @@ def fit_batch_mcmc(
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             kept[keep_i, :p] = beta
             kept[keep_i, p:] = _pack_hyper(nugget2, lower, _rate_logit(rate, bounds))
-            if w_store is not None:
-                for d, idx in zip(blocks.days, blocks.idx):
-                    w_store[d][keep_i] = w[idx]
             keep_i += 1
 
     labels = (
@@ -825,8 +810,6 @@ def fit_batch_mcmc(
         seed=cfg.seed,
         decay_bounds=bounds,
         acceptance=acceptance,
-        w_draws=w_store,
-        w_layout=batch.layout if cfg.store_w else None,
     )
 
 

@@ -192,6 +192,16 @@ def _fit_batch_task(payload):
     return fit_batch_mcmc(batch, variant, priors, mcfg)
 
 
+def _training_design(variant, fields, covs, stations, observations, train_days):
+    """Standardized design and responses of the training-day observations,
+    rows in observation order: what ``fit`` fits and interpolation
+    conditions on."""
+    train_set = set(int(d) for d in train_days)
+    train_obs = [o for o in observations if int(o.day) in train_set]
+    design = standardize(assemble_design(variant, fields, covs, train_obs, stations))
+    return design, np.array([o.value for o in train_obs])
+
+
 def fit_variant(
     cfg: RunConfig,
     variant: ModelVariant,
@@ -209,11 +219,7 @@ def fit_variant(
     spatial variants, or a single-element list holding the least-squares
     pseudo-posterior otherwise.
     """
-    train_set = set(int(d) for d in train_days)
-    train_obs = [o for o in observations if int(o.day) in train_set]
-    design = assemble_design(variant, fields, covs, train_obs, stations)
-    design = standardize(design)
-    y = np.array([o.value for o in train_obs])
+    design, y = _training_design(variant, fields, covs, stations, observations, train_days)
     if variant.spatial:
         batches = make_batches(design, y, train_days, cfg.batch_len)
         priors = cfg.priors_for(spec)
@@ -425,7 +431,14 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> list:
 
 def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     """Predict at every station for the test (forecast) or training
-    (interpolation) days and write the predictions CSV."""
+    (interpolation) days and write the predictions CSV.
+
+    Spatial interpolation conditions on the training data, so it rebuilds
+    the training design as ``fit`` did; a design that differs from
+    ``design.json`` means the inputs changed since the fit, a
+    ``ValueError``.  Every other prediction reads the standardization from
+    ``design.json``.
+    """
     if mode not in ("forecast", "interpolation"):
         raise ValueError(f"mode must be forecast or interpolation, got {mode!r}")
     spec, fields, stations, observations, train_days, test_days, variant, covs = _prepare_training(
@@ -433,8 +446,14 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     )
     out = Path(cfg.output_dir)
     rec = json.loads((out / "design.json").read_text(encoding="utf-8"))
-    design = _design_from_record(rec)
-    ctx = PredictionContext(variant, design, spec, train_days, fields, covs)
+    y = None
+    if mode == "interpolation" and variant.spatial:
+        design, y = _training_design(variant, fields, covs, stations, observations, train_days)
+        if _design_record(design, variant, train_days) != rec:
+            raise ValueError(f"{out / 'design.json'} does not match the training data; refit")
+    else:
+        design = _design_from_record(rec)
+    ctx = PredictionContext(variant, design, spec, train_days, fields, covs, y)
     rng = derive_rng(cfg.seed, 9000)
     results = []
     if mode == "forecast":
@@ -442,12 +461,9 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
         targets = targets_for(stations, test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
     else:
-        paths = sorted(out.glob("batch_*.csv"))
-        for path in paths:
+        for path in sorted(out.glob("batch_*.csv")):
             post = read_posterior(path)
             targets = targets_for(stations, post.days, "interpolation")
-            if post.has_spatial and post.w_draws is None:
-                raise ValueError(f"{path} has no stored residual draws for interpolation")
             results.extend(predict(post, targets, ctx, rng, cfg.max_kriging_draws))
     path = out / f"predictions_{mode}.csv"
     write_predictions_csv(results, path, cfg.pollutants)
@@ -460,9 +476,10 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
     Stations are split into stratified folds.  Per variant and fold the model
     trains on the other folds' training-day observations.  Interpolation is
     scored at the held-out stations over the training days (spatial variants
-    krige from that batch's residual draws); forecasting is scored at all
-    stations over the test days using the consensus-combined (or
-    least-squares) posterior.  Every variant of ``ALL_VARIANTS`` is compared.
+    condition, per batch posterior, on that fold's training data);
+    forecasting is scored at all stations over the test days using the
+    consensus-combined (or least-squares) posterior.  Every variant of
+    ``ALL_VARIANTS`` is compared.
     The season is the set of grid days, as for ``fit`` and ``predict``.
     Returns (interpolation cards, forecast cards).
     """
@@ -491,7 +508,7 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
                 train_days,
                 seed_key=(vi, fold),
             )
-            ctx = PredictionContext(variant, design, spec, train_days, fields, use_covs)
+            ctx = PredictionContext(variant, design, spec, train_days, fields, use_covs, y)
             rng = derive_rng(cfg.seed, 500, vi, fold)
 
             # interpolation at held-out stations, training days with data

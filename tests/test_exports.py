@@ -5,7 +5,8 @@
 ``getattr``: one missing name stops every benchmark run before it reports.
 Its sampler probe also sets :class:`~specdown.inference.McmcConfig` fields
 by keyword through ``dataclasses.replace``.  No module of the package or
-its tests imports a name it does not use.
+its tests imports a name it does not use, and every field of the run,
+sampler and prior configurations is read somewhere in the package.
 """
 
 import ast
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from specdown.inference import McmcConfig
+from specdown.fileio import RunConfig
+from specdown.inference import McmcConfig, Priors
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p.stem for p in (ROOT / "src" / "specdown").glob("*.py") if p.stem != "__init__")
@@ -123,3 +125,36 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _attribute_reads() -> set:
+    """Attribute names read anywhere in the package, outside the
+    ``__post_init__`` validators of its dataclasses."""
+    reads = set()
+    for path in sorted((ROOT / "src" / "specdown").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                skipped.update(id(n) for n in ast.walk(node))
+        reads.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped
+        )
+    return reads
+
+
+ATTRIBUTE_READS = _attribute_reads()
+CONFIG_FIELDS = sorted(
+    (cls.__name__, f.name) for cls in (McmcConfig, Priors, RunConfig) for f in dataclasses.fields(cls)
+)
+
+
+@pytest.mark.parametrize("cls,name", CONFIG_FIELDS, ids=lambda v: v)
+def test_config_field_is_read(cls, name):
+    # no knob is parsed and then ignored: each field is read by attribute
+    # somewhere in the package, and validating it does not count
+    assert name in ATTRIBUTE_READS, f"{cls}.{name} is never read"

@@ -1,6 +1,9 @@
-"""Posterior, grid and covariate files: write -> read round trips."""
+"""Posterior, grid and covariate files: write -> read round trips; run
+configuration loading."""
 
+import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from specdown.fileio import (
     ParseError,
+    RunConfig,
     read_covariate,
     read_grid,
     read_posterior,
@@ -18,8 +22,7 @@ from specdown.fileio import (
     write_posterior,
 )
 from specdown.grid import GridField, GridSpec
-from specdown.inference import BatchPosterior
-from specdown.lmc import StackedLayout
+from specdown.inference import BatchPosterior, McmcConfig, Priors
 
 # printable names, commas and quotes included: parameter labels such as
 # beta[k=0,j=0,b=0] hold commas
@@ -38,18 +41,6 @@ def posteriors(draw):
     p = len(names)
     values = draw(st.lists(FINITE, min_size=n_draws * p, max_size=n_draws * p))
     draws = np.array(values).reshape(n_draws, p)
-    spatial = draw(st.booleans())
-    w_draws = w_layout = None
-    if spatial:
-        days = draw(st.lists(st.integers(0, 400), min_size=1, max_size=3, unique=True))
-        per_day = draw(st.integers(1, 3))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        w_layout = StackedLayout(
-            day=np.repeat(days, per_day),
-            pollutant=rng.integers(0, 3, per_day * len(days)),
-            coords=rng.uniform(0, 100, (per_day * len(days), 2)),
-        )
-        w_draws = {d: rng.standard_normal((n_draws, per_day)) for d in days}
     return BatchPosterior(
         draws=draws,
         param_names=tuple(names),
@@ -60,8 +51,6 @@ def posteriors(draw):
         seed=draw(st.none() | st.integers(0, 2**31)),
         decay_bounds=draw(st.none() | st.tuples(FINITE, FINITE)),
         acceptance=draw(st.dictionaries(NAME, st.floats(0, 1), max_size=3)),
-        w_draws=w_draws,
-        w_layout=w_layout,
     )
 
 
@@ -71,23 +60,13 @@ class TestPosteriorRoundTrip:
     def test_write_read(self, post):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "batch_000.csv"
-            write_posterior(post, path)
+            assert write_posterior(post, path) == [path, path.with_suffix(".json")]
             back = read_posterior(path)
             assert back.param_names == post.param_names
             np.testing.assert_array_equal(back.draws, post.draws)
             for attr in ("transforms", "n_beta", "n_pollutants", "days", "seed", "acceptance"):
                 assert getattr(back, attr) == getattr(post, attr)
             assert back.decay_bounds == post.decay_bounds
-            if post.w_draws is None:
-                assert back.w_draws is None and back.w_layout is None
-            else:
-                assert sorted(back.w_draws) == sorted(post.w_draws)
-                for d, arr in post.w_draws.items():
-                    np.testing.assert_array_equal(back.w_draws[d], arr)
-                for attr in ("day", "pollutant", "coords"):
-                    np.testing.assert_array_equal(
-                        getattr(back.w_layout, attr), getattr(post.w_layout, attr)
-                    )
 
             # writing what was read gives the same bytes
             again = Path(tmp) / "again.csv"
@@ -177,3 +156,32 @@ class TestCovariateRoundTrip:
         path.write_text(path.read_text(encoding="utf-8").replace("\n1 2\n", "\n0 2\n"), encoding="utf-8")
         with pytest.raises(ParseError, match="suffix pollutant 0"):
             read_covariate(path)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"mcmc": {"store_w": False}}, "store_w"),
+            ({"mcmc": {"iterations": 10, "seed": 3}}, "seed"),
+            ({"priors": {"beta_sd": 5.0, "decay_bounds": [0.1, 0.2]}}, "decay_bounds"),
+            ({"priors": {"nugget_rate": 1.0}}, "nugget_rate"),
+        ],
+    )
+    def test_unknown_section_key_is_parse_error(self, tmp_path, data, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"unknown .* config key '{key}'"):
+            RunConfig.from_json(path)
+
+    def test_every_section_field_reaches_its_dataclass(self, tmp_path):
+        mcmc = {f.name: getattr(McmcConfig(), f.name) for f in fields(McmcConfig)}
+        del mcmc["seed"]
+        mcmc.update(iterations=30, burnin=10, update_w=False, init_nugget2=[0.2])
+        priors = {f.name: 2.5 for f in fields(Priors) if f.name != "decay_bounds"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mcmc": mcmc, "priors": priors}), encoding="utf-8")
+        cfg = RunConfig.from_json(path)
+        made = cfg.mcmc_config(seed=7)
+        assert (made.seed, made.iterations, made.update_w, made.init_nugget2) == (7, 30, False, [0.2])
+        assert cfg.priors_for(GridSpec(4, 4, 10.0)).beta_sd == 2.5

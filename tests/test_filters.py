@@ -12,7 +12,6 @@ from specdown.filters import (
     FrequencyBand,
     band_filter,
     build_covariates,
-    eight_bins,
     make_basis,
     period_of,
     spectral_covariates,
@@ -29,6 +28,13 @@ from specdown.grid import (
 PI = np.pi
 
 
+def _eight_bins():
+    """The exploratory regression's 8 equal magnitude bins over
+    [0, BIN_RANGE_HI); consecutive bins share one floating-point edge."""
+    edges = np.linspace(0.0, BIN_RANGE_HI, 9)
+    return [FrequencyBand(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def _random_field(spec, seed=0):
     rng = np.random.default_rng(seed)
     return GridField(spec, rng.standard_normal(spec.ncells))
@@ -42,16 +48,6 @@ class TestFrequencyBand:
             FrequencyBand(-0.1, 0.5)
         with pytest.raises(ValueError):
             FrequencyBand(0.0, BIN_RANGE_HI * 1.01)
-
-    def test_eight_bins_share_edges(self):
-        bins = eight_bins()
-        assert len(bins) == 8
-        for a, b in zip(bins, bins[1:]):
-            assert a.hi == b.lo
-        assert bins[0].lo == 0.0
-        assert bins[-1].hi == pytest.approx(8 * PI / 5)
-        for band in bins:
-            assert band.hi - band.lo == pytest.approx(PI / 5)
 
 
 class TestBandFilter:
@@ -79,7 +75,7 @@ class TestBandFilter:
         spec = GridSpec(9, 7, 12.0)
         f = _random_field(spec, seed)
         total = np.zeros(spec.ncells)
-        for band in eight_bins():
+        for band in _eight_bins():
             total = total + band_filter(f, band).values
         assert np.max(np.abs(total - f.values)) < 1e-9
 
@@ -261,7 +257,7 @@ class TestBinCovariates:
         spec = GridSpec(8, 8, 12.0)
         x = np.arange(8)
         f = GridField.from_2d(spec, np.tile(np.cos((PI / 2) * x), (8, 1)))
-        norms = [np.linalg.norm(band_filter(f, band).values) for band in eight_bins()]
+        norms = [np.linalg.norm(band_filter(f, band).values) for band in _eight_bins()]
         assert norms[2] > 1.0
         for b, n in enumerate(norms):
             if b != 2:

@@ -13,9 +13,16 @@ from specdown.grid import (
     dft_inverse,
     frequency_lattice,
 )
-from specdown.filters import eight_bins
+from specdown.filters import BIN_RANGE_HI, FrequencyBand
 
 PI = np.pi
+
+
+def _eight_bins():
+    """The exploratory regression's 8 equal magnitude bins over
+    [0, BIN_RANGE_HI); consecutive bins share one floating-point edge."""
+    edges = np.linspace(0.0, BIN_RANGE_HI, 9)
+    return [FrequencyBand(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _random_field(spec, seed=0):
@@ -87,7 +94,7 @@ class TestFrequencyLattice:
     def test_bins_partition_lattice(self, nx, ny):
         lat = frequency_lattice(GridSpec(nx, ny, 12.0))
         membership = np.zeros(lat.magnitudes.shape[0], dtype=int)
-        for band in eight_bins():
+        for band in _eight_bins():
             membership += band.contains(lat.magnitudes).astype(int)
         assert np.all(membership == 1)
 

@@ -22,6 +22,7 @@ from specdown.inference import _IndependenceProposal, _pack_hyper, _theta_labels
 from specdown.lmc import (
     JITTER_SCALE,
     Coregionalization,
+    LmcKernel,
     SpatialDecay,
     StackedLayout,
     chol_pd,
@@ -164,7 +165,6 @@ class TestConjugateBeta:
             update_coreg=False,
             update_decay=False,
             init_nugget2=np.array([tau2]),
-            store_w=False,
         )
         post = fit_batch_mcmc(batch, SPATIAL, _priors(), cfg)
         draws = post.beta_draws()
@@ -192,8 +192,6 @@ class TestBatchSampler:
         a = fit_batch_mcmc(batch, SPATIAL, _priors(), cfg)
         b = fit_batch_mcmc(batch, SPATIAL, _priors(), cfg)
         assert np.array_equal(a.draws, b.draws)
-        for day in a.w_draws:
-            assert np.array_equal(a.w_draws[day], b.w_draws[day])
 
     def test_draw_count_and_layout(self):
         batch = _k1_batch(2)
@@ -219,7 +217,7 @@ class TestBatchSampler:
                 batch,
                 SPATIAL,
                 _priors(),
-                McmcConfig(iterations=12_000, burnin=4_000, thin=4, seed=rep, store_w=False),
+                McmcConfig(iterations=12_000, burnin=4_000, thin=4, seed=rep),
             )
             lo, hi = np.percentile(post.beta_draws()[:, 0], [2.5, 97.5])
             covered["beta"] += lo <= truth["beta"] <= hi
@@ -350,7 +348,7 @@ class TestK1TailsAgainstQuadrature:
             batch,
             SPATIAL,
             priors,
-            McmcConfig(iterations=12_000, burnin=4_000, thin=4, seed=9, store_w=False),
+            McmcConfig(iterations=12_000, burnin=4_000, thin=4, seed=9),
         )
         exact = _k1_exact_cdfs(batch, priors)
         for name, draws in (
@@ -398,10 +396,10 @@ class TestDegenerateBatches:
         assert np.all(np.diagonal(L @ np.swapaxes(L, 1, 2), axis1=1, axis2=2) > 1.0)
 
     def test_coincident_stations(self):
-        # two stations at identical coordinates make every day's LMC block
-        # singular; the sampler factors it through the jitter rule, and the
-        # field it draws takes one value at the shared site, up to the
-        # jitter's relative scale of about 1e-4
+        # two stations at identical coordinates make every day's LMC block C
+        # singular; the sampler factors it through the jitter rule.  The
+        # marginal covariance C + D that interpolation conditions on holds
+        # the nugget on its diagonal and factors without the jitter rule
         rng = np.random.default_rng(12)
         sites = rng.uniform(0, 100, size=(10, 2))
         sites[1] = sites[0]
@@ -416,9 +414,11 @@ class TestDegenerateBatches:
             batch, SPATIAL, _priors(), McmcConfig(iterations=300, burnin=100, thin=2, seed=4)
         )
         assert np.all(np.isfinite(post.draws))
-        for d in days:
-            field = post.w_draws[d]
-            assert np.max(np.abs(field[:, 1] - field[:, 0])) < 1e-2 * field[:, 0].std()
+        kernel = LmcKernel(sites, np.zeros(len(sites), int), 1)
+        cov = kernel.cov(post.coreg_draws() ** 2, kernel.corr(post.decay_draws()))
+        marginal = cov + post.nugget2_draws()[:, :, None] * np.eye(len(sites))
+        assert chol_pd(cov)[1]
+        assert not chol_pd(marginal)[1]
 
 
 class TestMakeBatches:

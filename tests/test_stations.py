@@ -239,6 +239,6 @@ class TestCoefToRaw:
         design = standardize(raw)
         rng = np.random.default_rng(3)
         draws = rng.standard_normal((4, design.p))
-        raw_draws = coef_to_raw(design, draws)
-        assert raw_draws.shape == draws.shape
-        assert np.max(np.abs(design.X @ draws.T - raw.X @ raw_draws.T)) < 1e-10
+        raw_coef = coef_to_raw(design, draws)
+        assert raw_coef.shape == draws.shape
+        assert np.max(np.abs(design.X @ draws.T - raw.X @ raw_coef.T)) < 1e-10
