@@ -371,8 +371,9 @@ def write_aggregate_csv(rows, path, pollutants=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Keys the ``mcmc`` and ``priors`` sections may set: the fields of the
-#: dataclass each fills, less the one the run supplies itself.
+#: Keys the ``mcmc``, ``priors`` and ``simulate`` sections may set: the
+#: fields of the dataclass each fills, less the one the run supplies itself,
+#: and for ``simulate`` the keys of its defaults (added below the class).
 _SECTION_KEYS = {
     "mcmc": frozenset(f.name for f in fields(McmcConfig)) - {"seed"},
     "priors": frozenset(f.name for f in fields(Priors)) - {"decay_bounds"},
@@ -445,8 +446,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         """The defaults overlaid with a JSON document, dict sections merged key
-        by key.  An unknown key, at the top level or in the ``mcmc`` or
-        ``priors`` section, is a ``ParseError`` naming it."""
+        by key.  An unknown key, at the top level or in the ``mcmc``,
+        ``priors`` or ``simulate`` section, is a ``ParseError`` naming it."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         cfg = cls()
         for key, value in data.items():
@@ -477,3 +478,6 @@ class RunConfig:
             ),
             **self.priors,
         )
+
+
+_SECTION_KEYS["simulate"] = frozenset(RunConfig().simulate)

@@ -1,14 +1,14 @@
 """Parameter estimation: least squares, per-batch MCMC, consensus combination.
 
 Independent-error variants are fit by ordinary least squares.  Spatial
-variants run a partially collapsed Gibbs/Metropolis-Hastings sampler per
-3-day batch.  The decay rate, the coregionalization entries and the nugget
-variances get Metropolis updates against the likelihood with the residual
-field w integrated out (logit scale for the bounded rate, log scale for the
-mixing diagonal and the nuggets), and after burn-in also a joint proposal
-fitted to the burn-in draws.  The stacked w is then drawn from its exact
-conditional, and the regression coefficients and the nuggets get their
-conjugate Gibbs updates given w.  Batch subposteriors are merged by
+variants run a two-block Gibbs/Metropolis-Hastings sampler per 3-day batch
+on the marginal model, with the residual field w integrated out of every
+step.  The decay rate, the coregionalization entries and the nugget
+variances get Metropolis updates against p(y | beta, theta) (logit scale for
+the bounded rate, log scale for the mixing diagonal and the nuggets), and
+after burn-in also a joint proposal fitted to the burn-in draws.  The
+regression coefficients are then drawn exactly from their generalized least
+squares conditional p(beta | theta, y).  Batch subposteriors are merged by
 precision-weighted averaging of aligned draws, performed on the transformed
 parameter scale.
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, qr
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrsm, dtrsv
 
 from .lmc import (
     Coregionalization,
@@ -58,7 +58,6 @@ __all__ = [
     "fit_batch_mcmc",
     "consensus_combine",
     "marginal_loglik",
-    "draw_nugget2_conditional",
     "derive_rng",
 ]
 
@@ -82,9 +81,9 @@ class Priors:
 
     Regression coefficients get N(0, beta_sd^2); the mixing matrix gets
     N(0, coreg_offdiag_sd^2) off the diagonal and lognormal LN(0,
-    coreg_diag_log_sd^2) on it; the nugget variances get inverse-gamma
-    (placed on tau^2 so the Gibbs update stays conjugate); the decay rate is
-    uniform on ``decay_bounds``, the effective-range window of the domain.
+    coreg_diag_log_sd^2) on it; the nugget variances get inverse-gamma on
+    tau^2; the decay rate is uniform on ``decay_bounds``, the
+    effective-range window of the domain.
     """
 
     decay_bounds: tuple
@@ -113,10 +112,11 @@ class McmcConfig:
     nuggets.  With ``adapt`` the second half of burn-in also fits the joint
     proposal of decay, mixing entries and nuggets.  The ``update_*``
     switches hold a block at its initial value, which is how the
-    conjugate-oracle tests isolate a single full conditional.  The residual
-    field w is drawn only for the chain's own beta and nugget steps and is
-    never kept: interpolation conditions on the data instead
-    (:func:`specdown.evaluate.predict`).
+    closed-form tests isolate a single conditional.  The residual field w
+    is never drawn: every step integrates it out, and interpolation
+    conditions on the data instead (:func:`specdown.evaluate.predict`).
+    ``update_w=False`` holds the field at zero, so every step sees the
+    nugget diagonal alone.
     """
 
     iterations: int = 5000
@@ -390,31 +390,6 @@ def _logit_jacobian(u):
 
 
 # ---------------------------------------------------------------------------
-# Full-conditional updates
-# ---------------------------------------------------------------------------
-
-
-def draw_beta_conditional(X, y_minus_w, nugget2_row, beta_sd, rng):
-    """One draw of all regression coefficients jointly from their conjugate
-    Gaussian full conditional."""
-    p = X.shape[1]
-    Xw = X / nugget2_row[:, None]
-    prec = X.T @ Xw + np.eye(p) / beta_sd**2
-    b = Xw.T @ y_minus_w
-    L = np.linalg.cholesky(prec)
-    mean = _tri_solve(L, _tri_solve(L, b), transpose=True)
-    z = rng.standard_normal(p)
-    return mean + _tri_solve(L, z, transpose=True)
-
-
-def draw_nugget2_conditional(ssq, count, priors: Priors, rng, size=None):
-    """Conjugate inverse-gamma update of one pollutant's nugget variance."""
-    shape = priors.nugget_shape + 0.5 * count
-    scale = priors.nugget_scale + 0.5 * ssq
-    return scale / rng.gamma(shape, 1.0, size=size)
-
-
-# ---------------------------------------------------------------------------
 # The batch sampler
 # ---------------------------------------------------------------------------
 
@@ -437,9 +412,6 @@ class _BlockGroup:
     def gather(self, stacked: np.ndarray) -> np.ndarray:
         return stacked[self.rows]
 
-    def scatter(self, out: np.ndarray, values: np.ndarray) -> None:
-        out[self.rows.ravel()] = values.ravel()
-
 
 class _DayBlocks:
     """All day blocks of one batch, grouped by size."""
@@ -459,17 +431,22 @@ class _DayBlocks:
         return [g.kernel.cov(cross, R) for g, R in zip(self.groups, corr_stacks)]
 
 
-def _tri_solve(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """L^{-1} b, or L^{-T} b with ``transpose``, for a lower factor L."""
-    # L.T is L^T in Fortran order: trans=1 solves with L, trans=0 with L^T
-    return dtrsv(L.T, b, lower=0, trans=0 if transpose else 1)
+def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """L^{-1} b, or L^{-T} b with ``transpose``, for lower factors L.
 
-
-def _solve_lower(chols: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """:func:`_tri_solve` per stacked factor: shapes (G, n, n) and (G, n)."""
+    Either one factor (n, n) with b (n,) or (n, m), or a stack (G, n, n)
+    with b (G, n) or (G, n, m), solved factor by factor.
+    """
+    if L.ndim == 2:
+        return _solve_lower(L[None], b[None], transpose)[0]
+    trans = 0 if transpose else 1
     out = np.empty_like(b)
-    for g, L in enumerate(chols):
-        out[g] = _tri_solve(L, b[g], transpose)
+    for g, Lg in enumerate(L):
+        # Lg.T is Lg^T in Fortran order: trans=1 solves with Lg, trans=0 with Lg^T
+        if b.ndim == 2:
+            out[g] = dtrsv(Lg.T, b[g], lower=0, trans=trans)
+        else:
+            out[g] = dtrsm(1.0, Lg.T, b[g], lower=0, trans_a=trans)
     return out
 
 
@@ -492,23 +469,21 @@ def _marginal_loglik(blocks: _DayBlocks, chols, resid: np.ndarray) -> float:
     return total
 
 
-def _draw_w_grouped(blocks: _DayBlocks, covs, prior_chols, chols, resid, nugget_row, rng):
-    """Exact draw of w given resid = y - X beta, by conditioning a prior draw.
+def _draw_beta_gls(blocks: _DayBlocks, chols, Xy: np.ndarray, beta_sd: float, rng) -> np.ndarray:
+    """Exact draw of beta from p(beta | theta, y) = N(V X' S^{-1} y, V).
 
-    Per day, w0 ~ N(0, C) and e0 ~ N(0, D) give
-    w = w0 + C (C + D)^{-1} (resid - w0 - e0) ~ N(C (C + D)^{-1} resid,
-    C - C (C + D)^{-1} C), the exact conditional.  ``chols`` are the factors
-    of C + D that the marginal updates accepted; ``prior_chols`` factor C.
+    V^{-1} = X' S^{-1} X + I / beta_sd^2, with S = C + D whitened by the
+    accepted factors of C + D: one triangular solve of L^{-1} [X | y] per
+    size group.  ``Xy`` is the design with y as its last column.
     """
-    out = np.empty(resid.shape[0])
-    for group, C, L_prior, L in zip(blocks.groups, covs, prior_chols, chols):
-        z = rng.standard_normal(group.rows.shape)
-        w0 = np.matmul(L_prior, z[..., None])[..., 0]
-        e0 = np.sqrt(nugget_row[group.rows]) * rng.standard_normal(group.rows.shape)
-        u = _solve_lower(L, group.gather(resid) - w0 - e0)
-        v = _solve_lower(L, u, transpose=True)
-        group.scatter(out, w0 + np.matmul(C, v[..., None])[..., 0])
-    return out
+    p = Xy.shape[1] - 1
+    gram = np.zeros((p + 1, p + 1))
+    for group, L in zip(blocks.groups, chols):
+        z = _solve_lower(L, group.gather(Xy)).reshape(-1, p + 1)
+        gram += z.T @ z
+    L_prec = np.linalg.cholesky(gram[:p, :p] + np.eye(p) / beta_sd**2)
+    mean = _solve_lower(L_prec, _solve_lower(L_prec, gram[:p, p]), transpose=True)
+    return mean + _solve_lower(L_prec, rng.standard_normal(p), transpose=True)
 
 
 class _StepAdapter:
@@ -579,7 +554,7 @@ class _IndependenceProposal:
 
     def logpdf(self, v: np.ndarray) -> float:
         """Log density up to an additive constant."""
-        z = _tri_solve(self.chol, v - self.mean)
+        z = _solve_lower(self.chol, v - self.mean)
         return -0.5 * (self.df + v.size) * float(np.log1p(z @ z / self.df))
 
 
@@ -589,38 +564,38 @@ def fit_batch_mcmc(
     priors: Priors,
     cfg: McmcConfig,
 ) -> BatchPosterior:
-    """Partially collapsed Gibbs/Metropolis sampler for one batch of a spatial variant.
+    """Gibbs/Metropolis sampler for one batch of a spatial variant, on the marginal model.
 
     Update cycle per iteration:
 
-    1. Metropolis steps against p(y | beta, tau^2, decay, A), the likelihood
-       with w integrated out, which costs one Cholesky factor of C + D per
-       day block and proposal (C the LMC block, D the nugget diagonal):
-       a random walk on the logit of the decay rate; one on each free mixing
-       entry (log scale on the diagonal); one on each log nugget variance;
-       after burn-in, a proposal of the whole block (decay, mixing, nuggets)
-       from a multivariate t fitted to the second half of burn-in.
-    2. Exact Gaussian draw of the stacked w given y - X beta, reusing the
-       accepted factor of C + D; C itself is factored once per change of
-       decay or mixing matrix, through the jitter rule.
-    3. Conjugate Gaussian draw of all coefficients given y - w.
-    4. Conjugate inverse-gamma draw of each nugget variance from its
-       pollutant's residuals y - X beta - w.
+    1. Metropolis steps for theta against p(y | beta, tau^2, decay, A), the
+       likelihood with w integrated out, which costs one Cholesky factor of
+       C + D per day block and proposal (C the LMC block, D the nugget
+       diagonal): a random walk on the logit of the decay rate; one on each
+       free mixing entry (log scale on the diagonal); one on each log nugget
+       variance; after burn-in, a proposal of the whole block (decay,
+       mixing, nuggets) from a multivariate t fitted to the second half of
+       burn-in.
+    2. Exact draw of all coefficients from p(beta | theta, y), the
+       generalized least squares conditional, whitened by the accepted
+       factors of C + D.
 
-    Steps 1-2 form one valid block: the Metropolis steps leave w out of the
-    target and w is drawn afresh afterwards (van Dyk & Park 2008).  A
-    switched-off ``update_*`` block holds its initial value; with w held,
-    steps 3-4 condition on the held field, and the block proposal runs only
-    when decay, mixing and nuggets all update.  Every Metropolis step goes
-    through one accept/reject path that rebuilds only what its proposal
-    changed.  Draws kept after burn-in and thinning are returned.
+    The residual field w is never drawn: interpolation conditions on the
+    data given theta and beta instead, as composition sampling does
+    (Finley, Banerjee & Gelfand 2015).  A switched-off ``update_*`` block
+    holds its initial value; with ``update_w`` off the field is held at
+    zero, so C is 0 and every step uses D alone.  The block proposal runs
+    only when decay, mixing and nuggets all update.  Every Metropolis step
+    goes through one accept/reject path that rebuilds only what its
+    proposal changed.  Draws kept after burn-in and thinning are returned.
     """
     if not variant.spatial:
         raise ValueError("fit_batch_mcmc requires a spatial variant")
     rng = np.random.default_rng(cfg.seed)
     K = batch.n_pollutants
-    n, p = batch.n, batch.p
+    p = batch.p
     X, y = batch.X, batch.y
+    Xy = np.column_stack([X, y])
     pol_row = batch.layout.pollutant
     blocks = _DayBlocks(batch.layout, K)
     lo, hi = bounds = tuple(priors.decay_bounds)
@@ -641,14 +616,18 @@ def fit_batch_mcmc(
         lower[k, k] = max(np.sqrt(0.5) * rk.std(), 1e-2) if rk.size > 1 else 0.3
     rate = 0.5 * (lo + hi)
 
+    def field_covs(cross, corr):
+        """The LMC blocks C per size group; zero while the field is held at zero."""
+        if not cfg.update_w:
+            return [np.zeros_like(R) for R in corr]
+        return blocks.cov(cross, corr)
+
     cross = lower @ lower.T
     corr = blocks.corr(rate)
-    covs = blocks.cov(cross, corr)
+    covs = field_covs(cross, corr)
     chols = _factor_marginal(blocks, covs, nugget2[pol_row])
     if chols is None:
         raise McmcError("marginal covariance not positive definite even after jitter")
-    prior_chols = None  # factors of the C blocks, made when w is next drawn
-    w = np.zeros(n)
 
     def move(nugget_p, lower_p, rate_p, log_ratio) -> bool:
         """Metropolis test of theta' against the marginal; moves the state if accepted.
@@ -657,10 +636,10 @@ def fit_batch_mcmc(
         block only when the mixing matrix does, and the covariances only
         when either does.
         """
-        nonlocal rate, corr, lower, cross, covs, nugget2, chols, ll, prior_chols
+        nonlocal rate, corr, lower, cross, covs, nugget2, chols, ll
         corr_p = corr if rate_p == rate else blocks.corr(rate_p)
         cross_p = cross if lower_p is lower else lower_p @ lower_p.T
-        covs_p = covs if corr_p is corr and cross_p is cross else blocks.cov(cross_p, corr_p)
+        covs_p = covs if corr_p is corr and cross_p is cross else field_covs(cross_p, corr_p)
         chols_p = _factor_marginal(blocks, covs_p, nugget_p[pol_row])
         logu = np.log(rng.uniform())
         if chols_p is None:
@@ -668,8 +647,6 @@ def fit_batch_mcmc(
         ll_p = _marginal_loglik(blocks, chols_p, resid)
         if not logu < ll_p - ll + log_ratio:
             return False
-        if covs_p is not covs:
-            prior_chols = None
         rate, corr, lower, cross, covs = rate_p, corr_p, lower_p, cross_p, covs_p
         nugget2, chols, ll = nugget_p, chols_p, ll_p
         return True
@@ -760,28 +737,9 @@ def fit_batch_mcmc(
             if it == cfg.burnin - 1:
                 block_proposal = _IndependenceProposal.fit(block_history)
 
-        # (2) stacked residual field
-        if cfg.update_w:
-            if prior_chols is None:
-                try:
-                    prior_chols = [chol_pd(C)[0] for C in covs]
-                except CovarianceNotPDError:
-                    raise McmcError("day covariance not positive definite even after jitter")
-            w = _draw_w_grouped(blocks, covs, prior_chols, chols, resid, nugget2[pol_row], rng)
-
-        # (3) coefficients
+        # (2) coefficients, exact given theta
         if cfg.update_beta:
-            beta = draw_beta_conditional(X, y - w, nugget2[pol_row], priors.beta_sd, rng)
-
-        # (4) nuggets
-        if cfg.update_nugget:
-            err = y - X @ beta - w
-            for k in range(K):
-                ek = err[pol_row == k]
-                nugget2[k] = draw_nugget2_conditional(ek @ ek, ek.size, priors, rng)
-            chols = _factor_marginal(blocks, covs, nugget2[pol_row])
-            if chols is None:
-                raise McmcError("marginal covariance not positive definite even after jitter")
+            beta = _draw_beta_gls(blocks, chols, Xy, priors.beta_sd, rng)
 
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             kept[keep_i, :p] = beta

@@ -126,10 +126,10 @@ def build_sim_config(cfg: RunConfig) -> SimConfig:
             beta[k, j] = scale * taper
     coreg = None
     decay = None
-    if s.get("coreg_diag", 0.0):
+    if s["coreg_diag"]:
         coreg = np.eye(K) * float(s["coreg_diag"])
         for i in range(1, K):
-            coreg[i, 0] = float(s.get("coreg_offdiag", 0.0))
+            coreg[i, 0] = float(s["coreg_offdiag"])
         eff_range = float(s["effective_range_fraction"]) * spec.diameter_km
         decay = 3.0 / eff_range
     return SimConfig(
@@ -145,7 +145,7 @@ def build_sim_config(cfg: RunConfig) -> SimConfig:
             range_cells=float(s["field_range_cells"]),
             exponent=float(s["field_exponent"]),
         ),
-        field_cross_corr=float(s.get("field_cross_corr", 0.0)),
+        field_cross_corr=float(s["field_cross_corr"]),
         n_stations=int(s["n_stations"]),
         strata_mix=tuple(s["strata_mix"]),
         cadence=s["cadence"],

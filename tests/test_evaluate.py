@@ -495,12 +495,10 @@ class TestVectorisedPredict:
         np.testing.assert_allclose([r.mean_log for r in results], expected, rtol=1e-10, atol=1e-12)
 
     def test_averaged_field_draws_give_the_same_predictive(self):
-        # Rao-Blackwell: exact draws of w | y from the sampler's own step,
-        # each kriged as c0' C^{-1} w, average to the mean conditioned on y,
-        # and their spread plus the kriging variance is its variance
-        from specdown.inference import _DayBlocks, _draw_w_grouped, _factor_marginal
-        from specdown.lmc import chol_pd
-
+        # Rao-Blackwell: exact draws of w | y, each kriged as c0' C^{-1} w,
+        # average to the mean conditioned on y, and their spread plus the
+        # kriging variance is its variance.  The reference draws come from
+        # the dense conditional N(C S^{-1} r, C - C S^{-1} C), S = C + D
         post, ctx, _, _ = _kriging_setup(I=1)
         beta, nugget2 = post.beta_draws(), post.nugget2_draws()
         lower = post.coreg_draws()
@@ -508,25 +506,15 @@ class TestVectorisedPredict:
         design, day = ctx.design, 2
         rows = design.rows_for_days([day])
         layout = design.layout(rows)
-        blocks = _DayBlocks(layout, 2)
-        covs = blocks.cov(cross[0], blocks.corr(rate[0]))
-        nugget_row = nugget2[0, layout.pollutant]
-        chols = _factor_marginal(blocks, covs, nugget_row)
-        prior_chols = [chol_pd(C)[0] for C in covs]
+        C = LmcKernel(layout.coords, layout.pollutant, 2)
+        C = C.cov(cross[0], C.corr(rate[0]))
+        gain = np.linalg.solve(C + np.diag(nugget2[0, layout.pollutant]), C).T  # C S^{-1}
         resid = ctx.y[rows] - design.X[rows] @ beta[0]
-        rng = np.random.default_rng(8)
         n_draws = 4000
-        w = np.array(
-            [
-                _draw_w_grouped(blocks, covs, prior_chols, chols, resid, nugget_row, rng)
-                for _ in range(n_draws)
-            ]
-        )
+        w = np.random.default_rng(8).multivariate_normal(gain @ resid, C - gain @ C, size=n_draws)
         x, y, k = np.array([10.0, 47.0, 80.0]), np.array([20.0, 51.0, 5.0]), np.array([0, 1, 1])
         kernel = LmcKernel(np.column_stack([x, y]), k, 2, layout.coords, layout.pollutant)
         c0 = kernel.cov(cross[0], kernel.corr(rate[0]))  # (T, n)
-        C = LmcKernel(layout.coords, layout.pollutant, 2)
-        C = C.cov(cross[0], C.corr(rate[0]))
         weights = np.linalg.solve(C, c0.T)  # (n, T)
         kriged = w @ weights
         krige_var = cross[0][k, k] - np.einsum("tn,nt->t", c0, weights)

@@ -5,8 +5,10 @@
 ``getattr``: one missing name stops every benchmark run before it reports.
 Its sampler probe also sets :class:`~specdown.inference.McmcConfig` fields
 by keyword through ``dataclasses.replace``.  No module of the package or
-its tests imports a name it does not use, and every field of the run,
-sampler and prior configurations is read somewhere in the package.
+its tests imports a name it does not use, every field of the run,
+sampler and prior configurations is read somewhere in the package, and
+every key of the default ``simulate`` section is read by
+:func:`~specdown.pipeline.build_sim_config`.
 """
 
 import ast
@@ -158,3 +160,29 @@ def test_config_field_is_read(cls, name):
     # no knob is parsed and then ignored: each field is read by attribute
     # somewhere in the package, and validating it does not count
     assert name in ATTRIBUTE_READS, f"{cls}.{name} is never read"
+
+
+def _sim_config_reads() -> set:
+    """String keys that ``pipeline.build_sim_config`` reads by subscript."""
+    tree = ast.parse((ROOT / "src" / "specdown" / "pipeline.py").read_text(encoding="utf-8"))
+    func = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "build_sim_config"
+    )
+    return {
+        node.slice.value
+        for node in ast.walk(func)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    }
+
+
+SIM_CONFIG_READS = _sim_config_reads()
+
+
+@pytest.mark.parametrize("key", sorted(RunConfig().simulate))
+def test_simulate_key_is_read(key):
+    # a simulation knob that the config accepts reaches the simulation
+    assert key in SIM_CONFIG_READS, f"simulate.{key} is never read by build_sim_config"

@@ -166,6 +166,7 @@ class TestRunConfig:
             ({"mcmc": {"iterations": 10, "seed": 3}}, "seed"),
             ({"priors": {"beta_sd": 5.0, "decay_bounds": [0.1, 0.2]}}, "decay_bounds"),
             ({"priors": {"nugget_rate": 1.0}}, "nugget_rate"),
+            ({"simulate": {"n_sites": 5, "nugget": [1, 1]}}, "n_sites"),
         ],
     )
     def test_unknown_section_key_is_parse_error(self, tmp_path, data, key):

@@ -11,7 +11,6 @@ from specdown.inference import (
     RankDeficientError,
     consensus_combine,
     derive_rng,
-    draw_nugget2_conditional,
     fit_batch_mcmc,
     fit_ols,
     make_batches,
@@ -106,45 +105,13 @@ class TestFitOls:
             fit_ols(X, np.zeros(10), ["const", "slope1", "slope2"])
 
 
-class TestNuggetConditional:
-    def test_matches_grid_quadrature_oracle(self):
-        # fixed tiny instance: 5 residuals, everything else held
-        resid = np.array([0.3, -0.5, 0.2, 0.8, -0.1])
-        ssq = float(resid @ resid)
-        priors = _priors()
-        rng = np.random.default_rng(2024)
-        draws = draw_nugget2_conditional(ssq, resid.size, priors, rng, size=1_000_000)
-
-        # independent route: brute-force evaluation of prior x likelihood on a
-        # fine grid, normalized numerically
-        grid = np.linspace(1e-4, 3.0, 200_001)
-        log_prior = (-priors.nugget_shape - 1.0) * np.log(grid) - priors.nugget_scale / grid
-        log_lik = -0.5 * resid.size * np.log(grid) - 0.5 * ssq / grid
-        dens = np.exp(log_prior + log_lik - (log_prior + log_lik).max())
-        dens /= np.trapezoid(dens, grid)
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
-        cdf /= cdf[-1]
-
-        quantiles = [np.interp(q, cdf, grid) for q in (0.2, 0.4, 0.6, 0.8)]
-        edges = np.concatenate([[grid[0]], quantiles, [grid[-1]]])
-        exact = np.diff(np.interp(edges, grid, cdf))
-        counts, _ = np.histogram(draws, bins=edges)
-        empirical = counts / draws.size
-        tv = 0.5 * np.abs(empirical - exact).sum()
-        assert tv < 1e-3
-
-    def test_prior_only_when_no_data(self):
-        priors = _priors()
-        rng = np.random.default_rng(8)
-        draws = draw_nugget2_conditional(0.0, 0, priors, rng, size=200_000)
-        # inverse-gamma(2, 0.1) has mean scale/(shape-1) = 0.1
-        assert draws.mean() == pytest.approx(0.1, rel=0.05)
-
-
 class TestConjugateBeta:
-    def test_chain_matches_closed_form(self):
-        # residual field held at zero and nuggets fixed: the coefficient
-        # draws are iid from the exact Gaussian posterior
+    @pytest.mark.parametrize("update_w", [False, True], ids=["field-at-zero", "spatial"])
+    def test_chain_matches_closed_form(self, update_w):
+        # theta held: the coefficient draws are iid from the exact Gaussian
+        # posterior N(m, V), V^{-1} = X' S^{-1} X + I / 100^2 and
+        # m = V X' S^{-1} y, with S = C + D and C zero while the field is
+        # held at zero
         rng = np.random.default_rng(4)
         n, p = 40, 3
         X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
@@ -160,7 +127,7 @@ class TestConjugateBeta:
             burnin=0,
             thin=1,
             seed=5,
-            update_w=False,
+            update_w=update_w,
             update_nugget=False,
             update_coreg=False,
             update_decay=False,
@@ -169,15 +136,24 @@ class TestConjugateBeta:
         post = fit_batch_mcmc(batch, SPATIAL, _priors(), cfg)
         draws = post.beta_draws()
 
-        prec = X.T @ X / tau2 + np.eye(p) / 100.0**2
+        # the held mixing entry and rate, as the sampler initialized them
+        l11, rate = post.coreg_draws()[0, 0, 0], post.decay_draws()[0]
+        dist = np.linalg.norm(layout.coords[:, None] - layout.coords[None, :], axis=-1)
+        field = l11**2 * np.exp(-rate * dist) if update_w else np.zeros((n, n))
+        s_inv_x = np.linalg.solve(field + tau2 * np.eye(n), X)
+        prec = X.T @ s_inv_x + np.eye(p) / 100.0**2
         cov = np.linalg.inv(prec)
-        mean = cov @ (X.T @ y / tau2)
+        mean = cov @ (s_inv_x.T @ y)
         n_draws = draws.shape[0]
         se_mean = np.sqrt(np.diag(cov) / n_draws)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 3.0 * se_mean)
         emp_cov = np.cov(draws, rowvar=False)
         se_cov = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n_draws)
         assert np.all(np.abs(emp_cov - cov) < 3.0 * se_cov)
+        # iid draws: the lag-1 autocorrelation of each coefficient is within
+        # four standard errors, 1 / sqrt(n_draws), of zero
+        lag1 = [np.corrcoef(col[:-1], col[1:])[0, 1] for col in draws.T]
+        assert np.all(np.abs(lag1) < 4.0 / np.sqrt(n_draws))
 
 
 class TestBatchSampler:
@@ -397,9 +373,9 @@ class TestDegenerateBatches:
 
     def test_coincident_stations(self):
         # two stations at identical coordinates make every day's LMC block C
-        # singular; the sampler factors it through the jitter rule.  The
-        # marginal covariance C + D that interpolation conditions on holds
-        # the nugget on its diagonal and factors without the jitter rule
+        # singular.  The sampler and interpolation factor only the marginal
+        # covariance C + D, which holds the nugget on its diagonal and
+        # factors without the jitter rule
         rng = np.random.default_rng(12)
         sites = rng.uniform(0, 100, size=(10, 2))
         sites[1] = sites[0]
