@@ -67,9 +67,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_values(values: np.ndarray) -> str:
-    """Space-separated :func:`_fmt` of each value."""
-    return " ".join(map(repr, values.tolist()))
+def _fmt_values(values: np.ndarray, sep: str = " ") -> str:
+    """:func:`_fmt` of each value, joined by ``sep``."""
+    return sep.join(map(repr, values.tolist()))
 
 
 def _write_draws_csv(path, names, draws) -> None:
@@ -78,7 +78,7 @@ def _write_draws_csv(path, names, draws) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(names)
     for row in draws:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(_fmt_values(row, ",") + "\n")
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 

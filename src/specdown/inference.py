@@ -14,12 +14,13 @@ parameter scale.
 
 The hyperparameters theta (the K nugget variances, the lower-triangular
 mixing matrix A and the decay rate) have one representation on the
-sampler's scale, written and read only by :func:`_pack_hyper` and
+sampler's scale, written by :func:`_pack_hyper` and read by
 :func:`_unpack_hyper`: log nuggets, then A's free entries column-major with
 the diagonal logged (index pairs from :func:`_coreg_index`), then the logit
-of the rate within its bounds (:func:`_rate_logit`, decoded by
-:func:`_rate`).  Posterior draws, the block proposal and the parameter names
-all use this codec.
+of the rate within its bounds (decoded by :func:`_rate`).  This packed
+vector is also the batch sampler's only theta state: its random walks, its
+block proposal, its log prior (:func:`_log_prior`), its stored draws and
+the parameter names all use these coordinates.
 
 Every sampler owns its generator; a batch seeded identically reproduces its
 draws bit for bit, so batches may run in parallel worker processes.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -138,6 +140,13 @@ class McmcConfig:
             raise ValueError("need iterations > burnin >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        for name in ("step_decay", "step_coreg"):
+            if not 0 < float(getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.init_nugget2 is not None:
+            nugget2 = np.asarray(self.init_nugget2, dtype=float)
+            if not np.all((nugget2 > 0) & (nugget2 < np.inf)):
+                raise ValueError("init_nugget2 entries must be positive and finite")
 
     @property
     def n_draws(self) -> int:
@@ -359,34 +368,45 @@ def _pack_hyper(nugget2, lower, decay_u) -> np.ndarray:
 def _unpack_hyper(v: np.ndarray, K: int):
     """Inverse of :func:`_pack_hyper`: (nugget2, lower, decay_u)."""
     rows, cols = _coreg_index(K)
-    diag = rows == cols
-    vech = v[..., K:-1].copy()
-    vech[..., diag] = np.exp(vech[..., diag])
-    lower = np.zeros(v.shape[:-1] + (K, K))
-    lower[..., rows, cols] = vech
-    return np.exp(v[..., :K]), lower, v[..., -1]
-
-
-def _expit(u):
-    return 1.0 / (1.0 + np.exp(-u))
+    lower = np.zeros(v.shape[:-1] + (K * K,))
+    lower[..., rows * K + cols] = v[..., K:-1]
+    diag = np.arange(K) * (K + 1)
+    lower[..., diag] = np.exp(lower[..., diag])
+    return np.exp(v[..., :K]), lower.reshape(v.shape[:-1] + (K, K)), v[..., -1]
 
 
 def _rate(u, bounds):
     """Decay rate from its logit within ``bounds``."""
     lo, hi = bounds
-    return lo + (hi - lo) * _expit(u)
+    return lo + (hi - lo) / (1.0 + np.exp(-u))
 
 
-def _rate_logit(rate, bounds):
-    """Inverse of :func:`_rate`."""
-    lo, hi = bounds
-    x = (rate - lo) / (hi - lo)
-    return np.log(x) - np.log1p(-x)
+@functools.lru_cache(maxsize=None)
+def _mixing_half_precision(K: int, diag_log_sd: float, offdiag_sd: float) -> tuple:
+    """1 / (2 sd^2) of each packed mixing entry's normal prior."""
+    rows, cols = _coreg_index(K)
+    return tuple((0.5 / np.where(rows == cols, diag_log_sd, offdiag_sd) ** 2).tolist())
 
 
-def _logit_jacobian(u):
-    s = _expit(u)
-    return np.log(s) + np.log1p(-s)
+def _log_prior(theta: np.ndarray, K: int, priors: Priors) -> float:
+    """Log prior density of the packed theta, up to a constant.
+
+    Each coordinate carries the log-Jacobian of its transform: the IG
+    nuggets and the LN mixing diagonal on the log scale, the normal
+    off-diagonal entries as they are, the uniform rate on the logit scale,
+    where the Jacobian log s (1 - s), s = expit(u), is -|u| - 2 log(1 + e^-|u|).
+    The sums run on Python floats: theta is short, and every move calls this.
+    """
+    half_prec = _mixing_half_precision(K, priors.coreg_diag_log_sd, priors.coreg_offdiag_sd)
+    v = theta.tolist()
+    abs_u = abs(v[-1])
+    return (
+        -priors.nugget_shape * sum(v[:K])
+        - priors.nugget_scale * sum(np.exp(-theta[:K]).tolist())
+        - sum(h * m * m for h, m in zip(half_prec, v[K:-1]))
+        - abs_u
+        - 2.0 * math.log1p(math.exp(-abs_u))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +507,8 @@ def _draw_beta_gls(blocks: _DayBlocks, chols, Xy: np.ndarray, beta_sd: float, rn
 
 
 class _StepAdapter:
-    """Scale a random-walk step toward 25-45% acceptance during burn-in."""
+    """Acceptance count of one proposal; if ``enabled``, its random-walk step
+    is scaled toward 25-45% acceptance during burn-in."""
 
     def __init__(self, step, enabled, window=50):
         self.step = step
@@ -571,11 +592,11 @@ def fit_batch_mcmc(
     1. Metropolis steps for theta against p(y | beta, tau^2, decay, A), the
        likelihood with w integrated out, which costs one Cholesky factor of
        C + D per day block and proposal (C the LMC block, D the nugget
-       diagonal): a random walk on the logit of the decay rate; one on each
-       free mixing entry (log scale on the diagonal); one on each log nugget
-       variance; after burn-in, a proposal of the whole block (decay,
-       mixing, nuggets) from a multivariate t fitted to the second half of
-       burn-in.
+       diagonal).  theta is the packed vector of :func:`_pack_hyper`, and
+       every step is a move of that vector: a random walk on each free
+       coordinate in turn (the logit decay, then the mixing entries, then
+       the log nuggets); after burn-in, a proposal of the whole vector from
+       a multivariate t fitted to the second half of burn-in.
     2. Exact draw of all coefficients from p(beta | theta, y), the
        generalized least squares conditional, whitened by the accepted
        factors of C + D.
@@ -583,11 +604,12 @@ def fit_batch_mcmc(
     The residual field w is never drawn: interpolation conditions on the
     data given theta and beta instead, as composition sampling does
     (Finley, Banerjee & Gelfand 2015).  A switched-off ``update_*`` block
-    holds its initial value; with ``update_w`` off the field is held at
-    zero, so C is 0 and every step uses D alone.  The block proposal runs
-    only when decay, mixing and nuggets all update.  Every Metropolis step
-    goes through one accept/reject path that rebuilds only what its
-    proposal changed.  Draws kept after burn-in and thinning are returned.
+    holds its coordinates at their initial values; with ``update_w`` off
+    the field is held at zero, so C is 0 and every step uses D alone.  The
+    block proposal runs only when decay, mixing and nuggets all update.
+    Every Metropolis step goes through one accept/reject path that decodes
+    only what its proposal changed.  Draws kept after burn-in and thinning
+    are returned.
     """
     if not variant.spatial:
         raise ValueError("fit_batch_mcmc requires a spatial variant")
@@ -598,23 +620,23 @@ def fit_batch_mcmc(
     Xy = np.column_stack([X, y])
     pol_row = batch.layout.pollutant
     blocks = _DayBlocks(batch.layout, K)
-    lo, hi = bounds = tuple(priors.decay_bounds)
+    bounds = tuple(priors.decay_bounds)
 
-    # deterministic initial state
+    # deterministic initial state; the rate starts mid-bounds, at logit 0
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid0 = y - X @ beta
-    if cfg.init_nugget2 is not None:
-        nugget2 = np.asarray(cfg.init_nugget2, dtype=float).copy()
-    else:
-        nugget2 = np.empty(K)
-        for k in range(K):
-            rk = resid0[pol_row == k]
-            nugget2[k] = max(0.5 * rk.var(), 1e-4) if rk.size > 1 else 0.1
+    nugget2 = np.empty(K)
     lower = np.zeros((K, K))
     for k in range(K):
         rk = resid0[pol_row == k]
+        nugget2[k] = max(0.5 * rk.var(), 1e-4) if rk.size > 1 else 0.1
         lower[k, k] = max(np.sqrt(0.5) * rk.std(), 1e-2) if rk.size > 1 else 0.3
-    rate = 0.5 * (lo + hi)
+    if cfg.init_nugget2 is not None:
+        nugget2 = np.asarray(cfg.init_nugget2, dtype=float)
+        if nugget2.shape != (K,):
+            raise ValueError(f"init_nugget2 needs {K} entries, one per pollutant; got {nugget2.size}")
+    theta = _pack_hyper(nugget2, lower, 0.0)
+    lp = _log_prior(theta, K, priors)
 
     def field_covs(cross, corr):
         """The LMC blocks C per size group; zero while the field is held at zero."""
@@ -623,117 +645,77 @@ def fit_batch_mcmc(
         return blocks.cov(cross, corr)
 
     cross = lower @ lower.T
-    corr = blocks.corr(rate)
+    corr = blocks.corr(_rate(0.0, bounds))
     covs = field_covs(cross, corr)
     chols = _factor_marginal(blocks, covs, nugget2[pol_row])
     if chols is None:
         raise McmcError("marginal covariance not positive definite even after jitter")
 
-    def move(nugget_p, lower_p, rate_p, log_ratio) -> bool:
-        """Metropolis test of theta' against the marginal; moves the state if accepted.
+    def move(theta_p, log_q_ratio=0.0) -> bool:
+        """Metropolis test of theta' against marginal and prior; moves the state if accepted.
 
+        ``log_q_ratio`` is log q(theta | theta') - log q(theta' | theta),
+        zero for a random walk.  theta is replaced, never written in place.
         The correlation is rebuilt only when the rate changes, the cross
-        block only when the mixing matrix does, and the covariances only
+        block only when the mixing entries do, and the covariances only
         when either does.
         """
-        nonlocal rate, corr, lower, cross, covs, nugget2, chols, ll
-        corr_p = corr if rate_p == rate else blocks.corr(rate_p)
-        cross_p = cross if lower_p is lower else lower_p @ lower_p.T
+        nonlocal theta, lp, corr, cross, covs, chols, ll
+        changed = (theta_p != theta).tolist()
+        corr_p = blocks.corr(_rate(theta_p[-1], bounds)) if changed[-1] else corr
+        cross_p = cross
+        if any(changed[K:-1]):
+            lower_p = _unpack_hyper(theta_p, K)[1]
+            cross_p = lower_p @ lower_p.T
         covs_p = covs if corr_p is corr and cross_p is cross else field_covs(cross_p, corr_p)
-        chols_p = _factor_marginal(blocks, covs_p, nugget_p[pol_row])
+        chols_p = _factor_marginal(blocks, covs_p, np.exp(theta_p[:K])[pol_row])
         logu = np.log(rng.uniform())
         if chols_p is None:
             return False
         ll_p = _marginal_loglik(blocks, chols_p, resid)
-        if not logu < ll_p - ll + log_ratio:
+        lp_p = _log_prior(theta_p, K, priors)
+        if not logu < ll_p - ll + lp_p - lp + log_q_ratio:
             return False
-        rate, corr, lower, cross, covs = rate_p, corr_p, lower_p, cross_p, covs_p
-        nugget2, chols, ll = nugget_p, chols_p, ll_p
+        theta, lp, corr, cross, covs = theta_p, lp_p, corr_p, cross_p, covs_p
+        chols, ll = chols_p, ll_p
         return True
 
-    def coreg_logprior(mat):
-        total = 0.0
-        for r, c in entries:
-            v = mat[r, c]
-            if r == c:
-                total += -0.5 * (np.log(v) / priors.coreg_diag_log_sd) ** 2
-            else:
-                total += -0.5 * (v / priors.coreg_offdiag_sd) ** 2
-        return total
-
-    def nugget_logprior(log_tau2):
-        # inverse-gamma density of tau^2 on the log scale
-        return -priors.nugget_shape * log_tau2 - priors.nugget_scale * np.exp(-log_tau2)
-
-    def block_logprior(nug, mat, decay_u):
-        """Log prior of nuggets, mixing matrix and logit decay on the sampler's coordinates."""
-        nugget_part = float(nugget_logprior(np.log(nug)).sum())
-        return nugget_part + coreg_logprior(mat) + _logit_jacobian(decay_u)
-
-    entries = [(int(r), int(c)) for r, c in zip(*_coreg_index(K))]
-    adapt_decay = _StepAdapter(cfg.step_decay, cfg.adapt)
-    adapt_coreg = [_StepAdapter(cfg.step_coreg, cfg.adapt) for _ in entries]
-    adapt_nugget = [_StepAdapter(cfg.step_coreg, cfg.adapt) for _ in range(K)]
+    names, transforms = _theta_labels(K)
+    decay_i = len(names) - 1
+    walk = (
+        ([decay_i] if cfg.update_decay else [])
+        + (list(range(K, decay_i)) if cfg.update_coreg else [])
+        + (list(range(K)) if cfg.update_nugget else [])
+    )
+    steps = [_StepAdapter(cfg.step_coreg, cfg.adapt) for _ in range(decay_i)]
+    steps.append(_StepAdapter(cfg.step_decay, cfg.adapt))
+    block = _StepAdapter(None, enabled=False)
     block_moves = cfg.adapt and cfg.update_decay and cfg.update_coreg and cfg.update_nugget
     block_history = []
     block_proposal = None
-    block_tried = block_taken = 0
 
-    names, transforms = _theta_labels(K)
     kept = np.empty((cfg.n_draws, p + len(names)))
     keep_i = 0
 
     for it in range(cfg.iterations):
         adapting = it < cfg.burnin
         resid = y - X @ beta
-        if cfg.update_decay or cfg.update_coreg or cfg.update_nugget:
+        if walk:
             ll = _marginal_loglik(blocks, chols, resid)
 
-        # (1a) decay rate, random walk on the logit scale; the rate's
-        # uniform prior puts the logit transform's Jacobian into the ratio
-        if cfg.update_decay:
-            u = _rate_logit(rate, bounds)
-            u_prop = u + adapt_decay.step * rng.standard_normal()
-            log_ratio = _logit_jacobian(u_prop) - _logit_jacobian(u)
-            adapt_decay.record(move(nugget2, lower, _rate(u_prop, bounds), log_ratio), adapting)
+        # (1a) random walk on each free coordinate of theta in turn
+        for i in walk:
+            theta_p = theta.copy()
+            theta_p[i] += steps[i].step * rng.standard_normal()
+            steps[i].record(move(theta_p), adapting)
 
-        # (1b) mixing-matrix entries
-        if cfg.update_coreg:
-            for (r_i, c_i), adapter in zip(entries, adapt_coreg):
-                prop = lower.copy()
-                if r_i == c_i:
-                    prop[r_i, c_i] = lower[r_i, c_i] * np.exp(adapter.step * rng.standard_normal())
-                else:
-                    prop[r_i, c_i] = lower[r_i, c_i] + adapter.step * rng.standard_normal()
-                log_ratio = coreg_logprior(prop) - coreg_logprior(lower)
-                adapter.record(move(nugget2, prop, rate, log_ratio), adapting)
-
-        # (1c) nugget variances, random walk on the log scale
-        if cfg.update_nugget:
-            for k, adapter in enumerate(adapt_nugget):
-                log_t = np.log(nugget2[k])
-                log_t_prop = log_t + adapter.step * rng.standard_normal()
-                prop = nugget2.copy()
-                prop[k] = np.exp(log_t_prop)
-                log_ratio = nugget_logprior(log_t_prop) - nugget_logprior(log_t)
-                adapter.record(move(prop, lower, rate, log_ratio), adapting)
-
-        # (1d) the whole block from the proposal fitted during burn-in
+        # (1b) the whole vector from the proposal fitted during burn-in
         if block_proposal is not None:
-            u = _rate_logit(rate, bounds)
-            v = _pack_hyper(nugget2, lower, u)
-            v_prop = block_proposal.draw(rng)
-            nugget_prop, prop, u_prop = _unpack_hyper(v_prop, K)
-            log_ratio = (
-                block_logprior(nugget_prop, prop, u_prop)
-                - block_logprior(nugget2, lower, u)
-                + block_proposal.logpdf(v)
-                - block_proposal.logpdf(v_prop)
-            )
-            block_tried += 1
-            block_taken += move(nugget_prop, prop, _rate(u_prop, bounds), log_ratio)
+            theta_p = block_proposal.draw(rng)
+            log_q_ratio = block_proposal.logpdf(theta) - block_proposal.logpdf(theta_p)
+            block.record(move(theta_p, log_q_ratio), adapting)
         elif block_moves and adapting and it >= cfg.burnin // 2:
-            block_history.append(_pack_hyper(nugget2, lower, _rate_logit(rate, bounds)))
+            block_history.append(theta)
             if it == cfg.burnin - 1:
                 block_proposal = _IndependenceProposal.fit(block_history)
 
@@ -743,7 +725,7 @@ def fit_batch_mcmc(
 
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             kept[keep_i, :p] = beta
-            kept[keep_i, p:] = _pack_hyper(nugget2, lower, _rate_logit(rate, bounds))
+            kept[keep_i, p:] = theta
             keep_i += 1
 
     labels = (
@@ -751,12 +733,8 @@ def fit_batch_mcmc(
         if batch.design is not None
         else [f"beta[{i}]" for i in range(p)]
     )
-    acceptance = {"decay": adapt_decay.rate}
-    for (r, c), adapter in zip(entries, adapt_coreg):
-        acceptance[f"coreg[{r},{c}]"] = adapter.rate
-    for k, adapter in enumerate(adapt_nugget):
-        acceptance[f"nugget2[{k}]"] = adapter.rate
-    acceptance["block"] = block_taken / block_tried if block_tried else float("nan")
+    acceptance = {name.split(".")[0]: step.rate for name, step in zip(names, steps)}
+    acceptance["block"] = block.rate
 
     return BatchPosterior(
         draws=kept,

@@ -8,7 +8,8 @@ by keyword through ``dataclasses.replace``.  No module of the package or
 its tests imports a name it does not use, every field of the run,
 sampler and prior configurations is read somewhere in the package, and
 every key of the default ``simulate`` section is read by
-:func:`~specdown.pipeline.build_sim_config`.
+:func:`~specdown.pipeline.build_sim_config`.  Every module-level name of
+the package is read somewhere in it or listed in an ``__all__``.
 """
 
 import ast
@@ -186,3 +187,51 @@ SIM_CONFIG_READS = _sim_config_reads()
 def test_simulate_key_is_read(key):
     # a simulation knob that the config accepts reaches the simulation
     assert key in SIM_CONFIG_READS, f"simulate.{key} is never read by build_sim_config"
+
+
+def _dead_names() -> list:
+    """Module-level functions, classes and constants of the package, other
+    than dunder names, that no module reads and no ``__all__`` lists.  A
+    definition reading its own name (a recursive call) does not count."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "specdown").glob("*.py"))
+    }
+    reads = set()  # (name, the module-level definition the read sits in)
+    exported = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.id, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.attr, owner))
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ):
+                exported.update(e.value for e in stmt.value.elts if isinstance(e, ast.Constant))
+    read = {name for name, owner in reads if owner != name}
+    dead = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{module}.{name}"
+                for name in defined
+                if not (name.startswith("__") and name.endswith("__"))
+                and name not in read
+                and name not in exported
+            ]
+    return dead
+
+
+def test_no_dead_module_names():
+    # every module-level name is read somewhere in the package or exported
+    assert _dead_names() == []

@@ -17,7 +17,13 @@ from specdown.inference import (
     marginal_loglik,
     ols_posterior,
 )
-from specdown.inference import _IndependenceProposal, _pack_hyper, _theta_labels, _unpack_hyper
+from specdown.inference import (
+    _IndependenceProposal,
+    _log_prior,
+    _pack_hyper,
+    _theta_labels,
+    _unpack_hyper,
+)
 from specdown.lmc import (
     JITTER_SCALE,
     Coregionalization,
@@ -243,6 +249,55 @@ class TestThetaCodec:
             np.testing.assert_array_equal(lower[:, r, c], column[name])
         assert np.all(lower[:, 0, 1] == 0.0)
         np.testing.assert_array_equal(post.decay_draws(), column["decay.logit"])
+        # one acceptance rate per coordinate of theta, named without its
+        # transform suffix, and one for the block proposal
+        theta_names = post.param_names[post.n_beta :]
+        theta_keys = [n.replace(".logit", "").replace(".log", "") for n in theta_names]
+        assert sorted(post.acceptance) == sorted(theta_keys + ["block"])
+        assert all(0.0 < post.acceptance[k] < 1.0 for k in theta_keys)
+        # a held decay is never proposed and sits mid-bounds, at logit 0
+        priors = _priors()
+        cfg = McmcConfig(iterations=200, burnin=100, thin=2, seed=3, update_decay=False)
+        held = fit_batch_mcmc(_k2_batch(5), SPATIAL, priors, cfg)
+        assert sorted(held.acceptance) == sorted(post.acceptance)
+        assert np.isnan(held.acceptance["decay"]) and np.isnan(held.acceptance["block"])
+        assert all(0.0 < held.acceptance[k] < 1.0 for k in theta_keys if k != "decay")
+        assert np.all(held.draws[:, -1] == 0.0)
+        np.testing.assert_allclose(held.decay_draws(), np.mean(priors.decay_bounds), rtol=1e-15)
+
+    def test_log_prior_matches_scipy_k2(self):
+        # differences of the packed log prior are differences of the scipy
+        # densities on the natural scale plus each coordinate's log-Jacobian
+        from scipy import stats
+
+        priors = _priors(
+            coreg_offdiag_sd=2.0, coreg_diag_log_sd=0.7, nugget_shape=3.0, nugget_scale=0.5
+        )
+        lo, hi = priors.decay_bounds
+
+        def natural_logpdf(theta):
+            nugget2, lower, u = _unpack_hyper(theta, 2)
+            rate = lo + (hi - lo) / (1.0 + np.exp(-u))
+            diag = np.diag(lower)
+            total = stats.invgamma.logpdf(nugget2, priors.nugget_shape, scale=priors.nugget_scale)
+            total = total.sum()
+            total += stats.lognorm.logpdf(diag, priors.coreg_diag_log_sd).sum()
+            total += stats.norm.logpdf(lower[1, 0], scale=priors.coreg_offdiag_sd)
+            total += stats.uniform.logpdf(rate, loc=lo, scale=hi - lo)
+            # d nugget2 / d log nugget2, d l_kk / d log l_kk, d rate / d u
+            jacobian = np.log(nugget2).sum() + np.log(diag).sum()
+            jacobian += np.log((rate - lo) * (hi - rate) / (hi - lo))
+            return total + jacobian
+
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b = rng.normal(0.0, 1.5, (2, 6))
+            np.testing.assert_allclose(
+                _log_prior(a, 2, priors) - _log_prior(b, 2, priors),
+                natural_logpdf(a) - natural_logpdf(b),
+                rtol=1e-10,
+                atol=1e-10,
+            )
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_pack_unpack_round_trip(self, K):
@@ -599,6 +654,20 @@ class TestConfigValidation:
             McmcConfig(iterations=100, burnin=100)
         with pytest.raises(ValueError):
             McmcConfig(thin=0)
+        # a zero step freezes its coordinates; a zero nugget gives non-finite draws
+        for bad in (0.0, -0.3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="step_coreg"):
+                McmcConfig(step_coreg=bad)
+            with pytest.raises(ValueError, match="step_decay"):
+                McmcConfig(step_decay=bad)
+            with pytest.raises(ValueError, match="init_nugget2"):
+                McmcConfig(init_nugget2=[0.2, bad])
+        # the stored value is the one given
+        assert McmcConfig(init_nugget2=[0.2]).init_nugget2 == [0.2]
+        # one initial nugget per pollutant
+        cfg = McmcConfig(iterations=20, burnin=10, init_nugget2=[0.2, 0.2])
+        with pytest.raises(ValueError, match="init_nugget2"):
+            fit_batch_mcmc(_k1_batch(1001), SPATIAL, _priors(), cfg)
 
     def test_priors(self):
         with pytest.raises(ValueError):
