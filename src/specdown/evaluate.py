@@ -16,15 +16,18 @@ design, and standardized as the training design was.  Per interpolation
 day, the marginal covariances of the day's observations, C + D with C the
 LMC block of the observed sites (built by :class:`~specdown.lmc.LmcKernel`)
 and D the nugget diagonal, one (n, n) matrix per posterior draw, are
-factored once as C + D = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter
+factored as C + D = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter
 rule when plain Cholesky fails; :class:`~specdown.lmc.CovarianceNotPDError`
-when that fails too).  With r = y - X beta the day's residuals and c0 the
-cross-covariances between a target and the sites, the conditional mean of
-the field is (L^{-1} c0) . (L^{-1} r) = c0 . (C + D)^{-1} r and its variance
-sigma_kk^2 - ||L^{-1} c0||^2, both by batched matrix products over draws and
-targets.  Targets go through in chunks of consecutive targets, sized so that
-no temporary holds more than ``PREDICT_CHUNK_VALUES`` floats; noise is drawn
-chunk by chunk in target order, so the chunk size does not change results.
+when that fails too).  Days whose observations hold identical rows, the
+same sites and pollutants in the same order, share one factor; the same
+sites in another order do not.  With r = y - X beta the day's residuals
+and c0 the cross-covariances between a target and the sites, the
+conditional mean of the field is (L^{-1} c0) . (L^{-1} r) =
+c0 . (C + D)^{-1} r and its variance sigma_kk^2 - ||L^{-1} c0||^2, both by
+batched matrix products over draws and targets.  Targets go through in
+chunks of consecutive targets, sized so that no temporary holds more than
+``PREDICT_CHUNK_VALUES`` floats; noise is drawn chunk by chunk in target
+order, so the chunk size does not change results.
 """
 
 from __future__ import annotations
@@ -220,32 +223,46 @@ class _DayFactor:
 
     The (I, n, n) stack of marginal covariances C + D of the day's
     observations (C the LMC block of their sites, D the nugget diagonal) is
-    factored once, C + D = L L^T, with the jitter rule, and the day's
-    residuals r = y - X beta are whitened to L^{-1} r; the inverse factor
-    then turns kriging a chunk of targets into batched matrix products.
-    ``beta`` (I, p), ``nugget2`` (I, K), ``cross`` (I, K, K) and ``rate``
-    (I,) hold the draws.
+    factored, C + D = L L^T, with the jitter rule and inverted in place, and
+    the day's residuals r = y - X beta are whitened to L^{-1} r; the inverse
+    factor then turns kriging a chunk of targets into batched matrix
+    products.  ``beta`` (I, p), ``nugget2`` (I, K), ``cross`` (I, K, K) and
+    ``rate`` (I,) hold the draws.
+
+    Days whose observations hold the same (coords, pollutant) rows in the
+    same order have the same C + D, so they share one inverse factor:
+    ``shared`` maps :meth:`~specdown.lmc.StackedLayout.site_key` to the
+    factor of the first day built with it, for factors of the same draws.
+    A reordered layout is another key and gets its own factor.
     """
 
-    def __init__(self, ctx: PredictionContext, day: int, beta, nugget2, cross, rate):
+    def __init__(self, ctx: PredictionContext, day: int, beta, nugget2, cross, rate, shared=None):
         rows = ctx.design.rows_for_days([day])
         layout = ctx.design.layout(rows)
         self.coords = layout.coords
         self.pol = layout.pollutant
         self.cross = cross
         self.rate = rate
+        shared = {} if shared is None else shared
+        key = layout.site_key()
+        if key not in shared:
+            shared[key] = self._inverse_factor(nugget2)
+        self.chol_inv = shared[key]  # (I, n, n)
+        resid = ctx.y[rows] - beta @ ctx.design.X[rows].T  # (I, n)
+        self.z = np.matmul(self.chol_inv, resid[..., None])  # L^{-1} r, (I, n, 1)
+
+    def _inverse_factor(self, nugget2) -> np.ndarray:
+        """L^{-1} for C + D = L L^T of this day's sites, per draw."""
         # (I, n, n) stacks are the largest arrays here: build them in place
-        kernel = LmcKernel(self.coords, self.pol, cross.shape[-1])
-        cov = kernel.corr(rate)
-        kernel.cov(cross, cov, out=cov)
+        kernel = LmcKernel(self.coords, self.pol, self.cross.shape[-1])
+        cov = kernel.corr(self.rate)
+        kernel.cov(self.cross, cov, out=cov)
         n = self.pol.size
         cov.reshape(-1, n * n)[:, :: n + 1] += nugget2[:, self.pol]
         chol, _ = chol_pd(cov)
         del cov
         _invert_lower(chol)
-        self.chol_inv = chol  # (I, n, n)
-        resid = ctx.y[rows] - beta @ ctx.design.X[rows].T  # (I, n)
-        self.z = np.matmul(self.chol_inv, resid[..., None])  # L^{-1} r, (I, n, 1)
+        return chol
 
     def conditional(self, x, y, k):
         """Conditional mean and variance of the field at points (x, y) of
@@ -320,10 +337,11 @@ def predict(
         interp_days = np.unique(day[interp]).tolist()
         if interp_days and (ctx.y is None or len(ctx.y) != ctx.design.n):
             raise ValueError("interpolation needs the training responses aligned with ctx.design")
+        shared = {}  # one inverse factor per distinct layout of the days
         for d in interp_days:
             if d not in posterior.days:
                 raise ValueError(f"interpolation day {d} is outside the posterior's days")
-            factors[d] = _DayFactor(ctx, d, beta, nugget2, cross, rate)
+            factors[d] = _DayFactor(ctx, d, beta, nugget2, cross, rate, shared)
 
     I = draw_idx.size
     widest = max([f.pol.size for f in factors.values()] + [n_blocks])

@@ -8,9 +8,12 @@ variances get Metropolis updates against p(y | beta, theta) (logit scale for
 the bounded rate, log scale for the mixing diagonal and the nuggets), and
 after burn-in also a joint proposal fitted to the burn-in draws.  The
 regression coefficients are then drawn exactly from their generalized least
-squares conditional p(beta | theta, y).  Batch subposteriors are merged by
-precision-weighted averaging of aligned draws, performed on the transformed
-parameter scale.
+squares conditional p(beta | theta, y).  Each step needs the Cholesky factor
+of the marginal covariance of every day block; days observed at the same
+sites in the same row order have the same block, so each distinct layout is
+factored once and its factor serves all of its days.  Batch subposteriors
+are merged by precision-weighted averaging of aligned draws, performed on
+the transformed parameter scale.
 
 The hyperparameters theta (the K nugget variances, the lower-triangular
 mixing matrix A and the decay rate) have one representation on the
@@ -415,26 +418,37 @@ def _log_prior(theta: np.ndarray, K: int, priors: Priors) -> float:
 
 
 class _BlockGroup:
-    """Day blocks of one common size, stacked for batched linear algebra."""
+    """Day blocks of one common size n, stacked for batched linear algebra.
+
+    Days whose rows hold the same (coords, pollutant) sequence, the same
+    layout, have the same covariance block, so the group builds and factors
+    one block per distinct layout: a (U, n, n) stack, U <= G.  ``member[g]``
+    is the layout of day g, and every per-day solve runs against block
+    ``member[g]``.  The same sites in another row order are another layout.
+    """
 
     def __init__(self, rows: np.ndarray, layout: StackedLayout, n_pollutants: int):
         self.rows = rows  # (G, n) stacked-vector indices per day
-        self.kernel = LmcKernel(layout.coords[rows], layout.pollutant[rows], n_pollutants)
-        G, n = rows.shape
-        self.diag = (np.arange(G)[:, None] * n * n + np.arange(n) * (n + 1)).ravel()
+        slot: dict = {}
+        self.member = np.array([slot.setdefault(layout.site_key(r), len(slot)) for r in rows])
+        # the first day of each layout stands for it
+        self.lead = rows[np.unique(self.member, return_index=True)[1]]  # (U, n)
+        self.kernel = LmcKernel(layout.coords[self.lead], layout.pollutant[self.lead], n_pollutants)
+        U, n = self.lead.shape
+        self.diag = (np.arange(U)[:, None] * n * n + np.arange(n) * (n + 1)).ravel()
+        # takes a per-layout array to a per-day one; member is 0..G-1 when
+        # U == G, and a slice then does it without a copy
+        self.to_days = self.member if U < len(rows) else slice(None)
 
     def add_diag(self, stack: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Copy of ``stack`` with ``values`` (stacked-vector order) added on each diagonal."""
         out = stack.copy()
-        out.reshape(-1)[self.diag] += values[self.rows.ravel()]
+        out.reshape(-1)[self.diag] += values[self.lead.ravel()]
         return out
-
-    def gather(self, stacked: np.ndarray) -> np.ndarray:
-        return stacked[self.rows]
 
 
 class _DayBlocks:
-    """All day blocks of one batch, grouped by size."""
+    """All day blocks of one batch, grouped by size, one block per layout."""
 
     def __init__(self, layout: StackedLayout, n_pollutants: int):
         by_size: dict = {}
@@ -450,19 +464,25 @@ class _DayBlocks:
     def cov(self, cross: np.ndarray, corr_stacks):
         return [g.kernel.cov(cross, R) for g, R in zip(self.groups, corr_stacks)]
 
+    def gather(self, stacked: np.ndarray) -> list:
+        """Rows of a stacked array per size group, each (G, n, ...)."""
+        return [stacked[g.rows] for g in self.groups]
 
-def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False, member=None) -> np.ndarray:
     """L^{-1} b, or L^{-T} b with ``transpose``, for lower factors L.
 
-    Either one factor (n, n) with b (n,) or (n, m), or a stack (G, n, n)
-    with b (G, n) or (G, n, m), solved factor by factor.
+    Either one factor (n, n) with b (n,) or (n, m), or a stack (U, n, n)
+    with b (G, n) or (G, n, m) and ``member`` (G,), solved day by day:
+    b[g] against L[member[g]].
     """
     if L.ndim == 2:
-        return _solve_lower(L[None], b[None], transpose)[0]
+        return _solve_lower(L[None], b[None], transpose, (0,))[0]
     trans = 0 if transpose else 1
     out = np.empty_like(b)
-    for g, Lg in enumerate(L):
+    for g, u in enumerate(member):
         # Lg.T is Lg^T in Fortran order: trans=1 solves with Lg, trans=0 with Lg^T
+        Lg = L[u]
         if b.ndim == 2:
             out[g] = dtrsv(Lg.T, b[g], lower=0, trans=trans)
         else:
@@ -471,36 +491,51 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.nd
 
 
 def _factor_marginal(blocks: _DayBlocks, covs, nugget_row):
-    """Lower factors of C + D per size group, or None if one is not PD."""
+    """Lower factors of C + D per size group, one per layout, or None if one is not PD."""
     try:
         return [chol_pd(group.add_diag(C, nugget_row))[0] for group, C in zip(blocks.groups, covs)]
     except CovarianceNotPDError:
         return None
 
 
-def _marginal_loglik(blocks: _DayBlocks, chols, resid: np.ndarray) -> float:
-    """log N(resid; 0, C + D) without the 2 pi term, from the factors of C + D."""
+def _marginal_loglik(blocks: _DayBlocks, chols, resids) -> float:
+    """log N(resid; 0, C + D) without the 2 pi term, from the factors of C + D.
+
+    ``resids`` holds the residual's rows per size group
+    (:meth:`_DayBlocks.gather`); each day's log-determinant and solve use
+    its layout's factor.
+    """
     total = 0.0
-    for group, L in zip(blocks.groups, chols):
-        z = _solve_lower(L, group.gather(resid))
-        total += -0.5 * float(np.einsum("gn,gn->", z, z)) - float(
-            np.log(np.diagonal(L, axis1=1, axis2=2)).sum()
-        )
+    for group, L, r in zip(blocks.groups, chols, resids):
+        z = _solve_lower(L, r, member=group.member)
+        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2))[group.to_days]
+        total += -0.5 * float(np.einsum("gn,gn->", z, z)) - float(log_diag.sum())
     return total
 
 
-def _draw_beta_gls(blocks: _DayBlocks, chols, Xy: np.ndarray, beta_sd: float, rng) -> np.ndarray:
+def _gls_gram(blocks: _DayBlocks, chols, Xys) -> np.ndarray:
+    """[X | y]' S^{-1} [X | y] for S = C + D, from the factors of C + D.
+
+    One triangular solve of L^{-1} [X | y] per day, against its layout's
+    factor.  ``Xys`` holds the rows of the design with y as its last
+    column, per size group (:meth:`_DayBlocks.gather`).
+    """
+    m = Xys[0].shape[-1]
+    gram = np.zeros((m, m))
+    for group, L, Xy in zip(blocks.groups, chols, Xys):
+        z = _solve_lower(L, Xy, member=group.member).reshape(-1, m)
+        gram += z.T @ z
+    return gram
+
+
+def _draw_beta_gls(blocks: _DayBlocks, chols, Xys, beta_sd: float, rng) -> np.ndarray:
     """Exact draw of beta from p(beta | theta, y) = N(V X' S^{-1} y, V).
 
-    V^{-1} = X' S^{-1} X + I / beta_sd^2, with S = C + D whitened by the
-    accepted factors of C + D: one triangular solve of L^{-1} [X | y] per
-    size group.  ``Xy`` is the design with y as its last column.
+    V^{-1} = X' S^{-1} X + I / beta_sd^2, both terms from the Gram matrix of
+    :func:`_gls_gram` under the accepted factors of C + D.
     """
-    p = Xy.shape[1] - 1
-    gram = np.zeros((p + 1, p + 1))
-    for group, L in zip(blocks.groups, chols):
-        z = _solve_lower(L, group.gather(Xy)).reshape(-1, p + 1)
-        gram += z.T @ z
+    gram = _gls_gram(blocks, chols, Xys)
+    p = gram.shape[0] - 1
     L_prec = np.linalg.cholesky(gram[:p, :p] + np.eye(p) / beta_sd**2)
     mean = _solve_lower(L_prec, _solve_lower(L_prec, gram[:p, p]), transpose=True)
     return mean + _solve_lower(L_prec, rng.standard_normal(p), transpose=True)
@@ -591,8 +626,10 @@ def fit_batch_mcmc(
 
     1. Metropolis steps for theta against p(y | beta, tau^2, decay, A), the
        likelihood with w integrated out, which costs one Cholesky factor of
-       C + D per day block and proposal (C the LMC block, D the nugget
-       diagonal).  theta is the packed vector of :func:`_pack_hyper`, and
+       C + D per distinct day layout and proposal (C the LMC block, D the
+       nugget diagonal): days with the same (coords, pollutant) rows in the
+       same order share one factor, and each day is then solved against
+       it.  theta is the packed vector of :func:`_pack_hyper`, and
        every step is a move of that vector: a random walk on each free
        coordinate in turn (the logit decay, then the mixing entries, then
        the log nuggets); after burn-in, a proposal of the whole vector from
@@ -617,9 +654,9 @@ def fit_batch_mcmc(
     K = batch.n_pollutants
     p = batch.p
     X, y = batch.X, batch.y
-    Xy = np.column_stack([X, y])
     pol_row = batch.layout.pollutant
     blocks = _DayBlocks(batch.layout, K)
+    Xys = blocks.gather(np.column_stack([X, y]))
     bounds = tuple(priors.decay_bounds)
 
     # deterministic initial state; the rate starts mid-bounds, at logit 0
@@ -672,7 +709,7 @@ def fit_batch_mcmc(
         logu = np.log(rng.uniform())
         if chols_p is None:
             return False
-        ll_p = _marginal_loglik(blocks, chols_p, resid)
+        ll_p = _marginal_loglik(blocks, chols_p, resids)
         lp_p = _log_prior(theta_p, K, priors)
         if not logu < ll_p - ll + lp_p - lp + log_q_ratio:
             return False
@@ -699,9 +736,9 @@ def fit_batch_mcmc(
 
     for it in range(cfg.iterations):
         adapting = it < cfg.burnin
-        resid = y - X @ beta
+        resids = blocks.gather(y - X @ beta)  # the walk leaves beta fixed
         if walk:
-            ll = _marginal_loglik(blocks, chols, resid)
+            ll = _marginal_loglik(blocks, chols, resids)
 
         # (1a) random walk on each free coordinate of theta in turn
         for i in walk:
@@ -721,7 +758,7 @@ def fit_batch_mcmc(
 
         # (2) coefficients, exact given theta
         if cfg.update_beta:
-            beta = _draw_beta_gls(blocks, chols, Xy, priors.beta_sd, rng)
+            beta = _draw_beta_gls(blocks, chols, Xys, priors.beta_sd, rng)
 
         if it >= cfg.burnin and (it - cfg.burnin) % cfg.thin == 0:
             kept[keep_i, :p] = beta
@@ -885,5 +922,5 @@ def marginal_loglik(
     )
     if chols is None:
         raise CovarianceNotPDError("marginal covariance not positive definite")
-    loglik = _marginal_loglik(blocks, chols, batch.y - batch.X @ beta)
+    loglik = _marginal_loglik(blocks, chols, blocks.gather(batch.y - batch.X @ beta))
     return float(loglik - 0.5 * batch.n * np.log(2.0 * np.pi))

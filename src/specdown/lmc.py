@@ -127,6 +127,14 @@ class StackedLayout:
         """Indices per day, days in ascending order."""
         return {int(d): np.flatnonzero(self.day == d) for d in np.unique(self.day)}
 
+    def site_key(self, idx=slice(None)) -> bytes:
+        """The exact (coords, pollutant) sequence of positions ``idx``.
+
+        Equal keys mean equal LMC covariance blocks, entry for entry; the
+        same sites in another row order give another key.
+        """
+        return self.coords[idx].tobytes() + self.pollutant[idx].tobytes()
+
 
 class LmcKernel:
     """Geometry of a set of site pairs, computed once, and the LMC covariance on it.

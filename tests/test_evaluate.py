@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specdown import evaluate
+from specdown import evaluate, inference, lmc
 from specdown.evaluate import (
     PredictionContext,
     PredictionTarget,
@@ -370,9 +370,10 @@ def _reference_predict(post, targets, ctx, rng):
     return out
 
 
-def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3)):
+def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3), same_sites=False):
     """Hand-built spatial posterior over K pollutants with day blocks of
-    different sizes, plus an LD + Cross design to predict with."""
+    different sizes (with ``same_sites``, every day observes the same eight
+    stations), plus an LD + Cross design to predict with."""
     rng = np.random.default_rng(seed)
     spec = GridSpec(8, 8, 12.0)
     days = train_days + (train_days[-1] + 1,)
@@ -388,7 +389,7 @@ def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3)):
     obs = [
         Observation(sid, d, k, float(rng.standard_normal()))
         for d in train_days
-        for sid in sorted(stations)[: 6 + d]
+        for sid in sorted(stations)[: 8 if same_sites else 6 + d]
         for k in sorted(stations[sid].measures)
     ]
     variant = ModelVariant("LD", True, True)
@@ -594,6 +595,76 @@ class TestVectorisedPredict:
             )
             assert np.all(var[:, 0] > 0.0)
             assert np.all(var[:, 0] <= bound * (1.0 + 1e-9))
+
+
+def _k2_days(seed, distinct, n_sites=12, days=(1, 2, 3)):
+    """K=2 batch at the same sites every day, or at new sites each day."""
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(0, 100, (len(days) if distinct else 1, n_sites, 2))
+    sites = np.broadcast_to(sites, (len(days), n_sites, 2))
+    coords = np.concatenate([np.vstack([s, s]) for s in sites])
+    day = np.repeat(days, 2 * n_sites)
+    pol = np.tile(np.repeat([0, 1], n_sites), len(days))
+    layout = StackedLayout(day=day, pollutant=pol, coords=coords)
+    coreg = Coregionalization(np.array([[0.8, 0.0], [0.4, 0.6]]))
+    w = sample_w(layout, coreg, SpatialDecay(0.05), rng)
+    X = np.column_stack([pol == 0, pol == 1]).astype(float)
+    y = X @ np.array([1.0, 0.5]) + w + rng.normal(0, 0.2, size=day.size)
+    return BatchData(days=days, y=y, X=X, layout=layout, n_pollutants=2)
+
+
+class TestSharedFactors:
+    """Days observed in one layout share one Cholesky factor."""
+
+    @staticmethod
+    def _leading_sizes(monkeypatch, module):
+        sizes = []
+
+        def counting(cov):
+            sizes.append(cov.shape[0])
+            return lmc.chol_pd(cov)
+
+        monkeypatch.setattr(module, "chol_pd", counting)
+        return sizes
+
+    @pytest.mark.parametrize("distinct, stack", [(False, 1), (True, 3)])
+    def test_sampler_factors_one_block_per_layout(self, monkeypatch, distinct, stack):
+        sizes = self._leading_sizes(monkeypatch, inference)
+        cfg = McmcConfig(iterations=20, burnin=10, thin=1, seed=2)
+        batch = _k2_days(3, distinct)
+        fit_batch_mcmc(batch, ModelVariant("SD", True, True), Priors((0.01, 0.2)), cfg)
+        # the initial factor, then one per move: decay, three mixing entries, two nuggets
+        assert sizes == [stack] * (1 + cfg.iterations * 6)
+
+    @pytest.mark.parametrize("same_sites, calls", [(True, 1), (False, 3)])
+    def test_interpolation_factors_once_per_layout(self, monkeypatch, same_sites, calls):
+        post, ctx, _, _ = _kriging_setup(same_sites=same_sites)
+        sizes = self._leading_sizes(monkeypatch, evaluate)
+        targets = [
+            PredictionTarget(20.0 * d, 40.0, d % 2, d, "interpolation", f"t{d}") for d in (1, 2, 3)
+        ]
+        predict(post, targets, ctx, np.random.default_rng(0))
+        assert sizes == [post.n_draws] * calls
+
+    def test_shared_factor_is_the_fresh_one_bit_for_bit(self):
+        post, ctx, _, _ = _kriging_setup(same_sites=True)
+        lower = post.coreg_draws()
+        draws = (
+            post.beta_draws(),
+            post.nugget2_draws(),
+            lower @ np.swapaxes(lower, 1, 2),
+            post.decay_draws(),
+        )
+        shared = {}
+        first = evaluate._DayFactor(ctx, 1, *draws, shared)
+        for d in (2, 3):
+            reused = evaluate._DayFactor(ctx, d, *draws, shared)
+            fresh = evaluate._DayFactor(ctx, d, *draws)
+            assert reused.chol_inv is first.chol_inv
+            assert np.array_equal(reused.chol_inv, fresh.chol_inv)
+            assert np.array_equal(reused.z, fresh.z)
+            assert not np.array_equal(reused.z, first.z)
+        assert len(shared) == 1
 
 
 class TestScore:

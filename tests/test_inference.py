@@ -18,8 +18,12 @@ from specdown.inference import (
     ols_posterior,
 )
 from specdown.inference import (
+    _DayBlocks,
     _IndependenceProposal,
+    _factor_marginal,
+    _gls_gram,
     _log_prior,
+    _marginal_loglik,
     _pack_hyper,
     _theta_labels,
     _unpack_hyper,
@@ -530,6 +534,71 @@ class TestMarginalLoglik:
             for ds in ((1, 2, 3), (4, 5, 6))
         )
         assert ll_joint == pytest.approx(ll_sum, abs=1e-9)
+
+
+class TestSharedLayouts:
+    def _batch(self):
+        """Four days of K=2 rows: day 2 is day 1 in another row order, day 3
+        repeats day 1's rows, day 4 drops day 1's first station."""
+        rng = np.random.default_rng(41)
+        sites = rng.uniform(0, 150, (6, 2))
+        site = np.r_[np.arange(6), np.arange(4)]  # pollutant 1 at the first four
+        pol = np.r_[np.zeros(6, int), np.ones(4, int)]
+        order = rng.permutation(site.size)
+        keep = site != 0
+        day_rows = [(site, pol), (site[order], pol[order]), (site, pol), (site[keep], pol[keep])]
+        day = np.concatenate([np.full(s.size, d) for d, (s, _) in enumerate(day_rows, 1)])
+        site_row = np.concatenate([s for s, _ in day_rows])
+        pol_row = np.concatenate([p for _, p in day_rows])
+        layout = StackedLayout(day=day, pollutant=pol_row, coords=sites[site_row])
+        X = np.column_stack([pol_row == 0, pol_row == 1, rng.standard_normal(day.size)])
+        y = rng.standard_normal(day.size)
+        return BatchData(days=(1, 2, 3, 4), y=y, X=X.astype(float), layout=layout, n_pollutants=2)
+
+    def _dense_covs(self, batch, cross, rate, nugget2):
+        """C + D per day from pairwise distances, in stacked-vector order."""
+        layout = batch.layout
+        out = []
+        for d in batch.days:
+            idx = np.flatnonzero(layout.day == d)
+            xy, pol = layout.coords[idx], layout.pollutant[idx]
+            dist = np.linalg.norm(xy[:, None] - xy[None, :], axis=-1)
+            S = cross[np.ix_(pol, pol)] * np.exp(-rate * dist) + np.diag(nugget2[pol])
+            out.append((idx, S))
+        return out
+
+    def test_days_share_factors_by_exact_rows(self):
+        from scipy.stats import multivariate_normal
+
+        batch = self._batch()
+        blocks = _DayBlocks(batch.layout, 2)
+        # sizes 8 (day 4) then 10 (days 1-3); day 2 is reordered, day 3 shares day 1's factor
+        assert [g.rows.shape for g in blocks.groups] == [(1, 8), (3, 10)]
+        assert [g.member.tolist() for g in blocks.groups] == [[0], [0, 1, 0]]
+        assert [g.lead.shape[0] for g in blocks.groups] == [1, 2]
+
+        lower = np.array([[0.9, 0.0], [0.5, 0.7]])
+        cross, rate, nugget2 = lower @ lower.T, 0.03, np.array([0.2, 0.1])
+        beta = np.array([0.3, -0.2, 0.5])
+        chols = _factor_marginal(
+            blocks, blocks.cov(cross, blocks.corr(rate)), nugget2[batch.layout.pollutant]
+        )
+        assert [L.shape[0] for L in chols] == [1, 2]
+        resid = batch.y - batch.X @ beta
+        dense = self._dense_covs(batch, cross, rate, nugget2)
+        expected = sum(multivariate_normal.logpdf(resid[idx], cov=S) for idx, S in dense)
+        ll = _marginal_loglik(blocks, chols, blocks.gather(resid))
+        assert ll - 0.5 * batch.n * np.log(2.0 * np.pi) == pytest.approx(expected, abs=1e-10)
+        assert marginal_loglik(
+            batch, beta, Coregionalization(lower), SpatialDecay(rate), nugget2
+        ) == pytest.approx(expected, abs=1e-10)
+
+        Xy = np.column_stack([batch.X, batch.y])
+        S = np.zeros((batch.n, batch.n))
+        for idx, S_d in dense:
+            S[np.ix_(idx, idx)] = S_d
+        gram = _gls_gram(blocks, chols, blocks.gather(Xy))
+        np.testing.assert_allclose(gram, Xy.T @ np.linalg.solve(S, Xy), rtol=1e-10, atol=1e-12)
 
 
 def _gaussian_posterior(mean, var, n_draws, seed, days):
