@@ -436,9 +436,6 @@ class _BlockGroup:
         self.kernel = LmcKernel(layout.coords[self.lead], layout.pollutant[self.lead], n_pollutants)
         U, n = self.lead.shape
         self.diag = (np.arange(U)[:, None] * n * n + np.arange(n) * (n + 1)).ravel()
-        # takes a per-layout array to a per-day one; member is 0..G-1 when
-        # U == G, and a slice then does it without a copy
-        self.to_days = self.member if U < len(rows) else slice(None)
 
     def add_diag(self, stack: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Copy of ``stack`` with ``values`` (stacked-vector order) added on each diagonal."""
@@ -473,11 +470,13 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False, member=N
     """L^{-1} b, or L^{-T} b with ``transpose``, for lower factors L.
 
     Either one factor (n, n) with b (n,) or (n, m), or a stack (U, n, n)
-    with b (G, n) or (G, n, m) and ``member`` (G,), solved day by day:
-    b[g] against L[member[g]].
+    with b (G, n) or (G, n, m), solved day by day: b[g] against
+    L[member[g]].  Without ``member`` the stack is solved factor by factor.
     """
     if L.ndim == 2:
-        return _solve_lower(L[None], b[None], transpose, (0,))[0]
+        return _solve_lower(L[None], b[None], transpose)[0]
+    if member is None:
+        member = range(len(L))
     trans = 0 if transpose else 1
     out = np.empty_like(b)
     for g, u in enumerate(member):
@@ -508,7 +507,7 @@ def _marginal_loglik(blocks: _DayBlocks, chols, resids) -> float:
     total = 0.0
     for group, L, r in zip(blocks.groups, chols, resids):
         z = _solve_lower(L, r, member=group.member)
-        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2))[group.to_days]
+        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).take(group.member, axis=0)
         total += -0.5 * float(np.einsum("gn,gn->", z, z)) - float(log_diag.sum())
     return total
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specdown import evaluate, inference, lmc
+from specdown import evaluate, lmc
 from specdown.evaluate import (
     PredictionContext,
     PredictionTarget,
@@ -597,49 +597,19 @@ class TestVectorisedPredict:
             assert np.all(var[:, 0] <= bound * (1.0 + 1e-9))
 
 
-def _k2_days(seed, distinct, n_sites=12, days=(1, 2, 3)):
-    """K=2 batch at the same sites every day, or at new sites each day."""
-    rng = np.random.default_rng(seed)
-    sites = rng.uniform(0, 100, (len(days) if distinct else 1, n_sites, 2))
-    sites = np.broadcast_to(sites, (len(days), n_sites, 2))
-    coords = np.concatenate([np.vstack([s, s]) for s in sites])
-    day = np.repeat(days, 2 * n_sites)
-    pol = np.tile(np.repeat([0, 1], n_sites), len(days))
-    layout = StackedLayout(day=day, pollutant=pol, coords=coords)
-    coreg = Coregionalization(np.array([[0.8, 0.0], [0.4, 0.6]]))
-    w = sample_w(layout, coreg, SpatialDecay(0.05), rng)
-    X = np.column_stack([pol == 0, pol == 1]).astype(float)
-    y = X @ np.array([1.0, 0.5]) + w + rng.normal(0, 0.2, size=day.size)
-    return BatchData(days=days, y=y, X=X, layout=layout, n_pollutants=2)
-
-
 class TestSharedFactors:
     """Days observed in one layout share one Cholesky factor."""
 
-    @staticmethod
-    def _leading_sizes(monkeypatch, module):
+    @pytest.mark.parametrize("same_sites, calls", [(True, 1), (False, 3)])
+    def test_interpolation_factors_once_per_layout(self, monkeypatch, same_sites, calls):
+        post, ctx, _, _ = _kriging_setup(same_sites=same_sites)
         sizes = []
 
         def counting(cov):
             sizes.append(cov.shape[0])
             return lmc.chol_pd(cov)
 
-        monkeypatch.setattr(module, "chol_pd", counting)
-        return sizes
-
-    @pytest.mark.parametrize("distinct, stack", [(False, 1), (True, 3)])
-    def test_sampler_factors_one_block_per_layout(self, monkeypatch, distinct, stack):
-        sizes = self._leading_sizes(monkeypatch, inference)
-        cfg = McmcConfig(iterations=20, burnin=10, thin=1, seed=2)
-        batch = _k2_days(3, distinct)
-        fit_batch_mcmc(batch, ModelVariant("SD", True, True), Priors((0.01, 0.2)), cfg)
-        # the initial factor, then one per move: decay, three mixing entries, two nuggets
-        assert sizes == [stack] * (1 + cfg.iterations * 6)
-
-    @pytest.mark.parametrize("same_sites, calls", [(True, 1), (False, 3)])
-    def test_interpolation_factors_once_per_layout(self, monkeypatch, same_sites, calls):
-        post, ctx, _, _ = _kriging_setup(same_sites=same_sites)
-        sizes = self._leading_sizes(monkeypatch, evaluate)
+        monkeypatch.setattr(evaluate, "chol_pd", counting)
         targets = [
             PredictionTarget(20.0 * d, 40.0, d % 2, d, "interpolation", f"t{d}") for d in (1, 2, 3)
         ]

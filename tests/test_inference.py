@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specdown import inference
 from specdown.inference import (
     BatchData,
     BatchPosterior,
@@ -217,13 +218,15 @@ class TestBatchSampler:
             assert count >= 18, f"{name} covered only {count}/{n_rep}"
 
 
-def _k2_batch(seed, n_sites=25, days=(1, 2, 3)):
-    """Two pollutants at every site, one intercept each, drawn from the model."""
+def _k2_batch(seed, n_sites=25, days=(1, 2, 3), distinct=False):
+    """Two pollutants at every site, one intercept each, drawn from the model;
+    the same sites every day, or new sites each day with ``distinct``."""
     rng = np.random.default_rng(seed)
-    sites = rng.uniform(0, 240, size=(n_sites, 2))
+    shape = (len(days), n_sites, 2) if distinct else (n_sites, 2)
+    sites = np.broadcast_to(rng.uniform(0, 240, size=shape), (len(days), n_sites, 2))
     day = np.repeat(days, 2 * n_sites)
     pollutant = np.tile(np.repeat([0, 1], n_sites), len(days))
-    coords = np.tile(np.vstack([sites, sites]), (len(days), 1))
+    coords = np.concatenate([np.vstack([s, s]) for s in sites])
     layout = StackedLayout(day=day, pollutant=pollutant, coords=coords)
     coreg = Coregionalization(np.array([[0.8, 0.0], [0.4, 0.6]]))
     w = sample_w(layout, coreg, SpatialDecay(0.05), rng)
@@ -599,6 +602,20 @@ class TestSharedLayouts:
             S[np.ix_(idx, idx)] = S_d
         gram = _gls_gram(blocks, chols, blocks.gather(Xy))
         np.testing.assert_allclose(gram, Xy.T @ np.linalg.solve(S, Xy), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("distinct, stack", [(False, 1), (True, 3)])
+    def test_sampler_factors_one_block_per_layout(self, monkeypatch, distinct, stack):
+        sizes = []
+
+        def counting(cov):
+            sizes.append(cov.shape[0])
+            return chol_pd(cov)
+
+        monkeypatch.setattr(inference, "chol_pd", counting)
+        cfg = McmcConfig(iterations=20, burnin=10, thin=1, seed=2)
+        fit_batch_mcmc(_k2_batch(3, n_sites=12, distinct=distinct), SPATIAL, _priors(), cfg)
+        # the initial factor, then one per move: decay, three mixing entries, two nuggets
+        assert sizes == [stack] * (1 + cfg.iterations * 6)
 
 
 def _gaussian_posterior(mean, var, n_draws, seed, days):
