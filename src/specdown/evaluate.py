@@ -9,11 +9,13 @@ field is unconditioned: its mean is zero and only its variance enters the
 predictive draws.  Point predictions are reported on the original
 concentration scale as exp of the posterior median of the log-scale draws.
 
-Prediction is vectorised over targets.  Design rows are gathered from the
-field or covariate grids by each target's cell with
-:func:`~specdown.stations.design_rows`, which also makes the training
-design, and standardized as the training design was.  Per interpolation
-day, the marginal covariances of the day's observations, C + D with C the
+Prediction is vectorised over targets.  Design rows are gathered by each
+target's cell from the context's :class:`~specdown.stations.CellTable`
+(whole field or covariate grids, or the station cells that ``fit``
+recorded) with :func:`~specdown.stations.design_rows`, which also makes
+the training design, and standardized as the training design was.
+Per interpolation day, the marginal covariances of the day's
+observations, C + D with C the
 LMC block of the observed sites (built by :class:`~specdown.lmc.LmcKernel`)
 and D the nugget diagonal, one (n, n) matrix per posterior draw, are
 factored as C + D = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter
@@ -41,7 +43,14 @@ from .filters import MAX_MAGNITUDE, SpectralBasis, period_of
 from .grid import GridSpec
 from .inference import BatchPosterior
 from .lmc import LmcKernel, chol_pd
-from .stations import DesignMatrix, ModelVariant, Station, cell_indices, design_rows
+from .stations import (
+    CellTable,
+    DesignMatrix,
+    ModelVariant,
+    Station,
+    cell_indices,
+    design_rows,
+)
 
 __all__ = [
     "PredictionTarget",
@@ -96,11 +105,16 @@ class PredictionResult:
 
 @dataclass(frozen=True)
 class PredictionContext:
-    """Inputs needed to rebuild design rows at arbitrary locations:
-    ``fields`` maps (j, day) to a GridField, ``covs`` (j, day) to the
-    field's (B, ncells) spectral covariate array.  Interpolation with a
-    spatial posterior conditions on the training data: ``design`` then holds
-    the standardized training rows and ``y`` their responses, aligned."""
+    """Inputs needed to rebuild design rows at target locations.
+
+    ``table`` holds the values the rows read.  Given as None, it is built
+    from whole grids: ``fields`` maps (j, day) to a GridField, ``covs``
+    (j, day) to the field's (B, ncells) spectral covariate array.
+    Interpolation passes the station-cell table that ``fit`` recorded
+    instead, so its targets must lie in station cells.  Interpolation with a
+    spatial posterior conditions on the training data: ``design`` then
+    holds the standardized training rows and ``y`` their responses,
+    aligned."""
 
     variant: ModelVariant
     design: DesignMatrix
@@ -109,6 +123,12 @@ class PredictionContext:
     fields: dict | None = None
     covs: dict | None = None
     y: np.ndarray | None = None
+    table: CellTable | None = None
+
+    def __post_init__(self):
+        if self.table is None:
+            table = CellTable.of_grids(self.variant.mean_kind, self.fields, self.covs)
+            object.__setattr__(self, "table", table)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +213,7 @@ def _design_rows(ctx: PredictionContext, cells, pollutant, day) -> np.ndarray:
     training set; shape (T, p).  A covariate column is zero where the
     target's pollutant is not the column's."""
     design = ctx.design
-    rows = design_rows(
-        design.columns, ctx.variant.mean_kind, ctx.fields, ctx.covs, cells, pollutant, day
-    )
+    rows = design_rows(design.columns, ctx.table, cells, pollutant, day)
     design.scale_rows(rows, pollutant)
     return rows
 

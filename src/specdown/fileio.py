@@ -1,7 +1,8 @@
 """File formats and run configuration.
 
-All artifacts are plain text (UTF-8).  Floats are written with Python's
-shortest round-trip repr, so identical runs produce byte-identical files.
+All artifacts are plain text (UTF-8) but one.  Floats are written with
+Python's shortest round-trip repr, so identical runs produce byte-identical
+files.
 
 Grid file: header line ``nx ny dx pollutant_id day``, then nx*ny
 whitespace-separated reals in row-major order (x fastest).  A covariate
@@ -17,6 +18,14 @@ interpolation conditions on the training data.  The natural-scale draws of
 the combined posterior are written by ``combine`` for readers outside the
 pipeline and never read back: every stage derives them from the
 transformed draws.
+
+The one binary artifact is the station-cell table that ``fit`` writes
+beside ``design.json`` (``station_cells.npy``): the values the fitted
+design reads at every station cell, so that interpolation parses no grid.
+As text, with repr floats, it cost 0.06-0.12 s per ``fit`` on a 128x128
+grid with 400 stations (about 80k floats).  It is one ``.npy`` file
+(:func:`write_cell_table`), whose bytes depend on its content alone; an
+``.npz`` archive would stamp its members with the time of writing.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 
 from .grid import GridField, GridSpec
 from .inference import BatchPosterior, McmcConfig, Priors
-from .stations import Observation, OutOfGridError, Station, cell_lookup
+from .stations import CellTable, Observation, OutOfGridError, Station, cell_lookup
 
 __all__ = [
     "ParseError",
@@ -46,6 +55,8 @@ __all__ = [
     "write_posterior",
     "read_posterior",
     "write_natural_csv",
+    "write_cell_table",
+    "read_cell_table",
     "PREDICTIONS_HEADER",
     "write_predictions_csv",
     "write_scorecard_csv",
@@ -293,6 +304,52 @@ def read_posterior(csv_path) -> BatchPosterior:
         decay_bounds=tuple(meta["decay_bounds"]) if meta["decay_bounds"] else None,
         acceptance=dict(meta["acceptance"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Station-cell table
+# ---------------------------------------------------------------------------
+
+
+def _cell_table_name(key) -> str:
+    return f"j{key[0]}_d{key[1]}"
+
+
+def write_cell_table(table: CellTable, path) -> Path:
+    """One ``.npy`` record per cell of ``table``: the grid index ``cell``,
+    then a field ``j<j>_d<day>`` per (j, day) in sorted order holding the
+    R values of that key's source at the cell.  Returns the path."""
+    path = Path(path)
+    keys = sorted(table.sources)
+    dtype = [("cell", "<i8")] + [
+        (_cell_table_name(key), "<f8", (table.sources[key].shape[0],)) for key in keys
+    ]
+    records = np.zeros(table.cells.size, dtype=dtype)
+    records["cell"] = table.cells
+    for key in keys:
+        records[_cell_table_name(key)] = table.sources[key].T
+    np.save(path, records, allow_pickle=False)
+    return path
+
+
+def read_cell_table(path) -> CellTable:
+    """The table of a file written by :func:`write_cell_table`; its source
+    arrays are views of the loaded records."""
+    records = np.load(path, allow_pickle=False)
+    names = records.dtype.names or ()
+    if names[:1] != ("cell",):
+        raise ParseError(f"{path}: not a station-cell table")
+    sources = {}
+    for name in names[1:]:
+        try:
+            j, day = name.removeprefix("j").split("_d")
+            key = (int(j), int(day))
+        except ValueError:
+            raise ParseError(f"{path}: malformed table field {name!r}")
+        if _cell_table_name(key) != name:
+            raise ParseError(f"{path}: malformed table field {name!r}")
+        sources[key] = records[name].T
+    return CellTable(sources, records["cell"])
 
 
 # ---------------------------------------------------------------------------

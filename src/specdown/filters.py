@@ -146,8 +146,9 @@ def spectral_covariates(
         work = GridField(
             field.spec, field.values - field.mean(), field.pollutant_id, field.day
         )
-    coeffs = dft_forward(work).coeffs
-    return dft_inverse(SpectrumField(field.spec, coeffs * basis.weights(field.spec)))
+    weighted = dft_forward(work).coeffs * basis.weights(field.spec)
+    weighted.setflags(write=False)  # handed to the spectrum without a copy
+    return dft_inverse(SpectrumField(field.spec, weighted))
 
 
 def build_covariates(fields: dict, basis: SpectralBasis, center: bool = False) -> dict:

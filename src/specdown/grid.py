@@ -129,16 +129,35 @@ def frequency_lattice(spec: GridSpec) -> FrequencyLattice:
     return FrequencyLattice(spec=spec, freqs=freqs, magnitudes=mags)
 
 
+def _frozen(a) -> bool:
+    """True when ``a`` is an array that no writeable array shares memory
+    with: it and every array it views are read-only, down to one that owns
+    its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True)
 class SpectrumField:
     """Complex DFT coefficients aligned with a grid's frequency lattice:
-    one spectrum of M coefficients, or a stack of shape (B, M)."""
+    one spectrum of M coefficients, or a stack of shape (B, M).
+
+    Complex coefficients that are already read-only all the way down, such
+    as a freshly computed product the caller has frozen, are taken over
+    without a copy; any other input is copied, so a spectrum never shares
+    memory with an array someone can still write.
+    """
 
     spec: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        c = np.asarray(self.coeffs, dtype=complex)
+        if not _frozen(c):
+            c = c.copy()
         if c.ndim == 0 or c.ndim > 2 or c.shape[-1] != self.spec.ncells:
             raise ValueError(
                 f"expected {self.spec.ncells} coefficients or a stack of them, got shape {c.shape}"
@@ -169,6 +188,7 @@ def dft_forward(field: GridField) -> SpectrumField:
     if not np.all(np.isfinite(field.values)):
         raise ValueError("field values must be finite")
     coeffs = np.fft.fft2(field.grid2d()) / field.spec.ncells
+    coeffs.setflags(write=False)
     return SpectrumField(spec=field.spec, coeffs=coeffs.ravel())
 
 

@@ -10,16 +10,24 @@ Every stage that uses ``grids_dir`` first reads the header line of every
 grid file there (:func:`~specdown.fileio.read_grid_header`): two files
 holding one (pollutant, day), or files on different grids, are a
 ``ParseError``.  The headers give the season, split into training and test
-days.  A stage then reads only the grid values it uses: ``fit`` and
-interpolation ``predict`` the training days, forecast ``predict`` the test
-days, ``cv`` every day; ``coherence`` and ``aggregate`` read none.  A value
-body is checked only where it is read.
+days.  A stage then reads only the grid values it uses: ``fit`` the
+training days, forecast ``predict`` the test days, ``cv`` every day;
+interpolation ``predict``, ``coherence`` and ``aggregate`` read none.  A
+value body is checked only where it is read.
+
+``fit`` records in ``design.json`` a sha256 digest of each training grid
+file, and writes beside it the station-cell table: the values its design
+reads at the cell of every station in the station file.  Interpolation
+``predict`` builds its design rows from that table once the digests of the
+training grid files match the recorded ones.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +60,8 @@ from .fileio import (
     write_scorecard_csv,
     write_station_csv,
     parse_station_file,
+    read_cell_table,
+    write_cell_table,
 )
 from .filters import (
     FrequencyBand,
@@ -71,11 +81,14 @@ from .inference import (
 )
 from .stations import (
     ALL_VARIANTS,
+    CellTable,
     ColumnMeta,
     DesignMatrix,
     ModelVariant,
     assemble_design,
+    cell_indices,
     standardize,
+    table_design,
     variant_from_name,
 )
 from .synthetic import FieldSpectrum, SimConfig, simulate
@@ -154,6 +167,10 @@ def build_sim_config(cfg: RunConfig) -> SimConfig:
     )
 
 
+#: The station-cell table ``fit`` writes beside ``design.json``.
+CELL_TABLE = "station_cells.npy"
+
+
 def _grid_paths(cfg: RunConfig) -> list:
     grids_dir = Path(cfg.grids_dir)
     paths = sorted(grids_dir.glob("grid_*.txt"))
@@ -192,14 +209,13 @@ def _fit_batch_task(payload):
     return fit_batch_mcmc(batch, variant, priors, mcfg)
 
 
-def _training_design(variant, fields, covs, stations, observations, train_days):
+def _training_design(assemble, observations, train_days):
     """Standardized design and responses of the training-day observations,
     rows in observation order: what ``fit`` fits and interpolation
-    conditions on."""
+    conditions on.  ``assemble(observations)`` builds the raw design."""
     train_set = set(int(d) for d in train_days)
     train_obs = [o for o in observations if int(o.day) in train_set]
-    design = standardize(assemble_design(variant, fields, covs, train_obs, stations))
-    return design, np.array([o.value for o in train_obs])
+    return standardize(assemble(train_obs)), np.array([o.value for o in train_obs])
 
 
 def fit_variant(
@@ -219,7 +235,9 @@ def fit_variant(
     spatial variants, or a single-element list holding the least-squares
     pseudo-posterior otherwise.
     """
-    design, y = _training_design(variant, fields, covs, stations, observations, train_days)
+    design, y = _training_design(
+        lambda obs: assemble_design(variant, fields, covs, obs, stations), observations, train_days
+    )
     if variant.spatial:
         batches = make_batches(design, y, train_days, cfg.batch_len)
         priors = cfg.priors_for(spec)
@@ -252,10 +270,11 @@ def fit_variant(
     return design, y, posteriors
 
 
-def _design_record(design: DesignMatrix, variant: ModelVariant, train_days) -> dict:
+def _design_record(design: DesignMatrix, variant: ModelVariant, train_days, grids) -> dict:
     return {
         "variant": variant.name,
         "train_days": [int(d) for d in train_days],
+        "grids": grids,
         "columns": [
             {"kind": c.kind, "k": c.k, "j": c.j, "b": c.b} for c in design.columns
         ],
@@ -345,27 +364,67 @@ def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
     return artifacts
 
 
-def _prepare_training(cfg: RunConfig, period: str):
-    """Inputs of fit and predict, with the fields and covariates of the
-    ``period`` (``"train"`` or ``"test"``) days only."""
+@dataclass(frozen=True)
+class _Season:
+    """Every input of ``fit`` and ``predict`` but the grid values: the
+    grid spec and index, the split of the season, the station file's
+    stations and observations, and the configured variant."""
+
+    spec: GridSpec
+    index: dict
+    train_days: tuple
+    test_days: tuple
+    stations: dict
+    observations: list
+    variant: ModelVariant
+
+
+def _season(cfg: RunConfig) -> _Season:
     spec, index = _grid_index(cfg)
     train_days, test_days = split_season(sorted({day for _, day in index}))
-    wanted = set({"train": train_days, "test": test_days}[period])
-    fields = {key: read_grid(path, log=True) for key, path in index.items() if key[1] in wanted}
     stations, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
-    variant = variant_from_name(cfg.variant)
+    return _Season(
+        spec, index, train_days, test_days, stations, observations, variant_from_name(cfg.variant)
+    )
+
+
+def _read_days(cfg: RunConfig, season: _Season, days) -> tuple[dict, dict]:
+    """The fields of ``days``, log-transformed, and for SD variants their
+    spectral covariates."""
+    wanted = set(days)
+    fields = {
+        key: read_grid(path, log=True) for key, path in season.index.items() if key[1] in wanted
+    }
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
-    covs = build_covariates(fields, basis, cfg.center) if variant.mean_kind == "SD" else {}
-    return spec, fields, stations, observations, train_days, test_days, variant, covs
+    covs = build_covariates(fields, basis, cfg.center) if season.variant.mean_kind == "SD" else {}
+    return fields, covs
+
+
+def _grid_digests(season: _Season) -> list:
+    """sha256 of each training grid file, in (j, day) order, as
+    ``design.json`` records them."""
+    wanted = set(season.train_days)
+    return [
+        {"j": j, "day": day, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for (j, day), path in sorted(season.index.items())
+        if day in wanted
+    ]
 
 
 def cmd_fit(cfg: RunConfig) -> list:
-    """Fit the configured variant; one posterior file per batch."""
-    spec, fields, stations, observations, train_days, _, variant, covs = _prepare_training(
-        cfg, "train"
-    )
+    """Fit the configured variant; one posterior file per batch, then
+    ``design.json`` and the station-cell table."""
+    season = _season(cfg)
+    fields, covs = _read_days(cfg, season, season.train_days)
     design, y, posteriors = fit_variant(
-        cfg, variant, spec, fields, covs, stations, observations, train_days
+        cfg,
+        season.variant,
+        season.spec,
+        fields,
+        covs,
+        season.stations,
+        season.observations,
+        season.train_days,
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -373,11 +432,13 @@ def cmd_fit(cfg: RunConfig) -> list:
     for i, post in enumerate(posteriors):
         artifacts.extend(write_posterior(post, out / f"batch_{i:03d}.csv"))
     rec_path = out / "design.json"
-    rec_path.write_text(
-        json.dumps(_design_record(design, variant, train_days), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    rec = _design_record(design, season.variant, season.train_days, _grid_digests(season))
+    rec_path.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     artifacts.append(rec_path)
+    sites = list(season.stations.values())
+    cells = cell_indices([s.x for s in sites], [s.y for s in sites], season.spec)
+    table = CellTable.of_grids(season.variant.mean_kind, fields, covs).at(cells)
+    artifacts.append(write_cell_table(table, out / CELL_TABLE))
     return artifacts
 
 
@@ -429,41 +490,71 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> list:
     ]
 
 
+def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionContext:
+    """What interpolation predicts from, read from ``fit``'s outputs.
+
+    Training grid files whose digests differ from ``design.json``'s, a
+    missing station-cell table, or one of other training days, mean the
+    inputs changed since the fit: an error that says to refit.  A spatial
+    posterior conditions on the training data, so its design is rebuilt
+    from the table as ``fit`` built it, and must match ``design.json``.
+    """
+    grids = _grid_digests(season)
+    stale = f"{out / 'design.json'} does not match the training data; refit"
+    if rec.get("grids") != grids:
+        raise ValueError(stale)
+    path = out / CELL_TABLE
+    if not path.is_file():
+        raise FileNotFoundError(f"{path} is missing; refit")
+    table = read_cell_table(path)
+    if sorted(table.sources) != [(g["j"], g["day"]) for g in grids]:
+        raise ValueError(f"{path} does not match the training data; refit")
+    variant, spec, train_days = season.variant, season.spec, season.train_days
+    if not variant.spatial:
+        return PredictionContext(variant, _design_from_record(rec), spec, train_days, table=table)
+    n_gridded = max(j for j, _ in table.sources) + 1
+    design, y = _training_design(
+        lambda obs: table_design(variant, table, n_gridded, spec, obs, season.stations),
+        season.observations,
+        train_days,
+    )
+    if _design_record(design, variant, train_days, grids) != rec:
+        raise ValueError(stale)
+    return PredictionContext(variant, design, spec, train_days, y=y, table=table)
+
+
 def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     """Predict at every station for the test (forecast) or training
     (interpolation) days and write the predictions CSV.
 
-    Spatial interpolation conditions on the training data, so it rebuilds
-    the training design as ``fit`` did; a design that differs from
-    ``design.json`` means the inputs changed since the fit, a
-    ``ValueError``.  Every other prediction reads the standardization from
-    ``design.json``.
+    A forecast reads the test-day grids, and the standardization from
+    ``design.json``.  Interpolation reads no grid value: it checks the
+    training grid files against the digests in ``design.json`` and takes
+    its design rows from the station-cell table that ``fit`` wrote (see
+    :func:`_interpolation_context`).  A station whose cell the table does
+    not hold is a ``ValueError`` that says to refit.
     """
     if mode not in ("forecast", "interpolation"):
         raise ValueError(f"mode must be forecast or interpolation, got {mode!r}")
-    spec, fields, stations, observations, train_days, test_days, variant, covs = _prepare_training(
-        cfg, "test" if mode == "forecast" else "train"
-    )
+    season = _season(cfg)
     out = Path(cfg.output_dir)
     rec = json.loads((out / "design.json").read_text(encoding="utf-8"))
-    y = None
-    if mode == "interpolation" and variant.spatial:
-        design, y = _training_design(variant, fields, covs, stations, observations, train_days)
-        if _design_record(design, variant, train_days) != rec:
-            raise ValueError(f"{out / 'design.json'} does not match the training data; refit")
-    else:
-        design = _design_from_record(rec)
-    ctx = PredictionContext(variant, design, spec, train_days, fields, covs, y)
     rng = derive_rng(cfg.seed, 9000)
-    results = []
     if mode == "forecast":
+        fields, covs = _read_days(cfg, season, season.test_days)
+        design = _design_from_record(rec)
+        ctx = PredictionContext(
+            season.variant, design, season.spec, season.train_days, fields, covs
+        )
         combined = read_posterior(out / "combined.csv")
-        targets = targets_for(stations, test_days, "forecast")
+        targets = targets_for(season.stations, season.test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
     else:
+        ctx = _interpolation_context(season, out, rec)
+        results = []
         for path in sorted(out.glob("batch_*.csv")):
             post = read_posterior(path)
-            targets = targets_for(stations, post.days, "interpolation")
+            targets = targets_for(season.stations, post.days, "interpolation")
             results.extend(predict(post, targets, ctx, rng, cfg.max_kriging_draws))
     path = out / f"predictions_{mode}.csv"
     write_predictions_csv(results, path, cfg.pollutants)

@@ -9,7 +9,9 @@ pollutant and joint least squares decouples into per-pollutant fits.
 :func:`design_rows` is the one place design rows are built: the fitting
 rows of :func:`assemble_design` and the prediction rows of
 :func:`specdown.evaluate.predict` both gather a column's gridded field (LD)
-or spectral covariate (SD) at the rows' cells through it.
+or spectral covariate (SD) at the rows' cells through it, from a
+:class:`CellTable`.  A table holds whole grids, or only the station cells
+that ``fit`` records so that interpolation reads no grid.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ __all__ = [
     "variant_from_name",
     "ColumnMeta",
     "DesignMatrix",
+    "CellTable",
     "OutOfGridError",
     "cell_lookup",
     "cell_indices",
     "assemble_design",
+    "table_design",
     "design_rows",
     "standardize",
     "coef_to_raw",
@@ -216,6 +220,47 @@ class DesignMatrix:
                 X[active, idx] = (X[active, idx] - self.col_mean[idx]) / self.col_sd[idx]
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """The values design rows read, per (pollutant j, day) and grid cell.
+
+    ``sources`` maps (j, day) to an (R, n) array: the field itself (LD,
+    R = 1) or its B spectral covariates (SD, R = B), at n grid cells.
+    ``cells`` lists those cells, increasing; None means every cell of the
+    grid in row-major order.
+    """
+
+    sources: dict
+    cells: np.ndarray | None = None
+
+    @classmethod
+    def of_grids(cls, mean_kind: str, fields, covs) -> "CellTable":
+        """Whole-grid table of the fields (LD) or their covariate arrays (SD)."""
+        if mean_kind == "LD":
+            return cls({key: f.values[None] for key, f in (fields or {}).items()})
+        return cls(dict(covs or {}))
+
+    def at(self, cells) -> "CellTable":
+        """This table at the given grid cells only."""
+        cells = np.unique(np.asarray(cells, dtype=int))
+        pos = self.positions(cells)
+        return CellTable({key: src[:, pos] for key, src in self.sources.items()}, cells)
+
+    def positions(self, cells) -> np.ndarray:
+        """Column of each grid cell in the source arrays.  A cell the table
+        does not hold is a ``ValueError``: the table was recorded by ``fit``
+        for other stations."""
+        cells = np.asarray(cells, dtype=int)
+        if self.cells is None:
+            return cells
+        pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
+        held = self.cells[pos] == cells
+        if not held.all():
+            missing = int(cells[np.flatnonzero(~held)[0]])
+            raise ValueError(f"grid cell {missing} is not in the station-cell table; refit")
+        return pos
+
+
 def assemble_design(
     variant: ModelVariant,
     fields: dict,
@@ -223,34 +268,56 @@ def assemble_design(
     observations: list[Observation],
     stations: dict,
 ) -> DesignMatrix:
-    """Build the regression design for ``variant``.
+    """Build the regression design for ``variant`` from whole grids.
 
     ``fields`` maps (pollutant j, day) to its GridField, and J is one more
     than the largest j there; ``covs`` maps (j, day) to the field's
-    (B, ncells) spectral covariate array, and B is read from its shape.  ``stations`` maps site_id to Station.  The
-    assembly is deterministic: rows follow the order of ``observations``;
-    columns are intercepts for k = 0..K-1 followed by each k's covariate
-    block ordered by (j, b).
+    (B, ncells) spectral covariate array.  The rows are those of
+    :func:`table_design`.
 
     Raises a configuration ``ValueError`` when a needed field or covariate
     array is missing.
     """
-    if not observations:
-        raise ValueError("no observations to assemble")
     if not fields:
         raise ValueError("design assembly requires gridded fields")
+    if variant.mean_kind == "SD" and not covs:
+        raise ValueError("SD variant requires spectral covariates")
+    return table_design(
+        variant,
+        CellTable.of_grids(variant.mean_kind, fields, covs),
+        max(j for j, _ in fields) + 1,
+        next(iter(fields.values())).spec,
+        observations,
+        stations,
+    )
+
+
+def table_design(
+    variant: ModelVariant,
+    table: CellTable,
+    n_gridded: int,
+    spec: GridSpec,
+    observations: list[Observation],
+    stations: dict,
+) -> DesignMatrix:
+    """The regression design for ``variant``, its values read from ``table``.
+
+    J is ``n_gridded``; for SD variants B is read from the table's arrays.
+    ``stations`` maps site_id to Station, and ``spec`` places them in grid
+    cells.  The assembly is deterministic: rows follow the order of
+    ``observations``; columns are intercepts for k = 0..K-1 followed by each
+    k's covariate block ordered by (j, b).
+    """
+    if not observations:
+        raise ValueError("no observations to assemble")
     K = max(o.pollutant_id for o in observations) + 1
-    J = max(j for j, _ in fields) + 1
     if variant.mean_kind == "SD":
-        if not covs:
-            raise ValueError("SD variant requires spectral covariates")
-        B = next(iter(covs.values())).shape[0]
-    spec = next(iter(fields.values())).spec
+        B = next(iter(table.sources.values())).shape[0]
 
     # column layout: K intercepts, then per-k blocks
     columns = [ColumnMeta("intercept", k) for k in range(K)]
     for k in range(K):
-        for j in range(J) if variant.cross else (k,):
+        for j in range(n_gridded) if variant.cross else (k,):
             if variant.mean_kind == "LD":
                 columns.append(ColumnMeta("covariate", k, j))
             else:
@@ -265,7 +332,7 @@ def assemble_design(
     cells = cell_indices(row_x, row_y, spec, row_site)
     p = len(columns)
     return DesignMatrix(
-        X=design_rows(columns, variant.mean_kind, fields, covs, cells, row_pol, row_day),
+        X=design_rows(columns, table, cells, row_pol, row_day),
         columns=tuple(columns),
         row_day=row_day,
         row_pollutant=row_pol,
@@ -279,18 +346,19 @@ def assemble_design(
     )
 
 
-def design_rows(columns, mean_kind: str, fields, covs, cells, pollutant, day) -> np.ndarray:
+def design_rows(columns, table: CellTable, cells, pollutant, day) -> np.ndarray:
     """Raw design rows of observations in grid ``cells`` of pollutants
     ``pollutant`` on days ``day``; shape (T, len(columns)).
 
     An intercept column is 1 on the rows of its pollutant.  A covariate
     column (k, j[, b]) holds, on the rows of pollutant k, the value at the
-    row's cell of field ``fields[(j, day)]`` (LD) or of row b of the
-    covariate array ``covs[(j, day)]`` (SD), gathered one column and day at
-    a time; it is 0 on the other rows.  A missing field or covariate array
-    raises ``ValueError``.
+    row's cell of the field (LD) or of covariate b (SD) of pollutant j on
+    the row's day, read from ``table`` one column and day at a time; it is
+    0 on the other rows.  A missing field or covariate array, or a cell the
+    table does not hold, raises ``ValueError``.
     """
-    rows = np.zeros((cells.size, len(columns)))
+    pos = table.positions(cells)
+    rows = np.zeros((pos.size, len(columns)))
     by_day = [(int(d), day == d) for d in np.unique(day)]
     for idx, col in enumerate(columns):
         active = pollutant == col.k
@@ -301,17 +369,11 @@ def design_rows(columns, mean_kind: str, fields, covs, cells, pollutant, day) ->
             sel = active & on_day
             if not sel.any():
                 continue
-            if mean_kind == "LD":
-                source = fields.get((col.j, d))
-                if source is None:
-                    raise ValueError(f"missing field for pollutant {col.j} day {d}")
-                values = source.values
-            else:
-                source = covs.get((col.j, d))
-                if source is None:
-                    raise ValueError(f"missing covariates for pollutant {col.j} day {d}")
-                values = source[col.b]
-            rows[sel, idx] = values[cells[sel]]
+            source = table.sources.get((col.j, d))
+            if source is None:
+                what = "field" if col.b is None else "covariates"
+                raise ValueError(f"missing {what} for pollutant {col.j} day {d}")
+            rows[sel, idx] = source[col.b or 0][pos[sel]]
     return rows
 
 

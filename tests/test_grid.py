@@ -181,6 +181,29 @@ class TestInverse:
         assert (f.pollutant_id, f.day) == (2, 7)
 
 
+
+class TestSpectrumOwnership:
+    def test_never_aliases_a_writeable_array(self):
+        spec = GridSpec(4, 4, 1.0)
+        owned = np.zeros((2, 16), dtype=complex)
+        frozen_view = owned[1]
+        frozen_view.setflags(write=False)  # read-only, but owned stays writeable
+        for coeffs in (owned, frozen_view, owned.real):
+            s = SpectrumField(spec, coeffs)
+            assert not np.shares_memory(s.coeffs, owned)
+            assert not s.coeffs.flags.writeable
+        owned[:] = 1.0
+        assert not s.coeffs.any()
+
+    def test_takes_over_a_frozen_array(self):
+        # spectral_covariates hands its (B, M) product over without a copy
+        spec = GridSpec(4, 4, 1.0)
+        product = np.ones((3, 16), dtype=complex)
+        product.setflags(write=False)
+        assert SpectrumField(spec, product).coeffs is product
+        assert SpectrumField(spec, product[1]).coeffs.base is product
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     nx=st.integers(min_value=2, max_value=12),

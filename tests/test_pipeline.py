@@ -4,6 +4,7 @@ import dataclasses
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,17 +173,17 @@ TRAIN_KEYS = [(j, day) for j in range(2) for day in range(1, 7)]
 TEST_KEYS = [(0, 7), (1, 7)]
 
 
-def _record(monkeypatch, name, note):
-    """Wrap ``pipeline.<name>`` so each call appends ``note(args, result)``."""
+def _record(monkeypatch, name, note, module=pipeline):
+    """Wrap ``module.<name>`` so each call appends ``note(args, result)``."""
     calls = []
-    original = getattr(pipeline, name)
+    original = getattr(module, name)
 
     def recorded(*args, **kwargs):
         result = original(*args, **kwargs)
         calls.append(note(args, result))
         return result
 
-    monkeypatch.setattr(pipeline, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -201,17 +202,27 @@ class TestGridReads:
 
     @pytest.mark.parametrize(
         "mode,keys",
-        [("forecast", TEST_KEYS), ("interpolation", TRAIN_KEYS)],
+        [("forecast", TEST_KEYS), ("interpolation", [])],
         ids=["forecast", "interpolation"],
     )
     def test_predict_reads_its_days(self, tiny_data, tiny_fit, monkeypatch, mode, keys):
+        # interpolation predicts from the station-cell table fit wrote
         reads = _grid_reads(monkeypatch)
+        built = _record(monkeypatch, "build_covariates", lambda args, covs: sorted(covs))
+        spectral = _record(
+            monkeypatch,
+            "spectral_covariates",
+            lambda args, _: (args[0].pollutant_id, args[0].day),
+            filters,
+        )
         # the benchmark's tracer keys evaluate.predict on args[1][0].mode
         modes = _record(monkeypatch, "predict", lambda args, _: args[1][0].mode)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cmd_predict(_tiny_config(tiny_data, tiny_fit), mode)
         assert sorted(reads) == keys
+        assert sorted(spectral) == keys
+        assert built == ([keys] if keys else [])
         assert modes and set(modes) == {mode}
 
     def test_coherence_reads_no_grid(self, tiny_data, tiny_fit, monkeypatch):
@@ -241,6 +252,100 @@ class TestInterpolationInputs:
             with pytest.raises(ValueError, match="does not match the training data"):
                 cmd_predict(_tiny_config(tiny_data, out), "interpolation")
             cmd_predict(_tiny_config(tiny_data, out), "forecast")
+
+
+@pytest.fixture(
+    scope="module", params=["Spatial SD + Cross", "LD"], ids=["spatial_sd_cross", "ld"]
+)
+def variant_fit(request, tiny_data, tmp_path_factory):
+    """Config of a fit of one variant on the tiny data, with its
+    interpolation predictions."""
+    cfg = _tiny_config(tiny_data, tmp_path_factory.mktemp("variant_fit"), variant=request.param)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cmd_fit(cfg)
+        cmd_predict(cfg, "interpolation")
+    return cfg
+
+
+def _interpolation_error(cfg, tmp_path, alter_data=None, alter_out=None):
+    """The error of interpolation on copies of ``cfg``'s inputs and fit
+    outputs under ``tmp_path``, once the callables have altered them."""
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(cfg.grids_dir, data / "grids")
+    shutil.copy(cfg.stations_file, data / "stations.csv")
+    shutil.copytree(cfg.output_dir, out)
+    for alter, where in ((alter_data, data), (alter_out, out)):
+        if alter is not None:
+            alter(where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises((ValueError, FileNotFoundError)) as err:
+            cmd_predict(_tiny_config(data, out, variant=cfg.variant), "interpolation")
+    return err.value
+
+
+class TestStationCellTable:
+    def test_predictions_equal_those_from_whole_grids(self, variant_fit, tmp_path):
+        cfg = variant_fit
+        spec, fields = load_fields(cfg)
+        sites, observations, _ = fileio.parse_station_file(cfg.stations_file, spec, cfg.pollutants)
+        train_days = tuple(range(1, 7))
+        fields = {key: f for key, f in fields.items() if key[1] in train_days}
+        variant = stations.variant_from_name(cfg.variant)
+        basis = filters.make_basis(cfg.basis_size, cfg.basis_degree)
+        covs = {}
+        if variant.mean_kind == "SD":
+            covs = pipeline.build_covariates(fields, basis, cfg.center)
+        train_obs = [o for o in observations if o.day in train_days]
+        design = stations.standardize(
+            stations.assemble_design(variant, fields, covs, train_obs, sites)
+        )
+        y = np.array([o.value for o in train_obs])
+        ctx = evaluate.PredictionContext(variant, design, spec, train_days, fields, covs, y)
+        rng = inference.derive_rng(cfg.seed, 9000)
+        results = []
+        out = Path(cfg.output_dir)
+        for path in sorted(out.glob("batch_*.csv")):
+            post = read_posterior(path)
+            targets = targets_for(sites, post.days, "interpolation")
+            results.extend(evaluate.predict(post, targets, ctx, rng, cfg.max_kriging_draws))
+        fileio.write_predictions_csv(results, tmp_path / "whole_grids.csv", cfg.pollutants)
+        from_table = (out / "predictions_interpolation.csv").read_bytes()
+        assert from_table == (tmp_path / "whole_grids.csv").read_bytes()
+
+    def test_fit_writes_identical_tables(self, variant_fit, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cmd_fit(dataclasses.replace(variant_fit, output_dir=str(tmp_path)))
+        first = Path(variant_fit.output_dir) / "station_cells.npy"
+        assert (tmp_path / "station_cells.npy").read_bytes() == first.read_bytes()
+
+    def test_missing_table_says_refit(self, variant_fit, tmp_path):
+        err = _interpolation_error(
+            variant_fit, tmp_path, alter_out=lambda out: (out / "station_cells.npy").unlink()
+        )
+        assert isinstance(err, FileNotFoundError) and "refit" in str(err)
+
+    def test_station_cell_missing_from_the_table_says_refit(self, variant_fit, tmp_path):
+        def drop_a_cell(out):
+            table = fileio.read_cell_table(out / "station_cells.npy")
+            fileio.write_cell_table(table.at(table.cells[1:]), out / "station_cells.npy")
+
+        err = _interpolation_error(variant_fit, tmp_path, alter_out=drop_a_cell)
+        assert isinstance(err, ValueError) and "not in the station-cell table; refit" in str(err)
+
+    def test_rewritten_training_grid_says_refit(self, variant_fit, tmp_path):
+        # an independent-error variant once predicted from the new grid with
+        # the old fit, and a spatial one noticed only a moved col_mean/col_sd
+        def rewrite(data):
+            path = data / "grids" / "grid_j1_d002.txt"
+            field = fileio.read_grid(path)
+            write_grid(GridField(field.spec, field.values * 1.01, 1, 2), path)
+
+        err = _interpolation_error(variant_fit, tmp_path, alter_data=rewrite)
+        assert isinstance(err, ValueError)
+        assert "does not match the training data; refit" in str(err)
 
 
 class TestBenchProbeReplay:
