@@ -1,15 +1,24 @@
 """File formats and run configuration.
 
-All artifacts are plain text (UTF-8) but one.  Floats are written with
-Python's shortest round-trip repr, so identical runs produce byte-identical
-files.
+Artifacts are plain text (UTF-8) but three: grid files, covariate files
+and the station-cell table.  Text floats are written with Python's
+shortest round-trip repr and binary ones as little-endian float64, so
+identical runs produce byte-identical files.
 
-Grid file: header line ``nx ny dx pollutant_id day``, then nx*ny
-whitespace-separated reals in row-major order (x fastest).  A covariate
-file is the grid file of covariate b of pollutant j plus a ``j b`` suffix
-line.  :func:`read_grid_header` reads the header line alone, so a stage
-can index a directory of grids without parsing their values.  Station
-files are CSV with header
+Grid file: the ASCII header line ``nx ny dx pollutant_id day <f8``, then
+exactly 8*nx*ny bytes holding the values as little-endian IEEE-754 float64
+in row-major order (x fastest).  A covariate file is the grid file of
+covariate b of pollutant j followed by the suffix line ``j b``.  One
+reader serves both: it checks the header, the body's byte count and that
+every value is finite, and raises a ``ParseError`` naming the file
+otherwise.  A header without the ``<f8`` token is a text grid of an
+earlier release; no reader for text bodies is kept, since formatting them
+took two thirds of ``simulate`` and parsing them 40% of ``fit`` on a
+128x128 grid.  Grid files keep the ``grid_*.txt`` names that stages find
+them by.  :func:`read_grid_header` reads the header line alone, so a stage
+can index a directory of grids without reading their values.
+
+Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count.  Posterior draws are CSV plus a JSON
@@ -19,11 +28,11 @@ the combined posterior are written by ``combine`` for readers outside the
 pipeline and never read back: every stage derives them from the
 transformed draws.
 
-The one binary artifact is the station-cell table that ``fit`` writes
-beside ``design.json`` (``station_cells.npy``): the values the fitted
-design reads at every station cell, so that interpolation parses no grid.
-As text, with repr floats, it cost 0.06-0.12 s per ``fit`` on a 128x128
-grid with 400 stations (about 80k floats).  It is one ``.npy`` file
+The station-cell table that ``fit`` writes beside ``design.json``
+(``station_cells.npy``) holds the values the fitted design reads at every
+station cell, so that interpolation reads no grid.  As text, with repr
+floats, it cost 0.06-0.12 s per ``fit`` on a 128x128 grid with 400
+stations (about 80k floats).  It is one ``.npy`` file
 (:func:`write_cell_table`), whose bytes depend on its content alone; an
 ``.npz`` archive would stamp its members with the time of writing.
 """
@@ -33,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -78,7 +88,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_values(values: np.ndarray, sep: str = " ") -> str:
+def _fmt_values(values: np.ndarray, sep: str) -> str:
     """:func:`_fmt` of each value, joined by ``sep``."""
     return sep.join(map(repr, values.tolist()))
 
@@ -107,75 +117,113 @@ def _read_draws_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def _grid_lines(field: GridField) -> list:
+#: Sixth header token of a grid file: its body is little-endian float64.
+GRID_DTYPE = "<f8"
+
+#: The suffix line ``j b`` of a covariate file.  Neither number has a
+#: leading zero or is -0, so bytes slipped in before the line cannot parse
+#: as the same pollutant.
+_SUFFIX = re.compile(rb"(0|-?[1-9][0-9]*) (0|[1-9][0-9]*)\n")
+
+
+def _grid_bytes(field: GridField) -> bytes:
     spec = field.spec
-    header = f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day}"
-    return [header, _fmt_values(field.values)]
+    header = f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day} {GRID_DTYPE}\n"
+    return header.encode("ascii") + field.values.astype(GRID_DTYPE).tobytes()
 
 
 def write_grid(field: GridField, path) -> None:
-    Path(path).write_text("\n".join(_grid_lines(field)) + "\n", encoding="utf-8")
+    Path(path).write_bytes(_grid_bytes(field))
 
 
-def _parse_grid_header(line: str, path) -> tuple[GridSpec, int, int]:
-    """(spec, pollutant_id, day) of the header line ``nx ny dx pollutant_id day``."""
-    tokens = line.split()
+def _parse_grid_header(line: bytes, path) -> tuple[GridSpec, int, int]:
+    """(spec, pollutant_id, day) of the header line
+    ``nx ny dx pollutant_id day <f8``."""
+    tokens = line.decode("ascii", errors="replace").split()
+    if tokens[5:6] != [GRID_DTYPE]:
+        raise ParseError(
+            f"{path}: grid header {tokens[:6]!r} lacks the {GRID_DTYPE!r} token; "
+            "grid bodies are now binary little-endian float64, so a text grid must be rewritten"
+        )
     try:
-        nx, ny, dx, pollutant_id, day = tokens
+        nx, ny, dx, pollutant_id, day, _ = tokens
         nx, ny, dx, pollutant_id, day = int(nx), int(ny), float(dx), int(pollutant_id), int(day)
+        spec = GridSpec(nx, ny, dx)
     except ValueError:
         raise ParseError(f"{path}: malformed grid header {tokens!r}")
-    return GridSpec(nx, ny, dx), pollutant_id, day
-
-
-def _parse_grid_lines(header_line: str, tokens_values, path) -> GridField:
-    spec, pollutant_id, day = _parse_grid_header(header_line, path)
-    if len(tokens_values) != spec.ncells:
-        raise ParseError(
-            f"{path}: expected {spec.ncells} values, found {len(tokens_values)}"
-        )
-    values = np.array(tokens_values, dtype=float)
-    return GridField(spec, values, pollutant_id=pollutant_id, day=day)
+    return spec, pollutant_id, day
 
 
 def read_grid_header(path) -> tuple[GridSpec, int, int]:
     """(spec, pollutant_id, day) of a grid or covariate file, read from its
     first line only."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _parse_grid_header(fh.readline(), path)
+
+
+def _body_length_error(path, spec: GridSpec, found: int) -> ParseError:
+    return ParseError(
+        f"{path}: body holds {found} bytes; expected {8 * spec.ncells} bytes "
+        f"({spec.nx}x{spec.ny} {GRID_DTYPE} values)"
+    )
+
+
+def _read_grid_file(path) -> tuple[GridSpec, int, int, np.ndarray, bytes]:
+    """(spec, pollutant_id, day, values, the bytes after the body) of a grid
+    or covariate file.
+
+    The body must hold a finite value for every cell; the caller checks
+    what follows it."""
+    data = Path(path).read_bytes()
+    header, newline, _ = data.partition(b"\n")
+    spec, pollutant_id, day = _parse_grid_header(header, path)
+    start = len(header) + len(newline)
+    nbytes = 8 * spec.ncells
+    if len(data) - start < nbytes:
+        raise _body_length_error(path, spec, len(data) - start)
+    values = np.frombuffer(data, dtype=GRID_DTYPE, count=spec.ncells, offset=start)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParseError(f"{path}: non-finite value {float(values[bad[0]])!r} at cell {bad[0]}")
+    return spec, pollutant_id, day, values, data[start + nbytes:]
 
 
 def read_grid(path, log: bool = False) -> GridField:
     """Read a grid file; ``log=True`` log-transforms at ingestion and
     requires strictly positive values."""
-    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
-    field = _parse_grid_lines(header, body.split(), path)
+    spec, pollutant_id, day, values, rest = _read_grid_file(path)
+    if rest:
+        raise _body_length_error(path, spec, 8 * spec.ncells + len(rest))
     if log:
-        if np.any(field.values <= 0):
+        if np.any(values <= 0):
             raise ParseError(f"{path}: nonpositive values cannot be log-transformed")
-        field = GridField(field.spec, np.log(field.values), field.pollutant_id, field.day)
-    return field
+        values = np.log(values)
+    return GridField(spec, values, pollutant_id, day)
 
 
 def write_covariate(covariate: GridField, basis_index: int, path) -> None:
     """The grid file of ``covariate`` with the suffix line ``j b``."""
-    lines = _grid_lines(covariate) + [f"{covariate.pollutant_id} {basis_index}"]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    suffix = f"{covariate.pollutant_id} {basis_index}\n".encode("ascii")
+    Path(path).write_bytes(_grid_bytes(covariate) + suffix)
 
 
 def read_covariate(path) -> tuple[GridField, int]:
     """(covariate field, basis index) of a covariate file."""
-    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
-    tokens = body.split()
-    middle, suffix = tokens[:-2], tokens[-2:]
-    field = _parse_grid_lines(header, middle, path)
-    try:
-        j, b = int(suffix[0]), int(suffix[1])
-    except ValueError:
-        raise ParseError(f"{path}: malformed covariate suffix {suffix!r}")
-    if j != field.pollutant_id:
-        raise ParseError(f"{path}: suffix pollutant {j} differs from header {field.pollutant_id}")
-    return field, b
+    spec, pollutant_id, day, values, rest = _read_grid_file(path)
+    nbytes = 8 * spec.ncells
+    match = _SUFFIX.fullmatch(rest)
+    if match is None:
+        raise ParseError(
+            f"{path}: expected a body of {nbytes} bytes, then the suffix line 'j b'; "
+            f"found {rest[:40]!r} after {nbytes} bytes"
+        )
+    j, b = int(match[1]), int(match[2])
+    if j != pollutant_id:
+        raise ParseError(
+            f"{path}: suffix pollutant {j} differs from header {pollutant_id} "
+            f"(the suffix follows a body of {nbytes} bytes)"
+        )
+    return GridField(spec, values, pollutant_id, day), b
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ holding one (pollutant, day), or files on different grids, are a
 days.  A stage then reads only the grid values it uses: ``fit`` the
 training days, forecast ``predict`` the test days, ``cv`` every day;
 interpolation ``predict``, ``coherence`` and ``aggregate`` read none.  A
-value body is checked only where it is read.
+value body, binary float64 (see :mod:`~specdown.fileio`), is checked only
+where it is read.  Grid files are still found by the glob ``grid_*.txt``
+and ``simulate`` still names them so, though their bodies are not text.
 
 ``fit`` records in ``design.json`` a sha256 digest of each training grid
 file, and writes beside it the station-cell table: the values its design
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -311,7 +314,8 @@ def _design_from_record(rec: dict) -> DesignMatrix:
 
 
 def cmd_simulate(cfg: RunConfig) -> list:
-    """Write synthetic grid files, a station CSV, and the truth JSON."""
+    """Write synthetic grid files (``grid_j<j>_d<day>.txt``, a text header
+    over a binary float64 body), a station CSV, and the truth JSON."""
     sim = build_sim_config(cfg)
     truth = simulate(sim)
     out = Path(cfg.output_dir)
@@ -345,6 +349,8 @@ def cmd_simulate(cfg: RunConfig) -> list:
 
 
 def cmd_filter(cfg: RunConfig, input_path, lo: float, hi: float, output_path) -> list:
+    """Band-pass filter one grid file, as read (no log transform), to the
+    frequency magnitudes [lo, hi) in radians per cell, into a grid file."""
     field = read_grid(input_path, log=False)
     filtered = band_filter(field, FrequencyBand(lo, hi))
     write_grid(filtered, output_path)
@@ -352,6 +358,9 @@ def cmd_filter(cfg: RunConfig, input_path, lo: float, hi: float, output_path) ->
 
 
 def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
+    """The spectral covariates of one grid file, as read (no log
+    transform): one covariate file per basis function b, named
+    ``covariate_j<j>_b<b>_d<day>.txt``."""
     field = read_grid(input_path, log=False)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     out = Path(output_dir)
@@ -444,14 +453,22 @@ def cmd_fit(cfg: RunConfig) -> list:
 
 def cmd_combine(cfg: RunConfig) -> list:
     """Consensus-combine the batch posteriors into ``combined.csv``, with the
-    natural-scale draws beside it in ``combined_natural.csv``."""
+    natural-scale draws beside it in ``combined_natural.csv``.
+
+    A lone batch is its own consensus, so its two files are copied, not
+    written again."""
     out = Path(cfg.output_dir)
     paths = sorted(out.glob("batch_*.csv"))
     if not paths:
         raise FileNotFoundError(f"no batch posteriors under {out}")
     posteriors = [read_posterior(p) for p in paths]
     combined = consensus_combine(posteriors)
-    artifacts = write_posterior(combined, out / "combined.csv")
+    if len(paths) == 1:
+        artifacts = [out / "combined.csv", out / "combined.json"]
+        for src, dst in zip((paths[0], paths[0].with_suffix(".json")), artifacts):
+            shutil.copyfile(src, dst)
+    else:
+        artifacts = write_posterior(combined, out / "combined.csv")
     natural = out / "combined_natural.csv"
     write_natural_csv(combined, natural)
     return artifacts + [natural]

@@ -1,4 +1,4 @@
-"""Command-line error contract."""
+"""Command-line error contract, and the single-grid subcommands."""
 
 import json
 import shutil
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from specdown.cli import main
-from specdown.fileio import RunConfig, write_grid
+from specdown.fileio import RunConfig, read_covariate, read_grid, write_grid
+from specdown.filters import FrequencyBand, band_filter, make_basis, spectral_covariates
 from specdown.grid import GridField, GridSpec
 
 
@@ -153,3 +154,32 @@ class TestArtifactList:
                 printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
                 assert len(printed) == len(set(printed))
                 assert set(printed) == set(tmp_path.iterdir()) - before
+
+
+FIELD = GridField(GridSpec(8, 6, 12.0), np.random.default_rng(0).lognormal(size=48), 1, 4)
+
+
+class TestGridCommands:
+    def test_filter_writes_the_band_filtered_grid(self, tmp_path, capsys):
+        source, output = tmp_path / "grid_j1_d004.txt", tmp_path / "filtered.txt"
+        write_grid(FIELD, source)
+        argv = ["--input", str(source), "--lo", "0.5", "--hi", "2.0", "--output", str(output)]
+        assert main(["filter"] + argv) == 0
+        assert capsys.readouterr().out.splitlines() == [str(output)]
+        back, expected = read_grid(output), band_filter(FIELD, FrequencyBand(0.5, 2.0))
+        assert (back.spec, back.pollutant_id, back.day) == (FIELD.spec, 1, 4)
+        assert back.values.tobytes() == expected.values.tobytes()
+
+    def test_covariates_writes_one_file_per_basis_function(self, tmp_path, capsys):
+        source, out = tmp_path / "grid_j1_d004.txt", tmp_path / "covs"
+        write_grid(FIELD, source)
+        assert main(["covariates", "--input", str(source), "--output-dir", str(out)]) == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        cfg = RunConfig()
+        expected = spectral_covariates(FIELD, make_basis(cfg.basis_size, cfg.basis_degree))
+        assert printed == [out / f"covariate_j1_b{b}_d004.txt" for b in range(len(expected))]
+        for b, (path, values) in enumerate(zip(printed, expected)):
+            back, basis_index = read_covariate(path)
+            assert basis_index == b
+            assert (back.spec, back.pollutant_id, back.day) == (FIELD.spec, 1, 4)
+            assert back.values.tobytes() == values.tobytes()

@@ -2,6 +2,7 @@
 configuration loading."""
 
 import json
+import struct
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +16,7 @@ from specdown.fileio import (
     RunConfig,
     read_covariate,
     read_grid,
+    read_grid_header,
     read_posterior,
     write_covariate,
     write_grid,
@@ -123,16 +125,18 @@ class TestGridRoundTrip:
             write_grid(back, again)
             assert again.read_bytes() == path.read_bytes()
 
-    def test_text_is_shortest_repr(self, tmp_path):
-        # a subnormal, a negative zero and a huge value keep the spelling of
-        # repr(float), which makes reruns byte-identical
+    def test_body_is_little_endian_float64(self, tmp_path):
+        # a subnormal, a negative zero and a huge value keep their bits, which
+        # makes reruns byte-identical
         values = [5e-324, -0.0, 1e300, 0.1, -2.5, 1.0 / 3.0]
         field = GridField(GridSpec(3, 2, 12.5), values, 1, 7)
         path = tmp_path / "grid.txt"
         write_grid(field, path)
-        expected = "3 2 12.5 1 7\n" + " ".join(repr(float(v)) for v in values) + "\n"
-        assert path.read_text(encoding="utf-8") == expected
-        _assert_same_field(read_grid(path), field)
+        body = b"".join(struct.pack("<d", v) for v in values)
+        assert path.read_bytes() == b"3 2 12.5 1 7 <f8\n" + body
+        back = read_grid(path)
+        _assert_same_field(back, field)
+        assert np.signbit(back.values[1])
 
 
 class TestCovariateRoundTrip:
@@ -153,9 +157,82 @@ class TestCovariateRoundTrip:
     def test_suffix_pollutant_must_match_header(self, tmp_path):
         path = tmp_path / "cov.txt"
         write_covariate(GridField(GridSpec(2, 2, 12.0), np.ones(4), 1, 3), 2, path)
-        path.write_text(path.read_text(encoding="utf-8").replace("\n1 2\n", "\n0 2\n"), encoding="utf-8")
+        data = path.read_bytes()
+        assert data.endswith(b"1 2\n")
+        path.write_bytes(data[:-4] + b"0 2\n")
         with pytest.raises(ParseError, match="suffix pollutant 0"):
             read_covariate(path)
+
+
+SPEC = GridSpec(3, 2, 12.5)
+BODY_BYTES = 8 * SPEC.ncells
+
+
+CODECS = pytest.mark.parametrize(
+    "write,read,suffix",
+    [
+        (lambda path, field: write_grid(field, path), read_grid, b""),
+        (lambda path, field: write_covariate(field, 4, path), read_covariate, b"1 4\n"),
+    ],
+    ids=["grid", "covariate"],
+)
+
+
+def _edit_body(path, edit):
+    """Rewrite the file at ``path`` with ``edit(body)`` in place of its body."""
+    data = path.read_bytes()
+    start = data.index(b"\n") + 1
+    body, rest = data[start : start + BODY_BYTES], data[start + BODY_BYTES :]
+    path.write_bytes(data[:start] + edit(body) + rest)
+
+
+class TestGridCodecFaults:
+    @CODECS
+    def test_text_grid_is_refused_by_name(self, tmp_path, write, read, suffix):
+        # grids written before bodies were binary have a five-token header
+        path = tmp_path / "grid_j1_d007.txt"
+        path.write_bytes(b"3 2 12.5 1 7\n" + b" ".join([b"1.0"] * 6) + b"\n" + suffix)
+        for reader in (read, read_grid_header):
+            with pytest.raises(ParseError, match="binary little-endian float64") as err:
+                reader(path)
+            assert str(path) in str(err.value)
+
+    @CODECS
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.integers(1, BODY_BYTES))
+    def test_short_body_gives_the_byte_count(self, write, read, suffix, cut):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "grid.txt"
+            write(path, GridField(SPEC, np.arange(1.0, 7.0), 1, 7))
+            _edit_body(path, lambda body: body[:-cut])
+            expected = f"expected (a body of )?{BODY_BYTES} bytes"
+            with pytest.raises(ParseError, match=expected) as err:
+                read(path)
+            assert str(path) in str(err.value)
+
+    @CODECS
+    @settings(max_examples=40, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=24) | st.sampled_from([b"0", b"-", b"5", b" "]))
+    def test_long_body_gives_the_byte_count(self, write, read, suffix, extra):
+        # bytes slipped in before a covariate's suffix line must not parse
+        # as part of it
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "grid.txt"
+            write(path, GridField(SPEC, np.arange(1.0, 7.0), 1, 7))
+            _edit_body(path, lambda body: body + extra)
+            with pytest.raises(ParseError, match=f"{BODY_BYTES} bytes") as err:
+                read(path)
+            assert str(path) in str(err.value)
+
+    @CODECS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_file(self, tmp_path, write, read, suffix, bad):
+        path = tmp_path / "grid.txt"
+        write(path, GridField(SPEC, np.ones(6), 1, 7))
+        _edit_body(path, lambda body: body[:16] + struct.pack("<d", bad) + body[24:])
+        with pytest.raises(ParseError, match=f"non-finite value {bad!r} at cell 2") as err:
+            read(path)
+        assert str(path) in str(err.value)
 
 
 class TestRunConfig:

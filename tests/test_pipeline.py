@@ -238,6 +238,25 @@ class TestGridReads:
         assert len(reads) == len(fields)
 
 
+class TestCombine:
+    def test_lone_batch_is_copied(self, tiny_data, tmp_path, monkeypatch):
+        # a least-squares fit writes one batch, its own consensus
+        cfg = _tiny_config(tiny_data, tmp_path, variant="LD")
+        cmd_fit(cfg)
+        writes = _record(monkeypatch, "write_posterior", lambda args, paths: paths)
+        artifacts = cmd_combine(cfg)
+        assert writes == []
+        names = ["combined.csv", "combined.json", "combined_natural.csv"]
+        assert artifacts == [tmp_path / name for name in names]
+        rewritten = tmp_path / "rewritten" / "combined.csv"
+        rewritten.parent.mkdir()
+        batch = read_posterior(tmp_path / "batch_000.csv")
+        fileio.write_posterior(batch, rewritten)
+        fileio.write_natural_csv(batch, rewritten.parent / "combined_natural.csv")
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (rewritten.parent / name).read_bytes()
+
+
 class TestInterpolationInputs:
     def test_design_record_must_match_the_rebuilt_design(self, tiny_data, tiny_fit, tmp_path):
         # spatial interpolation conditions on the training data it rebuilds;
