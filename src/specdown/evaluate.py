@@ -10,10 +10,10 @@ predictive draws.  Point predictions are reported on the original
 concentration scale as exp of the posterior median of the log-scale draws.
 
 Prediction is vectorised over targets.  Design rows are gathered by each
-target's cell from the context's :class:`~specdown.stations.CellTable`
-(whole field or covariate grids, or the station cells that ``fit``
-recorded) with :func:`~specdown.stations.design_rows`, which also makes
-the training design, and standardized as the training design was.
+target's cell from the context's :class:`~specdown.stations.CellTable`,
+the field or covariate values at station cells, with
+:func:`~specdown.stations.design_rows`, which also makes the training
+design, and standardized as the training design was.
 Per interpolation day, the marginal covariances of the day's
 observations, C + D with C the
 LMC block of the observed sites (built by :class:`~specdown.lmc.LmcKernel`)
@@ -107,28 +107,17 @@ class PredictionResult:
 class PredictionContext:
     """Inputs needed to rebuild design rows at target locations.
 
-    ``table`` holds the values the rows read.  Given as None, it is built
-    from whole grids: ``fields`` maps (j, day) to a GridField, ``covs``
-    (j, day) to the field's (B, ncells) spectral covariate array.
-    Interpolation passes the station-cell table that ``fit`` recorded
-    instead, so its targets must lie in station cells.  Interpolation with a
-    spatial posterior conditions on the training data: ``design`` then
-    holds the standardized training rows and ``y`` their responses,
-    aligned."""
+    ``table`` holds the values the rows read, at station cells: every
+    target must lie in a cell it holds.  Interpolation with a spatial
+    posterior conditions on the training data: ``design`` then holds the
+    standardized training rows and ``y`` their responses, aligned."""
 
     variant: ModelVariant
     design: DesignMatrix
     spec: GridSpec
     train_days: tuple
-    fields: dict | None = None
-    covs: dict | None = None
+    table: CellTable
     y: np.ndarray | None = None
-    table: CellTable | None = None
-
-    def __post_init__(self):
-        if self.table is None:
-            table = CellTable.of_grids(self.variant.mean_kind, self.fields, self.covs)
-            object.__setattr__(self, "table", table)
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +434,17 @@ def score(predictions, observed_raw, variant: str = "", fold: int = -1) -> Score
     return Scorecard(variant=variant, fold=fold, rmse=rmse, corr=corr)
 
 
-def aggregate_means(predictions, spec: GridSpec) -> list:
-    """Group-by-mean export rows: quadrant region x pollutant means.
+def aggregate_means(rows, spec: GridSpec) -> list:
+    """Group-by-mean export rows: quadrant region x pollutant means of
+    predictions given as ``(x, y, pollutant_id, pred)`` rows.
 
     Returns rows (region, pollutant_id, n, mean_predicted).
     """
     half_x, half_y = spec.extent_km[0] / 2.0, spec.extent_km[1] / 2.0
     groups = {}
-    for res in predictions:
-        t = res.target
-        region = ("E" if t.x >= half_x else "W") + ("N" if t.y >= half_y else "S")
-        groups.setdefault((region, t.pollutant_id), []).append(res.point)
+    for x, y, k, pred in rows:
+        region = ("E" if x >= half_x else "W") + ("N" if y >= half_y else "S")
+        groups.setdefault((region, k), []).append(pred)
     return [
         (region, k, len(preds), float(np.mean(preds)))
         for (region, k), preds in sorted(groups.items())

@@ -69,6 +69,7 @@ __all__ = [
     "read_cell_table",
     "PREDICTIONS_HEADER",
     "write_predictions_csv",
+    "read_predictions_csv",
     "write_scorecard_csv",
     "write_coherence_csv",
     "write_aggregate_csv",
@@ -233,6 +234,31 @@ def read_covariate(path) -> tuple[GridField, int]:
 STATION_HEADER = "site_id,x_km,y_km,day,pollutant,value_raw"
 
 
+def _csv_rows(path, header: str):
+    """(line number, stripped fields) of each nonblank line under ``header``;
+    a line whose field count differs from the header's is a ``ParseError``."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"{path}:1: expected header {header!r}")
+    n_fields = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        yield lineno, [p.strip() for p in parts]
+
+
+def _pollutant_id(name: str, table: dict, path, lineno: int) -> int:
+    """The id ``table`` gives a pollutant name; a numeric id is taken as-is."""
+    if name in table:
+        return table[name]
+    if name.isdigit():
+        return int(name)
+    raise ParseError(f"{path}:{lineno}: unknown pollutant {name!r}")
+
+
 def write_station_csv(stations: dict, observations, path, pollutants=None) -> None:
     """Observations back to CSV on the original (exp) scale."""
     names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
@@ -254,31 +280,16 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
     inconsistent coordinates, and out-of-grid stations are errors.
     """
     table = dict(pollutants or DEFAULT_POLLUTANTS)
-    # numeric pollutant ids are accepted as-is
     stations: dict = {}
     measures: dict = {}
     observations = []
     dropped = 0
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != STATION_HEADER:
-        raise ParseError(f"{path}:1: expected header {STATION_HEADER!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        sid, xs, ys, ds, pname, vs = (p.strip() for p in parts)
+    for lineno, (sid, xs, ys, ds, pname, vs) in _csv_rows(path, STATION_HEADER):
         try:
             x, y, day, raw = float(xs), float(ys), int(ds), float(vs)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}")
-        if pname in table:
-            pol = table[pname]
-        elif pname.isdigit():
-            pol = int(pname)
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown pollutant {pname!r}")
+        pol = _pollutant_id(pname, table, path, lineno)
         if sid in stations:
             st = stations[sid]
             if (st.x, st.y) != (x, y):
@@ -397,7 +408,10 @@ def read_cell_table(path) -> CellTable:
         if _cell_table_name(key) != name:
             raise ParseError(f"{path}: malformed table field {name!r}")
         sources[key] = records[name].T
-    return CellTable(sources, records["cell"])
+    try:
+        return CellTable(sources, records["cell"])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +435,25 @@ def write_predictions_csv(results, path, pollutants=None) -> None:
             f"{_fmt(r.point)},{_fmt(np.exp(r.lo_log))},{_fmt(np.exp(r.hi_log))}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_predictions_csv(path, pollutants=None) -> list:
+    """``(x, y, pollutant_id, pred)`` of each line of a predictions CSV.  A
+    malformed number, an unknown pollutant, or a concentration (pred or a
+    bound) that is negative or not finite is a ``ParseError`` at its line."""
+    table = dict(pollutants or DEFAULT_POLLUTANTS)
+    rows = []
+    for lineno, (_, xs, ys, ds, pname, *concentrations) in _csv_rows(path, PREDICTIONS_HEADER):
+        try:
+            x, y, _ = float(xs), float(ys), int(ds)
+            pred, lo, hi = (float(v) for v in concentrations)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}")
+        for value in (pred, lo, hi):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ParseError(f"{path}:{lineno}: concentration {value!r} is not finite and >= 0")
+        rows.append((x, y, _pollutant_id(pname, table, path, lineno), pred))
+    return rows
 
 
 def write_scorecard_csv(scorecards, path, pollutants=None) -> None:
@@ -477,12 +510,10 @@ def write_aggregate_csv(rows, path, pollutants=None) -> None:
 
 
 #: Keys the ``mcmc``, ``priors`` and ``simulate`` sections may set: the
-#: fields of the dataclass each fills, less the one the run supplies itself,
-#: and for ``simulate`` the keys of its defaults (added below the class).
-_SECTION_KEYS = {
-    "mcmc": frozenset(f.name for f in fields(McmcConfig)) - {"seed"},
-    "priors": frozenset(f.name for f in fields(Priors)) - {"decay_bounds"},
-}
+#: fields of :class:`Priors` less the one the run supplies itself, and the
+#: keys of the ``mcmc`` and ``simulate`` defaults (added below the class);
+#: the other :class:`McmcConfig` fields are test hooks, set in code only.
+_SECTION_KEYS = {"priors": frozenset(f.name for f in fields(Priors)) - {"decay_bounds"}}
 
 
 @dataclass
@@ -585,4 +616,4 @@ class RunConfig:
         )
 
 
-_SECTION_KEYS["simulate"] = frozenset(RunConfig().simulate)
+_SECTION_KEYS.update(mcmc=frozenset(RunConfig().mcmc), simulate=frozenset(RunConfig().simulate))

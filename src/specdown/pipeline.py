@@ -17,11 +17,11 @@ value body, binary float64 (see :mod:`~specdown.fileio`), is checked only
 where it is read.  Grid files are still found by the glob ``grid_*.txt``
 and ``simulate`` still names them so, though their bodies are not text.
 
-``fit`` records in ``design.json`` a sha256 digest of each training grid
-file, and writes beside it the station-cell table: the values its design
-reads at the cell of every station in the station file.  Interpolation
-``predict`` builds its design rows from that table once the digests of the
-training grid files match the recorded ones.
+Design rows read a station-cell table: the values of the grids a stage
+reads at the cell of every station.  ``fit`` writes the table of the
+training days beside ``design.json``, where it records a sha256 digest of
+each training grid file.  Interpolation ``predict`` reads that table once
+the digests of the training grid files match the recorded ones.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from .evaluate import (
     PredictionContext,
-    PredictionResult,
     PredictionTarget,
     aggregate_means,
     coherence_curve,
@@ -47,12 +46,12 @@ from .evaluate import (
     split_season,
 )
 from .fileio import (
-    PREDICTIONS_HEADER,
     ParseError,
     RunConfig,
     read_grid,
     read_grid_header,
     read_posterior,
+    read_predictions_csv,
     write_aggregate_csv,
     write_coherence_csv,
     write_covariate,
@@ -205,6 +204,14 @@ def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
     log-transformed at ingest."""
     spec, index = _grid_index(cfg)
     return spec, {key: read_grid(path, log=True) for key, path in index.items()}
+
+
+def _station_table(mean_kind: str, fields, covs, spec: GridSpec, stations: dict) -> CellTable:
+    """The fields (LD) or their covariate arrays (SD) at the cell of every
+    station."""
+    sites = list(stations.values())
+    cells = cell_indices([s.x for s in sites], [s.y for s in sites], spec)
+    return CellTable.of_grids(mean_kind, fields, covs, cells)
 
 
 def _fit_batch_task(payload):
@@ -444,9 +451,7 @@ def cmd_fit(cfg: RunConfig) -> list:
     rec = _design_record(design, season.variant, season.train_days, _grid_digests(season))
     rec_path.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     artifacts.append(rec_path)
-    sites = list(season.stations.values())
-    cells = cell_indices([s.x for s in sites], [s.y for s in sites], season.spec)
-    table = CellTable.of_grids(season.variant.mean_kind, fields, covs).at(cells)
+    table = _station_table(season.variant.mean_kind, fields, covs, season.spec, season.stations)
     artifacts.append(write_cell_table(table, out / CELL_TABLE))
     return artifacts
 
@@ -507,6 +512,17 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> list:
     ]
 
 
+def _interpolate(posteriors, stations: dict, ctx, rng, max_kriging_draws, observations=None):
+    """Interpolation results of each posterior in turn, on its days: at
+    every station, or with ``observations`` at each of theirs (see
+    :func:`targets_for`).  One random stream runs through them all."""
+    results = []
+    for post in posteriors:
+        targets = targets_for(stations, post.days, "interpolation", observations)
+        results.extend(predict(post, targets, ctx, rng, max_kriging_draws))
+    return results
+
+
 def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionContext:
     """What interpolation predicts from, read from ``fit``'s outputs.
 
@@ -528,7 +544,7 @@ def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionC
         raise ValueError(f"{path} does not match the training data; refit")
     variant, spec, train_days = season.variant, season.spec, season.train_days
     if not variant.spatial:
-        return PredictionContext(variant, _design_from_record(rec), spec, train_days, table=table)
+        return PredictionContext(variant, _design_from_record(rec), spec, train_days, table)
     n_gridded = max(j for j, _ in table.sources) + 1
     design, y = _training_design(
         lambda obs: table_design(variant, table, n_gridded, spec, obs, season.stations),
@@ -537,14 +553,14 @@ def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionC
     )
     if _design_record(design, variant, train_days, grids) != rec:
         raise ValueError(stale)
-    return PredictionContext(variant, design, spec, train_days, y=y, table=table)
+    return PredictionContext(variant, design, spec, train_days, table, y)
 
 
 def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     """Predict at every station for the test (forecast) or training
     (interpolation) days and write the predictions CSV.
 
-    A forecast reads the test-day grids, and the standardization from
+    A forecast reads the test-day grids and the standardization from
     ``design.json``.  Interpolation reads no grid value: it checks the
     training grid files against the digests in ``design.json`` and takes
     its design rows from the station-cell table that ``fit`` wrote (see
@@ -559,20 +575,16 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     rng = derive_rng(cfg.seed, 9000)
     if mode == "forecast":
         fields, covs = _read_days(cfg, season, season.test_days)
+        table = _station_table(season.variant.mean_kind, fields, covs, season.spec, season.stations)
         design = _design_from_record(rec)
-        ctx = PredictionContext(
-            season.variant, design, season.spec, season.train_days, fields, covs
-        )
+        ctx = PredictionContext(season.variant, design, season.spec, season.train_days, table)
         combined = read_posterior(out / "combined.csv")
         targets = targets_for(season.stations, season.test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
     else:
         ctx = _interpolation_context(season, out, rec)
-        results = []
-        for path in sorted(out.glob("batch_*.csv")):
-            post = read_posterior(path)
-            targets = targets_for(season.stations, post.days, "interpolation")
-            results.extend(predict(post, targets, ctx, rng, cfg.max_kriging_draws))
+        posteriors = (read_posterior(p) for p in sorted(out.glob("batch_*.csv")))
+        results = _interpolate(posteriors, season.stations, ctx, rng, cfg.max_kriging_draws)
     path = out / f"predictions_{mode}.csv"
     write_predictions_csv(results, path, cfg.pollutants)
     return [path]
@@ -583,17 +595,18 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
 
     Stations are split into stratified folds.  Per variant and fold the model
     trains on the other folds' training-day observations.  Interpolation is
-    scored at the held-out stations over the training days (spatial variants
-    condition, per batch posterior, on that fold's training data);
+    scored at the held-out stations over the training days, per batch
+    posterior (spatial variants condition on that fold's training data);
     forecasting is scored at all stations over the test days using the
-    consensus-combined (or least-squares) posterior.  Every variant of
-    ``ALL_VARIANTS`` is compared.
+    consensus-combined posterior.  Every variant of ``ALL_VARIANTS`` is
+    compared.
     The season is the set of grid days, as for ``fit`` and ``predict``.
     Returns (interpolation cards, forecast cards).
     """
     train_days, test_days = split_season(sorted({day for _, day in fields}))
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     covs = build_covariates(fields, basis, cfg.center)
+    tables = {kind: _station_table(kind, fields, covs, spec, stations) for kind in ("LD", "SD")}
     folds = cv_split(stations.values(), cfg.folds, seed=derived_seed(cfg.seed, 77))
     observed_raw = {
         (o.site_id, int(o.day), o.pollutant_id): float(np.exp(o.value)) for o in observations
@@ -601,7 +614,6 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
 
     interp_cards, forecast_cards = [], []
     for vi, variant in enumerate(ALL_VARIANTS):
-        use_covs = covs if variant.mean_kind == "SD" else {}
         for fold in range(cfg.folds):
             heldout = {sid for sid, f in folds.items() if f == fold}
             train_obs = [o for o in observations if o.site_id not in heldout]
@@ -610,44 +622,30 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
                 variant,
                 spec,
                 fields,
-                use_covs,
+                covs,
                 stations,
                 train_obs,
                 train_days,
                 seed_key=(vi, fold),
             )
-            ctx = PredictionContext(variant, design, spec, train_days, fields, use_covs, y)
+            ctx = PredictionContext(variant, design, spec, train_days, tables[variant.mean_kind], y)
             rng = derive_rng(cfg.seed, 500, vi, fold)
 
             # interpolation at held-out stations, training days with data
-            interp_results = []
             heldout_obs = [o for o in observations if o.site_id in heldout]
-            if variant.spatial:
-                for post in posteriors:
-                    targets = targets_for(stations, post.days, "interpolation", heldout_obs)
-                    if targets:
-                        interp_results.extend(
-                            predict(post, targets, ctx, rng, cfg.max_kriging_draws)
-                        )
-            else:
-                targets = targets_for(stations, train_days, "interpolation", heldout_obs)
-                if targets:
-                    interp_results = predict(
-                        posteriors[0], targets, ctx, rng, cfg.max_kriging_draws
-                    )
+            interp_results = _interpolate(
+                posteriors, stations, ctx, rng, cfg.max_kriging_draws, heldout_obs
+            )
             if interp_results:
                 interp_cards.append(
                     score(interp_results, observed_raw, variant=variant.name, fold=fold)
                 )
 
             # forecast at all stations over the test days with data
-            forecast_post = (
-                consensus_combine(posteriors) if variant.spatial else posteriors[0]
-            )
             targets = targets_for(stations, test_days, "forecast", observations)
             if targets:
                 forecast_results = predict(
-                    forecast_post, targets, ctx, rng, cfg.max_kriging_draws
+                    consensus_combine(posteriors), targets, ctx, rng, cfg.max_kriging_draws
                 )
                 forecast_cards.append(
                     score(forecast_results, observed_raw, variant=variant.name, fold=fold)
@@ -690,41 +688,8 @@ def cmd_coherence(cfg: RunConfig) -> list:
 
 def cmd_aggregate(cfg: RunConfig, predictions_path) -> list:
     """Quadrant-by-pollutant means of a predictions CSV."""
-    path = Path(predictions_path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != PREDICTIONS_HEADER:
-        raise ParseError(f"{path}:1: expected header {PREDICTIONS_HEADER!r}")
-    results = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ParseError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        sid, x, y, day, pol, pred, lo, hi = parts
-        if pol in cfg.pollutants:
-            pollutant_id = cfg.pollutants[pol]
-        elif pol.isdigit():
-            pollutant_id = int(pol)
-        else:
-            raise ParseError(f"{path}:{lineno}: unknown pollutant {pol!r}")
-        results.append(
-            PredictionResult(
-                target=PredictionTarget(
-                    x=float(x),
-                    y=float(y),
-                    pollutant_id=pollutant_id,
-                    day=int(day),
-                    mode="forecast",
-                    site_id=sid,
-                ),
-                mean_log=float(np.log(float(pred))),
-                lo_log=float(np.log(float(lo))),
-                hi_log=float(np.log(float(hi))),
-                point=float(pred),
-            )
-        )
-    rows = aggregate_means(results, _grid_index(cfg)[0])
+    rows = read_predictions_csv(predictions_path, cfg.pollutants)
+    means = aggregate_means(rows, _grid_index(cfg)[0])
     out = Path(cfg.output_dir) / "aggregate.csv"
-    write_aggregate_csv(rows, out, cfg.pollutants)
+    write_aggregate_csv(means, out, cfg.pollutants)
     return [out]

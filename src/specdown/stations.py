@@ -10,8 +10,9 @@ pollutant and joint least squares decouples into per-pollutant fits.
 rows of :func:`assemble_design` and the prediction rows of
 :func:`specdown.evaluate.predict` both gather a column's gridded field (LD)
 or spectral covariate (SD) at the rows' cells through it, from a
-:class:`CellTable`.  A table holds whole grids, or only the station cells
-that ``fit`` records so that interpolation reads no grid.
+:class:`CellTable`.  A table holds those values at station cells only: a
+monitor's value relates to the grid at the monitor's cell, so no fit or
+prediction reads any other cell.
 """
 
 from __future__ import annotations
@@ -225,40 +226,42 @@ class CellTable:
     """The values design rows read, per (pollutant j, day) and grid cell.
 
     ``sources`` maps (j, day) to an (R, n) array: the field itself (LD,
-    R = 1) or its B spectral covariates (SD, R = B), at n grid cells.
-    ``cells`` lists those cells, increasing; None means every cell of the
-    grid in row-major order.
+    R = 1) or its B spectral covariates (SD, R = B), at the n grid cells
+    that ``cells`` lists in strictly increasing order.  A violation of that
+    shape is a ``ValueError``.
     """
 
     sources: dict
-    cells: np.ndarray | None = None
+    cells: np.ndarray
+
+    def __post_init__(self):
+        cells = np.asarray(self.cells)
+        if cells.ndim != 1 or np.any(np.diff(cells) <= 0):
+            raise ValueError("cells must be a 1-D strictly increasing array")
+        object.__setattr__(self, "cells", cells)
+        for key, src in self.sources.items():
+            if np.ndim(src) != 2 or src.shape[1] != cells.size:
+                raise ValueError(f"source {key} has shape {np.shape(src)}, not (R, {cells.size})")
 
     @classmethod
-    def of_grids(cls, mean_kind: str, fields, covs) -> "CellTable":
-        """Whole-grid table of the fields (LD) or their covariate arrays (SD)."""
-        if mean_kind == "LD":
-            return cls({key: f.values[None] for key, f in (fields or {}).items()})
-        return cls(dict(covs or {}))
-
-    def at(self, cells) -> "CellTable":
-        """This table at the given grid cells only."""
+    def of_grids(cls, mean_kind: str, fields, covs, cells) -> "CellTable":
+        """The fields (LD) or their covariate arrays (SD) at ``cells``, grid
+        cells in any order and possibly repeated."""
         cells = np.unique(np.asarray(cells, dtype=int))
-        pos = self.positions(cells)
-        return CellTable({key: src[:, pos] for key, src in self.sources.items()}, cells)
+        if mean_kind == "LD":
+            return cls({key: f.values[cells][None] for key, f in fields.items()}, cells)
+        return cls({key: c[:, cells] for key, c in covs.items()}, cells)
 
     def positions(self, cells) -> np.ndarray:
         """Column of each grid cell in the source arrays.  A cell the table
         does not hold is a ``ValueError``: the table was recorded by ``fit``
         for other stations."""
         cells = np.asarray(cells, dtype=int)
-        if self.cells is None:
-            return cells
-        pos = np.minimum(np.searchsorted(self.cells, cells), self.cells.size - 1)
-        held = self.cells[pos] == cells
+        held = np.isin(cells, self.cells)
         if not held.all():
             missing = int(cells[np.flatnonzero(~held)[0]])
             raise ValueError(f"grid cell {missing} is not in the station-cell table; refit")
-        return pos
+        return np.searchsorted(self.cells, cells)
 
 
 def assemble_design(
@@ -272,7 +275,8 @@ def assemble_design(
 
     ``fields`` maps (pollutant j, day) to its GridField, and J is one more
     than the largest j there; ``covs`` maps (j, day) to the field's
-    (B, ncells) spectral covariate array.  The rows are those of
+    (B, ncells) spectral covariate array.  Their values are gathered at the
+    cells of the observations' stations; the rows are those of
     :func:`table_design`.
 
     Raises a configuration ``ValueError`` when a needed field or covariate
@@ -282,11 +286,15 @@ def assemble_design(
         raise ValueError("design assembly requires gridded fields")
     if variant.mean_kind == "SD" and not covs:
         raise ValueError("SD variant requires spectral covariates")
+    spec = next(iter(fields.values())).spec
+    sites = [stations[sid] for sid in dict.fromkeys(o.site_id for o in observations)]
+    labels = [s.site_id for s in sites]
+    cells = cell_indices([s.x for s in sites], [s.y for s in sites], spec, labels)
     return table_design(
         variant,
-        CellTable.of_grids(variant.mean_kind, fields, covs),
+        CellTable.of_grids(variant.mean_kind, fields, covs, cells),
         max(j for j, _ in fields) + 1,
-        next(iter(fields.values())).spec,
+        spec,
         observations,
         stations,
     )

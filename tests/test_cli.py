@@ -42,11 +42,14 @@ class TestErrorContract:
             ("site_or_cell,x,y,day,pollutant,pred,lo95,hi95\na,10.0,10.0,1,XYZ,2.0,1.0,3.0\n", ":2:"),
             ("site_or_cell,x,y,day,pollutant,pred,lo95,hi95\na,10.0,10.0,1,PM25,2.0,1.0\n", ":2:"),
             ("site,x,y,day,pollutant,pred,lo95,hi95\na,10.0,10.0,1,PM25,2.0,1.0,3.0\n", ":1:"),
+            ("site_or_cell,x,y,day,pollutant,pred,lo95,hi95\na,abc,10.0,1,PM25,2.0,1.0,3.0\n", ":2:"),
+            ("site_or_cell,x,y,day,pollutant,pred,lo95,hi95\na,10.0,10.0,1,PM25,-2.0,1.0,3.0\n", ":2:"),
         ],
-        ids=["unknown-pollutant", "seven-fields", "header"],
+        ids=["unknown-pollutant", "seven-fields", "header", "malformed-number", "negative-pred"],
     )
     def test_aggregate_rejects_malformed_predictions(self, tmp_path, capsys, text, where):
-        # an unknown pollutant name was once filed under id -1 with exit 0
+        # an unknown pollutant name was once filed under id -1 with exit 0, a
+        # malformed number was a bare ValueError and a negative pred averaged
         grids = tmp_path / "grids"
         grids.mkdir()
         write_grid(GridField(GridSpec(4, 4, 25.0), np.ones(16), 0, 1), grids / "grid_j0_d001.txt")

@@ -29,6 +29,7 @@ from specdown.inference import (
 )
 from specdown.lmc import Coregionalization, LmcKernel, SpatialDecay, StackedLayout, sample_w
 from specdown.stations import (
+    CellTable,
     ColumnMeta,
     DesignMatrix,
     ModelVariant,
@@ -147,8 +148,10 @@ def _fitted_setup(seed=0, tau2=0.04, l11=0.4, n_sites=25, phi=0.05, n_iter=900, 
     if fix_nugget is not None:
         cfg_kw.update(update_nugget=False, init_nugget2=np.array([fix_nugget]))
     post = fit_batch_mcmc(batch, variant, priors, McmcConfig(**cfg_kw))
+    # some targets lie off the station cells: the table holds every cell
+    table = CellTable.of_grids("SD", fields, covs, np.arange(spec.ncells))
     ctx = PredictionContext(
-        variant=variant, design=design, spec=spec, train_days=days, fields=fields, covs=covs, y=yv
+        variant=variant, design=design, spec=spec, train_days=days, table=table, y=yv
     )
     return spec, stations, obs, post, ctx, dict(tau2=tau2, l11=l11)
 
@@ -208,8 +211,7 @@ class TestPredict:
             design=ctx.design,
             spec=spec,
             train_days=(1, 2),
-            fields=ctx.fields,
-            covs=ctx.covs,
+            table=ctx.table,
         )
         fore = predict(
             post, [PredictionTarget(st_.x, st_.y, 0, 3, "forecast", sid)], ctx_fore, rng
@@ -250,7 +252,7 @@ class TestPredict:
             design=design,
             spec=spec,
             train_days=(1,),
-            fields={(0, 1): field},
+            table=CellTable.of_grids("LD", {(0, 1): field}, {}, np.arange(spec.ncells)),
             y=y_vals,
         )
         target = PredictionTarget(15.0, 0.0, 0, 1, "interpolation", "new")
@@ -316,8 +318,8 @@ def _spatial_posterior(draws, K, n_beta, lo, hi, days):
     )
 
 
-def _reference_row(ctx, t):
-    """Design row of one target, column by column."""
+def _reference_row(ctx, fields, t):
+    """Design row of one target, column by column, from the fields."""
     cell = cell_lookup(Station("t", t.x, t.y, frozenset([t.pollutant_id])), ctx.spec)
     design = ctx.design
     row = np.zeros(design.p)
@@ -327,12 +329,12 @@ def _reference_row(ctx, t):
         if col.kind == "intercept":
             row[idx] = 1.0
             continue
-        value = ctx.fields[(col.j, t.day)].values[cell]
+        value = fields[(col.j, t.day)].values[cell]
         row[idx] = (value - design.col_mean[idx]) / design.col_sd[idx]
     return row
 
 
-def _reference_predict(post, targets, ctx, rng):
+def _reference_predict(post, targets, ctx, fields, rng):
     """Per target: explicit solves on C + D per draw, then the noise blocks
     in the documented order (residual, then nugget).  Returns per target the
     conditional mean and variance (None for forecasts), the 2.5/50/97.5
@@ -347,7 +349,7 @@ def _reference_predict(post, targets, ctx, rng):
     out = []
     for t in targets:
         k = t.pollutant_id
-        draws = beta @ _reference_row(ctx, t)
+        draws = beta @ _reference_row(ctx, fields, t)
         mean = var = None
         if t.mode == "interpolation":
             pos = np.flatnonzero(design.row_day == t.day)
@@ -373,7 +375,8 @@ def _reference_predict(post, targets, ctx, rng):
 def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3), same_sites=False):
     """Hand-built spatial posterior over K pollutants with day blocks of
     different sizes (with ``same_sites``, every day observes the same eight
-    stations), plus an LD + Cross design to predict with."""
+    stations), plus an LD + Cross design to predict with.  Returns the
+    posterior, the context, the stations, the observations and the fields."""
     rng = np.random.default_rng(seed)
     spec = GridSpec(8, 8, 12.0)
     days = train_days + (train_days[-1] + 1,)
@@ -405,15 +408,16 @@ def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3), same_sites=False):
         rng.uniform(0.02, 0.08, I),
     )
     post = _spatial_posterior(natural, K, design.p, lo, hi, train_days)
+    # the targets lie off the station cells: the table holds every cell
     ctx = PredictionContext(
         variant=variant,
         design=design,
         spec=spec,
         train_days=train_days,
-        fields=fields,
+        table=CellTable.of_grids("LD", fields, {}, np.arange(spec.ncells)),
         y=np.array([o.value for o in obs]),
     )
-    return post, ctx, stations, obs
+    return post, ctx, stations, obs, fields
 
 
 class TestVectorisedPredict:
@@ -430,14 +434,14 @@ class TestVectorisedPredict:
 
     @pytest.mark.parametrize("chunk_values", [None, 1000])
     def test_matches_per_target_reference(self, monkeypatch, chunk_values):
-        post, ctx, _, _ = _kriging_setup()
+        post, ctx, _, _, fields = _kriging_setup()
         targets = self._targets()
         assert {t.day for t in targets} == {1, 2, 3, 4}
         if chunk_values is not None:
             # 1000 values make chunks of a few targets: several boundaries
             monkeypatch.setattr(evaluate, "PREDICT_CHUNK_VALUES", chunk_values)
         results = predict(post, targets, ctx, np.random.default_rng(3))
-        reference = _reference_predict(post, targets, ctx, np.random.default_rng(3))
+        reference = _reference_predict(post, targets, ctx, fields, np.random.default_rng(3))
         for res, (_, _, pct, mean) in zip(results, reference):
             np.testing.assert_allclose(
                 [res.lo_log, np.log(res.point), res.hi_log], pct, rtol=1e-10, atol=1e-12
@@ -445,9 +449,9 @@ class TestVectorisedPredict:
             assert res.mean_log == pytest.approx(mean, rel=1e-10, abs=1e-12)
 
     def test_conditional_moments_match_direct_solves(self):
-        post, ctx, _, _ = _kriging_setup()
+        post, ctx, _, _, fields = _kriging_setup()
         targets = [t for t in self._targets() if t.mode == "interpolation"]
-        reference = _reference_predict(post, targets, ctx, np.random.default_rng(0))
+        reference = _reference_predict(post, targets, ctx, fields, np.random.default_rng(0))
         lower = post.coreg_draws()
         cross = lower @ np.swapaxes(lower, 1, 2)
         for d in (1, 2, 3):
@@ -470,7 +474,7 @@ class TestVectorisedPredict:
         # tau z2, with m = c0' (C + D)^{-1} (y - X beta) and
         # v = sigma0^2 - c0' (C + D)^{-1} c0 from one dense solve over every
         # training row (C zero across days), and z the documented noise
-        post, ctx, _, _ = _kriging_setup(I=1)
+        post, ctx, _, _, fields = _kriging_setup(I=1)
         targets = [t for t in self._targets() if t.mode == "interpolation"]
         results = predict(post, targets, ctx, np.random.default_rng(4))
         beta, nugget2 = post.beta_draws()[0], post.nugget2_draws()[0]
@@ -491,7 +495,7 @@ class TestVectorisedPredict:
         mean = c0 @ np.linalg.solve(marginal, ctx.y - design.X @ beta)
         var = cross[k, k] - np.einsum("tn,nt->t", c0, np.linalg.solve(marginal, c0.T))
         noise = np.random.default_rng(4).standard_normal((len(targets), 2))
-        rows = np.array([_reference_row(ctx, t) for t in targets])
+        rows = np.array([_reference_row(ctx, fields, t) for t in targets])
         expected = rows @ beta + mean + np.sqrt(var) * noise[:, 0] + np.sqrt(nugget2[k]) * noise[:, 1]
         np.testing.assert_allclose([r.mean_log for r in results], expected, rtol=1e-10, atol=1e-12)
 
@@ -500,7 +504,7 @@ class TestVectorisedPredict:
         # average to the mean conditioned on y, and their spread plus the
         # kriging variance is its variance.  The reference draws come from
         # the dense conditional N(C S^{-1} r, C - C S^{-1} C), S = C + D
-        post, ctx, _, _ = _kriging_setup(I=1)
+        post, ctx, *_ = _kriging_setup(I=1)
         beta, nugget2 = post.beta_draws(), post.nugget2_draws()
         lower = post.coreg_draws()
         cross, rate = lower @ np.swapaxes(lower, 1, 2), post.decay_draws()
@@ -528,7 +532,7 @@ class TestVectorisedPredict:
         assert np.all(np.abs(krige_var + spread - var[0]) < 4.0 * np.sqrt(2.0 / n_draws) * spread)
 
     def test_design_rows_reproduce_training_design(self):
-        post, ctx, stations, obs = _kriging_setup()
+        post, ctx, *_ = _kriging_setup()
         design = ctx.design
         cells = cell_indices(design.row_x, design.row_y, ctx.spec)
         rows = evaluate._design_rows(ctx, cells, design.row_pollutant, design.row_day)
@@ -569,8 +573,15 @@ class TestVectorisedPredict:
             standardized=False,
             zero_variance=(),
         )
+        # an intercept-only design reads no source; "off" lies in no station cell
+        spec = GridSpec(10, 10, 12.0)
         ctx = PredictionContext(
-            variant=variant, design=design, spec=GridSpec(10, 10, 12.0), train_days=days, y=y
+            variant=variant,
+            design=design,
+            spec=spec,
+            train_days=days,
+            table=CellTable({}, np.arange(spec.ncells)),
+            y=y,
         )
         shared, off = sites[0], (55.0, 45.0)
         targets = [
@@ -602,7 +613,7 @@ class TestSharedFactors:
 
     @pytest.mark.parametrize("same_sites, calls", [(True, 1), (False, 3)])
     def test_interpolation_factors_once_per_layout(self, monkeypatch, same_sites, calls):
-        post, ctx, _, _ = _kriging_setup(same_sites=same_sites)
+        post, ctx, *_ = _kriging_setup(same_sites=same_sites)
         sizes = []
 
         def counting(cov):
@@ -617,7 +628,7 @@ class TestSharedFactors:
         assert sizes == [post.n_draws] * calls
 
     def test_shared_factor_is_the_fresh_one_bit_for_bit(self):
-        post, ctx, _, _ = _kriging_setup(same_sites=True)
+        post, ctx, *_ = _kriging_setup(same_sites=True)
         lower = post.coreg_draws()
         draws = (
             post.beta_draws(),
@@ -687,13 +698,8 @@ class TestScore:
 class TestAggregate:
     def test_quadrant_grouping(self):
         spec = GridSpec(10, 10, 10.0)
-        results, obs = [], {}
-        for i, (x, y) in enumerate([(10, 10), (90, 90), (10, 90), (90, 10)]):
-            t = PredictionTarget(float(x), float(y), 0, 1, "interpolation", f"s{i}")
-            results.append(
-                type("R", (), {"target": t, "point": float(i + 1), "mean_log": 0.0, "lo_log": 0.0, "hi_log": 0.0})()
-            )
-        rows = aggregate_means(results, spec)
+        points = [(10.0, 10.0), (90.0, 90.0), (10.0, 90.0), (90.0, 10.0)]
+        rows = aggregate_means([(x, y, 0, float(i + 1)) for i, (x, y) in enumerate(points)], spec)
         assert rows == [
             ("EN", 0, 1, 2.0),
             ("ES", 0, 1, 4.0),

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from specdown.fileio import (
     ParseError,
     RunConfig,
+    read_cell_table,
     read_covariate,
     read_grid,
     read_grid_header,
@@ -253,13 +254,38 @@ class TestRunConfig:
             RunConfig.from_json(path)
 
     def test_every_section_field_reaches_its_dataclass(self, tmp_path):
-        mcmc = {f.name: getattr(McmcConfig(), f.name) for f in fields(McmcConfig)}
-        del mcmc["seed"]
-        mcmc.update(iterations=30, burnin=10, update_w=False, init_nugget2=[0.2])
+        # the mcmc section sets the six run settings; the sampler's test
+        # hooks once passed through too, so update_w: false fitted the
+        # independent-error model under a spatial variant's name
+        mcmc = dict(iterations=30, burnin=10, thin=2, step_decay=0.5, step_coreg=0.2, adapt=False)
+        assert set(RunConfig().mcmc) == set(mcmc)
         priors = {f.name: 2.5 for f in fields(Priors) if f.name != "decay_bounds"}
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"mcmc": mcmc, "priors": priors}), encoding="utf-8")
         cfg = RunConfig.from_json(path)
         made = cfg.mcmc_config(seed=7)
-        assert (made.seed, made.iterations, made.update_w, made.init_nugget2) == (7, 30, False, [0.2])
+        assert made.seed == 7 and {key: getattr(made, key) for key in mcmc} == mcmc
         assert cfg.priors_for(GridSpec(4, 4, 10.0)).beta_sd == 2.5
+        hooks = {f.name for f in fields(McmcConfig)} - set(mcmc) - {"seed"}
+        assert hooks == {
+            "update_w", "update_beta", "update_nugget", "update_coreg", "update_decay", "init_nugget2"
+        }
+        for key in sorted(hooks):
+            path.write_text(json.dumps({"mcmc": {key: False}}), encoding="utf-8")
+            with pytest.raises(ParseError, match=f"unknown mcmc config key '{key}'"):
+                RunConfig.from_json(path)
+
+
+class TestCellTableFile:
+    @pytest.mark.parametrize(
+        "cells", [[3, 3, 8], [8, 3, 5]], ids=["repeated-cell", "unsorted-cells"]
+    )
+    def test_cells_out_of_order_name_the_file(self, tmp_path, cells):
+        # a repeated cell once passed, and positions() read its first copy
+        records = np.zeros(len(cells), dtype=[("cell", "<i8"), ("j0_d1", "<f8", (2,))])
+        records["cell"] = cells
+        path = tmp_path / "station_cells.npy"
+        np.save(path, records, allow_pickle=False)
+        with pytest.raises(ParseError, match="strictly increasing") as err:
+            read_cell_table(path)
+        assert str(path) in str(err.value)

@@ -306,6 +306,8 @@ def _interpolation_error(cfg, tmp_path, alter_data=None, alter_out=None):
 
 class TestStationCellTable:
     def test_predictions_equal_those_from_whole_grids(self, variant_fit, tmp_path):
+        # the table fit recorded is the whole training grids gathered at the
+        # station cells, and interpolating from either gives the same bytes
         cfg = variant_fit
         spec, fields = load_fields(cfg)
         sites, observations, _ = fileio.parse_station_file(cfg.stations_file, spec, cfg.pollutants)
@@ -316,15 +318,23 @@ class TestStationCellTable:
         covs = {}
         if variant.mean_kind == "SD":
             covs = pipeline.build_covariates(fields, basis, cfg.center)
+        xy = np.array([(s.x, s.y) for s in sites.values()])
+        cells = stations.cell_indices(xy[:, 0], xy[:, 1], spec)
+        table = stations.CellTable.of_grids(variant.mean_kind, fields, covs, cells)
+        out = Path(cfg.output_dir)
+        recorded = fileio.read_cell_table(out / "station_cells.npy")
+        assert np.array_equal(recorded.cells, table.cells)
+        assert sorted(recorded.sources) == sorted(table.sources) == sorted(fields)
+        for key, source in table.sources.items():
+            assert np.array_equal(recorded.sources[key], source)
         train_obs = [o for o in observations if o.day in train_days]
         design = stations.standardize(
             stations.assemble_design(variant, fields, covs, train_obs, sites)
         )
         y = np.array([o.value for o in train_obs])
-        ctx = evaluate.PredictionContext(variant, design, spec, train_days, fields, covs, y)
+        ctx = evaluate.PredictionContext(variant, design, spec, train_days, table, y)
         rng = inference.derive_rng(cfg.seed, 9000)
         results = []
-        out = Path(cfg.output_dir)
         for path in sorted(out.glob("batch_*.csv")):
             post = read_posterior(path)
             targets = targets_for(sites, post.days, "interpolation")
@@ -349,7 +359,10 @@ class TestStationCellTable:
     def test_station_cell_missing_from_the_table_says_refit(self, variant_fit, tmp_path):
         def drop_a_cell(out):
             table = fileio.read_cell_table(out / "station_cells.npy")
-            fileio.write_cell_table(table.at(table.cells[1:]), out / "station_cells.npy")
+            sources = {key: source[:, 1:] for key, source in table.sources.items()}
+            fileio.write_cell_table(
+                stations.CellTable(sources, table.cells[1:]), out / "station_cells.npy"
+            )
 
         err = _interpolation_error(variant_fit, tmp_path, alter_out=drop_a_cell)
         assert isinstance(err, ValueError) and "not in the station-cell table; refit" in str(err)
@@ -365,6 +378,39 @@ class TestStationCellTable:
         err = _interpolation_error(variant_fit, tmp_path, alter_data=rewrite)
         assert isinstance(err, ValueError)
         assert "does not match the training data; refit" in str(err)
+
+
+class TestStationCellsOnly:
+    def test_every_table_holds_only_station_cells(self, tiny_data, tmp_path, monkeypatch):
+        # forecast and cv once read their design rows from whole-grid tables
+        built = []
+        init = stations.CellTable.__init__
+
+        def recording(table, *args, **kwargs):
+            init(table, *args, **kwargs)
+            built.append(table.cells)
+
+        monkeypatch.setattr(stations.CellTable, "__init__", recording)
+        cfg = _tiny_config(tiny_data, tmp_path, folds=2)
+        spec = GridSpec(16, 16, 12.0)
+        sites, _, _ = fileio.parse_station_file(cfg.stations_file, spec, cfg.pollutants)
+        xy = np.array([(s.x, s.y) for s in sites.values()])
+        held = set(stations.cell_indices(xy[:, 0], xy[:, 1], spec).tolist())
+        stages = {
+            "fit": lambda: (cmd_fit(cfg), cmd_combine(cfg)),
+            "forecast": lambda: cmd_predict(cfg, "forecast"),
+            "interpolation": lambda: cmd_predict(cfg, "interpolation"),
+            "cv": lambda: pipeline.cmd_cv(cfg),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for stage, run in stages.items():
+                start = len(built)
+                run()
+                tables = built[start:]
+                assert tables, stage
+                for cells in tables:
+                    assert cells is not None and held.issuperset(cells.tolist()), stage
 
 
 class TestBenchProbeReplay:

@@ -7,6 +7,7 @@ from specdown.filters import make_basis, spectral_covariates
 from specdown.grid import GridField, GridSpec
 from specdown.stations import (
     ALL_VARIANTS,
+    CellTable,
     ModelVariant,
     Observation,
     OutOfGridError,
@@ -85,6 +86,33 @@ class TestCellLookup:
     def test_array_form_names_first_point_outside(self):
         with pytest.raises(OutOfGridError, match="station q at"):
             cell_indices([5.0, 5.0, 60.0], [5.0, -1.0, 5.0], SPEC, ["p", "q", "r"])
+
+
+class TestCellTable:
+    @pytest.mark.parametrize(
+        "cells,width,match",
+        [
+            ([3, 3, 8], 3, "strictly increasing"),
+            ([8, 3, 5], 3, "strictly increasing"),
+            ([[3, 5, 8]], 3, "1-D"),
+            ([3, 5, 8], 2, r"shape \(1, 2\), not \(R, 3\)"),
+        ],
+        ids=["repeated-cell", "unsorted-cells", "two-dimensional-cells", "wrong-width"],
+    )
+    def test_invariant(self, cells, width, match):
+        with pytest.raises(ValueError, match=match):
+            CellTable({(0, 1): np.zeros((1, width))}, cells)
+
+    def test_of_grids_gathers_each_cell_once_in_order(self):
+        fields, covs = _fields_and_covs(SPEC, 1, [1])
+        ld = CellTable.of_grids("LD", fields, covs, [9, 2, 9])
+        sd = CellTable.of_grids("SD", fields, covs, [9, 2, 9])
+        assert ld.cells.tolist() == sd.cells.tolist() == [2, 9]
+        np.testing.assert_array_equal(ld.sources[(0, 1)], fields[(0, 1)].values[[2, 9]][None])
+        np.testing.assert_array_equal(sd.sources[(0, 1)], covs[(0, 1)][:, [2, 9]])
+        assert ld.positions([9, 2, 9]).tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match="grid cell 3 is not in the station-cell table"):
+            ld.positions([2, 3])
 
 
 class TestAssembleDesign:
