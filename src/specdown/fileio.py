@@ -1,9 +1,9 @@
 """File formats and run configuration.
 
-Artifacts are plain text (UTF-8) but three: grid files, covariate files
-and the station-cell table.  Text floats are written with Python's
-shortest round-trip repr and binary ones as little-endian float64, so
-identical runs produce byte-identical files.
+Artifacts are plain text (UTF-8) but for the grid and covariate files,
+posterior draws and the station-cell table.  Text floats are written with
+Python's shortest round-trip repr and binary ones as little-endian float64,
+so identical runs produce byte-identical files.
 
 Grid file: the ASCII header line ``nx ny dx pollutant_id day <f8``, then
 exactly 8*nx*ny bytes holding the values as little-endian IEEE-754 float64
@@ -21,12 +21,18 @@ can index a directory of grids without reading their values.
 Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
-nonpositive values with a count.  Posterior draws are CSV plus a JSON
-sidecar and nothing else: no residual-field draws are stored, because
-interpolation conditions on the training data.  The natural-scale draws of
-the combined posterior are written by ``combine`` for readers outside the
-pipeline and never read back: every stage derives them from the
-transformed draws.
+nonpositive values with a count.
+
+Posterior draws are one 2-D ``<f8`` ``.npy`` array of (draw, parameter)
+on the transformed scale, with a JSON sidecar holding the parameter names
+and the rest of the :class:`BatchPosterior`.  As repr text they took 0.1 s
+to write and 0.05 s to read on the wide benchmark (88k floats).  They keep
+the ``batch_*.csv`` and ``combined.csv`` names that stages and the
+benchmark find them by; a text draws file of an earlier release is a
+``ParseError`` asking for a refit.  An unmeasured acceptance rate (NaN) is
+``null`` in the sidecar, which is strict JSON.  Neither residual-field nor
+natural-scale draws are stored: interpolation conditions on the training
+data, and :meth:`BatchPosterior.natural_draws` derives the latter.
 
 The station-cell table that ``fit`` writes beside ``design.json``
 (``station_cells.npy``) holds the values the fitted design reads at every
@@ -34,14 +40,14 @@ station cell, so that interpolation reads no grid.  As text, with repr
 floats, it cost 0.06-0.12 s per ``fit`` on a 128x128 grid with 400
 stations (about 80k floats).  It is one ``.npy`` file
 (:func:`write_cell_table`), whose bytes depend on its content alone; an
-``.npz`` archive would stamp its members with the time of writing.
+``.npz`` archive would stamp its members with the time of writing.  One
+loader reads both ``.npy`` kinds and names the file it cannot read.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -64,7 +70,6 @@ __all__ = [
     "parse_station_file",
     "write_posterior",
     "read_posterior",
-    "write_natural_csv",
     "write_cell_table",
     "read_cell_table",
     "PREDICTIONS_HEADER",
@@ -89,28 +94,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_values(values: np.ndarray, sep: str) -> str:
-    """:func:`_fmt` of each value, joined by ``sep``."""
-    return sep.join(map(repr, values.tolist()))
-
-
-def _write_draws_csv(path, names, draws) -> None:
-    """Header of column names, then one row of draws per line.  The header
-    goes through the csv module, so names holding commas are quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(names)
-    for row in draws:
-        buf.write(_fmt_values(row, ",") + "\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
-
-
-def _read_draws_csv(path):
-    """(names, draws) of a file written by :func:`_write_draws_csv`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        names = tuple(next(reader))
-        draws = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return names, draws
+def _load_npy(path, note: str = "") -> np.ndarray:
+    """The array of the ``.npy`` file at ``path``, loaded without unpickling.
+    A body numpy cannot read as an array (text, a truncated file) is a
+    ``ParseError`` naming the file, with ``note`` appended."""
+    try:
+        return np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ParseError(f"{path}: not a .npy array ({exc}){note}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +313,23 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
 # ---------------------------------------------------------------------------
 
 
+#: The one array of a draws file: (draw, parameter) little-endian float64.
+DRAWS_DTYPE = "<f8"
+
+
 def write_posterior(post: BatchPosterior, csv_path) -> list:
-    """Draws CSV and its JSON sidecar; returns the two paths written."""
+    """The draws as one ``.npy`` array at ``csv_path`` and the JSON sidecar
+    beside it; returns the two paths written."""
     csv_path = Path(csv_path)
-    _write_draws_csv(csv_path, post.param_names, post.draws)
+    # through a handle, since np.save appends .npy to a path that lacks it
+    with open(csv_path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(post.draws, dtype=DRAWS_DTYPE), allow_pickle=False)
 
     meta = {
+        "param_names": list(post.param_names),
         "n_draws": int(post.n_draws),
         "seed": post.seed,
-        "acceptance": {k: float(v) for k, v in post.acceptance.items()},
+        "acceptance": {k: None if math.isnan(v) else float(v) for k, v in post.acceptance.items()},
         "days": list(post.days),
         "n_beta": post.n_beta,
         "n_pollutants": post.n_pollutants,
@@ -338,20 +337,25 @@ def write_posterior(post: BatchPosterior, csv_path) -> list:
         "decay_bounds": list(post.decay_bounds) if post.decay_bounds else None,
     }
     meta_path = csv_path.with_suffix(".json")
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+    meta_path.write_text(text + "\n", encoding="utf-8")
     return [csv_path, meta_path]
 
 
-def write_natural_csv(post: BatchPosterior, path) -> None:
-    """Draws on the natural scale, the transform suffixes cut from the names."""
-    names = [n.replace(".logit", "").replace(".log", "") for n in post.param_names]
-    _write_draws_csv(path, names, post.natural_draws())
-
-
 def read_posterior(csv_path) -> BatchPosterior:
+    """The posterior of a draws file and its sidecar.  A body that is not a
+    2-D ``<f8`` array of ``n_draws`` rows, one column per sidecar name, is
+    a ``ParseError`` naming the file."""
     csv_path = Path(csv_path)
-    names, draws = _read_draws_csv(csv_path)
+    draws = _load_npy(csv_path, "; draws are binary now, so a run with text draws must be refit")
     meta = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    names = tuple(meta["param_names"])
+    shape = (meta["n_draws"], len(names))
+    if draws.dtype != np.dtype(DRAWS_DTYPE) or draws.shape != shape:
+        raise ParseError(
+            f"{csv_path}: draws are {draws.dtype.str} {draws.shape}; "
+            f"the sidecar gives {DRAWS_DTYPE} {shape}"
+        )
     return BatchPosterior(
         draws=draws,
         param_names=names,
@@ -361,7 +365,7 @@ def read_posterior(csv_path) -> BatchPosterior:
         days=tuple(meta["days"]),
         seed=meta["seed"],
         decay_bounds=tuple(meta["decay_bounds"]) if meta["decay_bounds"] else None,
-        acceptance=dict(meta["acceptance"]),
+        acceptance={k: math.nan if v is None else v for k, v in meta["acceptance"].items()},
     )
 
 
@@ -394,7 +398,7 @@ def write_cell_table(table: CellTable, path) -> Path:
 def read_cell_table(path) -> CellTable:
     """The table of a file written by :func:`write_cell_table`; its source
     arrays are views of the loaded records."""
-    records = np.load(path, allow_pickle=False)
+    records = _load_npy(path)
     names = records.dtype.names or ()
     if names[:1] != ("cell",):
         raise ParseError(f"{path}: not a station-cell table")

@@ -321,7 +321,9 @@ class BatchPosterior:
         return _rate(self._hyper()[2], self.decay_bounds)
 
     def natural_draws(self) -> np.ndarray:
-        """Draws mapped back to the natural scale, column for column."""
+        """The natural-scale view of the draws, column for column: nugget
+        variances and the mixing diagonal exponentiated, the decay mapped
+        into its bounds.  It is derived on request and never stored."""
         out = self.draws.copy()
         for i, t in enumerate(self.transforms):
             if t == "log":

@@ -22,13 +22,16 @@ reads at the cell of every station.  ``fit`` writes the table of the
 training days beside ``design.json``, where it records a sha256 digest of
 each training grid file.  Interpolation ``predict`` reads that table once
 the digests of the training grid files match the recorded ones.
+
+Posterior draws pass from ``fit`` (``batch_*.csv``) through ``combine``
+(``combined.csv``) to ``predict`` and ``coherence`` in one binary format
+(:func:`~specdown.fileio.write_posterior`, :func:`~specdown.fileio.read_posterior`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +59,6 @@ from .fileio import (
     write_coherence_csv,
     write_covariate,
     write_grid,
-    write_natural_csv,
     write_posterior,
     write_predictions_csv,
     write_scorecard_csv,
@@ -457,26 +459,15 @@ def cmd_fit(cfg: RunConfig) -> list:
 
 
 def cmd_combine(cfg: RunConfig) -> list:
-    """Consensus-combine the batch posteriors into ``combined.csv``, with the
-    natural-scale draws beside it in ``combined_natural.csv``.
-
-    A lone batch is its own consensus, so its two files are copied, not
-    written again."""
+    """Consensus-combine the batch posteriors into ``combined.csv`` and its
+    sidecar.  A lone batch is its own consensus, so its combined files equal
+    its batch files byte for byte."""
     out = Path(cfg.output_dir)
     paths = sorted(out.glob("batch_*.csv"))
     if not paths:
         raise FileNotFoundError(f"no batch posteriors under {out}")
     posteriors = [read_posterior(p) for p in paths]
-    combined = consensus_combine(posteriors)
-    if len(paths) == 1:
-        artifacts = [out / "combined.csv", out / "combined.json"]
-        for src, dst in zip((paths[0], paths[0].with_suffix(".json")), artifacts):
-            shutil.copyfile(src, dst)
-    else:
-        artifacts = write_posterior(combined, out / "combined.csv")
-    natural = out / "combined_natural.csv"
-    write_natural_csv(combined, natural)
-    return artifacts + [natural]
+    return write_posterior(consensus_combine(posteriors), out / "combined.csv")
 
 
 def targets_for(stations: dict, days, mode: str, observations=None) -> list:

@@ -1,5 +1,5 @@
-"""Posterior, grid and covariate files: write -> read round trips; run
-configuration loading."""
+"""Posterior, grid, covariate and station-cell files: write -> read round
+trips and faults; run configuration loading."""
 
 import json
 import struct
@@ -21,11 +21,12 @@ from specdown.fileio import (
     read_posterior,
     write_covariate,
     write_grid,
-    write_natural_csv,
+    write_cell_table,
     write_posterior,
 )
 from specdown.grid import GridField, GridSpec
 from specdown.inference import BatchPosterior, McmcConfig, Priors
+from specdown.stations import CellTable
 
 # printable names, commas and quotes included: parameter labels such as
 # beta[k=0,j=0,b=0] hold commas
@@ -79,7 +80,8 @@ class TestPosteriorRoundTrip:
                 assert first.read_bytes() == second.read_bytes()
 
     def test_comma_names_are_one_column_each(self, tmp_path):
-        names = ("beta0[0]", "beta[k=0,j=0,b=0]", "beta[k=0,j=1,b=2]", "decay.logit")
+        # names with commas and quotes round-trip through the sidecar
+        names = ("beta0[0]", "beta[k=0,j=0,b=0]", 'say "hi", twice', "decay.logit")
         post = BatchPosterior(
             draws=np.arange(8.0).reshape(2, 4),
             param_names=names,
@@ -90,11 +92,93 @@ class TestPosteriorRoundTrip:
             decay_bounds=(0.01, 0.2),
         )
         write_posterior(post, tmp_path / "combined.csv")
-        write_natural_csv(post, tmp_path / "combined_natural.csv")
         back = read_posterior(tmp_path / "combined.csv")
         assert back.param_names == names
-        header = (tmp_path / "combined_natural.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert header.endswith(",decay")
+        assert back.draws.shape == (2, 4)
+
+    def test_unmeasured_rate_is_json_null(self, tmp_path):
+        # a desk chain never runs the block move, so its rate is 0/0; NaN is
+        # not JSON, and strict parsers reject it
+        post = BatchPosterior(
+            draws=np.zeros((2, 1)),
+            param_names=("beta0[0]",),
+            transforms=("id",),
+            n_beta=1,
+            n_pollutants=1,
+            days=(1,),
+            acceptance={"block": np.nan, "decay": 0.25},
+        )
+        path = tmp_path / "batch_000.csv"
+        write_posterior(post, path)
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        text = path.with_suffix(".json").read_text(encoding="utf-8")
+        meta = json.loads(text, parse_constant=refuse)
+        assert meta["acceptance"] == {"block": None, "decay": 0.25}
+        back = read_posterior(path).acceptance
+        assert np.isnan(back["block"]) and back["decay"] == 0.25
+
+
+def _small_posterior():
+    return BatchPosterior(
+        draws=np.arange(6.0).reshape(3, 2),
+        param_names=("a", "b"),
+        transforms=("id", "id"),
+        n_beta=2,
+        n_pollutants=1,
+        days=(1,),
+    )
+
+
+def _posterior_file(path):
+    write_posterior(_small_posterior(), path)
+    return read_posterior
+
+
+def _cell_table_file(path):
+    write_cell_table(CellTable({(0, 1): np.ones((2, 3))}, np.array([1, 4, 9])), path)
+    return read_cell_table
+
+
+class TestNpyFaults:
+    @pytest.mark.parametrize(
+        "make", [_posterior_file, _cell_table_file], ids=["read_posterior", "read_cell_table"]
+    )
+    @pytest.mark.parametrize("damage", ["text", "truncated"])
+    def test_damaged_body_names_the_file(self, tmp_path, make, damage):
+        # a bare numpy ValueError once reached the user without a path
+        path = tmp_path / "damaged.npy"
+        read = make(path)
+        data = path.read_bytes()
+        path.write_bytes(b"a,b\n0.0,1.0\n" if damage == "text" else data[:-5])
+        with pytest.raises(ParseError, match="not a .npy array") as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+    def test_text_draws_ask_for_a_refit(self, tmp_path):
+        # the repr-text draws of an earlier release
+        path = tmp_path / "batch_000.csv"
+        write_posterior(_small_posterior(), path)
+        path.write_text("a,b\n0.0,1.0\n2.0,3.0\n4.0,5.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="must be refit") as err:
+            read_posterior(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key,value", [("n_draws", 4), ("param_names", ["a"])], ids=["n_draws", "param_names"]
+    )
+    def test_sidecar_disagreeing_with_the_array_names_the_file(self, tmp_path, key, value):
+        path = tmp_path / "batch_000.csv"
+        write_posterior(_small_posterior(), path)
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ParseError, match="the sidecar gives") as err:
+            read_posterior(path)
+        assert str(path) in str(err.value)
 
 
 @st.composite
