@@ -14,15 +14,15 @@ target's cell from the context's :class:`~specdown.stations.CellTable`,
 the field or covariate values at station cells, with
 :func:`~specdown.stations.design_rows`, which also makes the training
 design, and standardized as the training design was.
-Per interpolation day, the marginal covariances of the day's
-observations, C + D with C the
-LMC block of the observed sites (built by :class:`~specdown.lmc.LmcKernel`)
-and D the nugget diagonal, one (n, n) matrix per posterior draw, are
-factored as C + D = L L^T by :func:`~specdown.lmc.chol_pd` (its jitter
-rule when plain Cholesky fails; :class:`~specdown.lmc.CovarianceNotPDError`
-when that fails too).  Days whose observations hold identical rows, the
-same sites and pollutants in the same order, share one factor; the same
-sites in another order do not.  With r = y - X beta the day's residuals
+The marginal covariances of the interpolation days' observations, C + D
+with C the LMC block of the observed sites and D the nugget diagonal, one
+(n, n) matrix per posterior draw and day layout, are factored as
+C + D = L L^T by :class:`~specdown.lmc.DayBlocks`, as in the batch sampler.
+Days whose observations hold identical rows, the same sites and pollutants
+in the same order, share one factor; the same sites in another order do
+not.  The jitter rule of :func:`~specdown.lmc.chol_pd` acts on the draws
+and layouts of one block size at once: when one fails plain Cholesky, all
+are jittered.  With r = y - X beta a day's residuals
 and c0 the cross-covariances between a target and the sites, the
 conditional mean of the field is (L^{-1} c0) . (L^{-1} r) =
 c0 . (C + D)^{-1} r and its variance sigma_kk^2 - ||L^{-1} c0||^2, both by
@@ -42,7 +42,7 @@ import numpy as np
 from .filters import MAX_MAGNITUDE, SpectralBasis, period_of
 from .grid import GridSpec
 from .inference import BatchPosterior
-from .lmc import LmcKernel, chol_pd
+from .lmc import DayBlocks, LmcKernel
 from .stations import (
     CellTable,
     DesignMatrix,
@@ -208,7 +208,7 @@ def _design_rows(ctx: PredictionContext, cells, pollutant, day) -> np.ndarray:
 
 
 def _invert_lower(L: np.ndarray) -> None:
-    """Invert each lower-triangular factor of an (I, n, n) stack in place.
+    """Invert each lower-triangular factor of a (..., n, n) stack in place.
 
     Blockwise, [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]]:
     batched matrix products with about a quarter of the flops of a general
@@ -219,65 +219,54 @@ def _invert_lower(L: np.ndarray) -> None:
         L[...] = np.linalg.inv(L)
         return
     h = n // 2
-    _invert_lower(L[:, :h, :h])
-    _invert_lower(L[:, h:, h:])
-    L[:, h:, :h] = np.matmul(L[:, h:, h:], np.matmul(L[:, h:, :h], L[:, :h, :h]))
-    L[:, h:, :h] *= -1.0
+    _invert_lower(L[..., :h, :h])
+    _invert_lower(L[..., h:, h:])
+    L[..., h:, :h] = np.matmul(L[..., h:, h:], np.matmul(L[..., h:, :h], L[..., :h, :h]))
+    L[..., h:, :h] *= -1.0
 
 
-class _DayFactor:
-    """One interpolation day's training data, conditioned on per draw.
+class _Conditioner:
+    """The training data of the interpolation days ``days``, conditioned on per draw.
 
-    The (I, n, n) stack of marginal covariances C + D of the day's
-    observations (C the LMC block of their sites, D the nugget diagonal) is
-    factored, C + D = L L^T, with the jitter rule and inverted in place, and
-    the day's residuals r = y - X beta are whitened to L^{-1} r; the inverse
-    factor then turns kriging a chunk of targets into batched matrix
-    products.  ``beta`` (I, p), ``nugget2`` (I, K), ``cross`` (I, K, K) and
-    ``rate`` (I,) hold the draws.
-
-    Days whose observations hold the same (coords, pollutant) rows in the
-    same order have the same C + D, so they share one inverse factor:
-    ``shared`` maps :meth:`~specdown.lmc.StackedLayout.site_key` to the
-    factor of the first day built with it, for factors of the same draws.
-    A reordered layout is another key and gets its own factor.
+    :class:`~specdown.lmc.DayBlocks` factors C + D = L L^T of the days'
+    observations per draw and distinct day layout, and the factors are
+    inverted in place.  ``days`` maps each day to its sites, its
+    pollutants, its layout's L^{-1} (I, n, n), one array shared by the
+    days of that layout, and its whitened residuals L^{-1} (y - X beta)
+    (I, n, 1).  ``beta`` (I, p), ``nugget2`` (I, K), ``cross`` (I, K, K)
+    and ``rate`` (I,) hold the draws.
     """
 
-    def __init__(self, ctx: PredictionContext, day: int, beta, nugget2, cross, rate, shared=None):
-        rows = ctx.design.rows_for_days([day])
-        layout = ctx.design.layout(rows)
-        self.coords = layout.coords
-        self.pol = layout.pollutant
+    def __init__(self, ctx: PredictionContext, days, beta, nugget2, cross, rate):
         self.cross = cross
         self.rate = rate
-        shared = {} if shared is None else shared
-        key = layout.site_key()
-        if key not in shared:
-            shared[key] = self._inverse_factor(nugget2)
-        self.chol_inv = shared[key]  # (I, n, n)
-        resid = ctx.y[rows] - beta @ ctx.design.X[rows].T  # (I, n)
-        self.z = np.matmul(self.chol_inv, resid[..., None])  # L^{-1} r, (I, n, 1)
+        rows = ctx.design.rows_for_days(days)
+        layout = ctx.design.layout(rows)
+        blocks = DayBlocks(layout, cross.shape[-1])
+        # the (I, U, n, n) stacks are the largest arrays here: build C + D
+        # over the correlations and drop it before inverting the factors
+        covs = blocks.corr(rate)
+        chols = blocks.factor(blocks.cov(cross, covs, out=covs), nugget2)
+        del covs
+        self.widest = blocks.rows[-1].shape[1]
+        self.days = {}
+        for day_rows, member, chol in zip(blocks.rows, blocks.member, chols):
+            _invert_lower(chol)
+            inverses = list(np.swapaxes(chol, 0, 1))  # chol[:, u], a view per layout
+            for r, u in zip(day_rows, member):
+                resid = ctx.y[rows[r]] - beta @ ctx.design.X[rows[r]].T  # (I, n)
+                z = np.matmul(inverses[u], resid[..., None])
+                day = int(layout.day[r[0]])
+                self.days[day] = layout.coords[r], layout.pollutant[r], inverses[u], z
 
-    def _inverse_factor(self, nugget2) -> np.ndarray:
-        """L^{-1} for C + D = L L^T of this day's sites, per draw."""
-        # (I, n, n) stacks are the largest arrays here: build them in place
-        kernel = LmcKernel(self.coords, self.pol, self.cross.shape[-1])
-        cov = kernel.corr(self.rate)
-        kernel.cov(self.cross, cov, out=cov)
-        n = self.pol.size
-        cov.reshape(-1, n * n)[:, :: n + 1] += nugget2[:, self.pol]
-        chol, _ = chol_pd(cov)
-        del cov
-        _invert_lower(chol)
-        return chol
-
-    def conditional(self, x, y, k):
-        """Conditional mean and variance of the field at points (x, y) of
-        pollutants k, per draw; each of shape (I, T)."""
-        kernel = LmcKernel(np.column_stack([x, y]), k, self.cross.shape[-1], self.coords, self.pol)
+    def conditional(self, day, x, y, k):
+        """Conditional mean and variance of the field on ``day`` at points
+        (x, y) of pollutants k, per draw; each of shape (I, T)."""
+        coords, pol, chol_inv, z = self.days[day]
+        kernel = LmcKernel(np.column_stack([x, y]), k, self.cross.shape[-1], coords, pol)
         c0 = kernel.cov(self.cross, kernel.corr(self.rate))  # (I, T, n)
-        v = np.matmul(c0, np.swapaxes(self.chol_inv, 1, 2))  # rows (L^{-1} c0)^T
-        mean = np.matmul(v, self.z)[..., 0]
+        v = np.matmul(c0, np.swapaxes(chol_inv, 1, 2))  # rows (L^{-1} c0)^T
+        mean = np.matmul(v, z)[..., 0]
         var = self.cross[:, k, k] - np.einsum("itn,itn->it", v, v)
         return mean, var
 
@@ -334,24 +323,24 @@ def predict(
     nugget2 = posterior.nugget2_draws()[draw_idx]  # (I, K)
     nugget_sd = np.sqrt(nugget2)
     n_blocks = 1
-    factors = {}
+    kriging = None
     if posterior.has_spatial:
         n_blocks = 2
         lower = posterior.coreg_draws()[draw_idx]
         cross = lower @ np.swapaxes(lower, 1, 2)
-        rate = posterior.decay_draws()[draw_idx]
         marginal_sd = np.sqrt(np.einsum("ikm,ikm->ik", lower, lower))  # (I, K)
         interp_days = np.unique(day[interp]).tolist()
-        if interp_days and (ctx.y is None or len(ctx.y) != ctx.design.n):
-            raise ValueError("interpolation needs the training responses aligned with ctx.design")
-        shared = {}  # one inverse factor per distinct layout of the days
-        for d in interp_days:
-            if d not in posterior.days:
-                raise ValueError(f"interpolation day {d} is outside the posterior's days")
-            factors[d] = _DayFactor(ctx, d, beta, nugget2, cross, rate, shared)
+        if interp_days:
+            if ctx.y is None or len(ctx.y) != ctx.design.n:
+                raise ValueError("interpolation needs the training responses aligned with ctx.design")
+            for d in interp_days:
+                if d not in posterior.days:
+                    raise ValueError(f"interpolation day {d} is outside the posterior's days")
+            rate = posterior.decay_draws()[draw_idx]
+            kriging = _Conditioner(ctx, interp_days, beta, nugget2, cross, rate)
 
     I = draw_idx.size
-    widest = max([f.pol.size for f in factors.values()] + [n_blocks])
+    widest = max(n_blocks, kriging.widest if kriging is not None else 0)
     step = max(1, PREDICT_CHUNK_VALUES // max(I * widest, beta.shape[1]))
     results = []
     for start in range(0, len(targets), step):
@@ -362,10 +351,10 @@ def predict(
         if posterior.has_spatial:
             resid_mean = np.zeros_like(draws)
             resid_sd = marginal_sd[:, kc].T
-            for d, factor in factors.items():
+            for d in kriging.days if kriging is not None else ():
                 sel = np.flatnonzero(interp[chunk] & (dc == d))
                 if sel.size:
-                    mean, var = factor.conditional(x[chunk][sel], y[chunk][sel], kc[sel])
+                    mean, var = kriging.conditional(d, x[chunk][sel], y[chunk][sel], kc[sel])
                     resid_mean[sel] = mean.T
                     resid_sd[sel] = np.sqrt(np.maximum(var, 0.0)).T
             draws = draws + (resid_mean + resid_sd * noise[:, 0])

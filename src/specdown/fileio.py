@@ -96,12 +96,17 @@ def _fmt(x: float) -> str:
 
 def _load_npy(path, note: str = "") -> np.ndarray:
     """The array of the ``.npy`` file at ``path``, loaded without unpickling.
-    A body numpy cannot read as an array (text, a truncated file) is a
+    A body that is not one ``.npy`` array and nothing after it (text, a zip
+    or ``.npz`` archive, a truncated file, bytes after the array) is a
     ``ParseError`` naming the file, with ``note`` appended."""
-    try:
-        return np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ParseError(f"{path}: not a .npy array ({exc}){note}")
+    with open(path, "rb") as f:
+        try:
+            array = np.lib.format.read_array(f, allow_pickle=False)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not a .npy array ({exc}){note}")
+        if f.read(1):
+            raise ParseError(f"{path}: not a .npy array (bytes after the array){note}")
+    return array
 
 
 # ---------------------------------------------------------------------------

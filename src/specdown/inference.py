@@ -9,9 +9,10 @@ the bounded rate, log scale for the mixing diagonal and the nuggets), and
 after burn-in also a joint proposal fitted to the burn-in draws.  The
 regression coefficients are then drawn exactly from their generalized least
 squares conditional p(beta | theta, y).  Each step needs the Cholesky factor
-of the marginal covariance of every day block; days observed at the same
-sites in the same row order have the same block, so each distinct layout is
-factored once and its factor serves all of its days.  Batch subposteriors
+of the marginal covariance C + D of every day block, which
+:class:`~specdown.lmc.DayBlocks` builds and factors once per distinct day
+layout, the same sites in the same row order; each day is then solved
+against its layout's factor.  Batch subposteriors
 are merged by precision-weighted averaging of aligned draws, performed on
 the transformed parameter scale.
 
@@ -44,7 +45,7 @@ from scipy.linalg.blas import dtrsm, dtrsv
 from .lmc import (
     Coregionalization,
     CovarianceNotPDError,
-    LmcKernel,
+    DayBlocks,
     SpatialDecay,
     StackedLayout,
     chol_pd,
@@ -419,55 +420,6 @@ def _log_prior(theta: np.ndarray, K: int, priors: Priors) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _BlockGroup:
-    """Day blocks of one common size n, stacked for batched linear algebra.
-
-    Days whose rows hold the same (coords, pollutant) sequence, the same
-    layout, have the same covariance block, so the group builds and factors
-    one block per distinct layout: a (U, n, n) stack, U <= G.  ``member[g]``
-    is the layout of day g, and every per-day solve runs against block
-    ``member[g]``.  The same sites in another row order are another layout.
-    """
-
-    def __init__(self, rows: np.ndarray, layout: StackedLayout, n_pollutants: int):
-        self.rows = rows  # (G, n) stacked-vector indices per day
-        slot: dict = {}
-        self.member = np.array([slot.setdefault(layout.site_key(r), len(slot)) for r in rows])
-        # the first day of each layout stands for it
-        self.lead = rows[np.unique(self.member, return_index=True)[1]]  # (U, n)
-        self.kernel = LmcKernel(layout.coords[self.lead], layout.pollutant[self.lead], n_pollutants)
-        U, n = self.lead.shape
-        self.diag = (np.arange(U)[:, None] * n * n + np.arange(n) * (n + 1)).ravel()
-
-    def add_diag(self, stack: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Copy of ``stack`` with ``values`` (stacked-vector order) added on each diagonal."""
-        out = stack.copy()
-        out.reshape(-1)[self.diag] += values[self.lead.ravel()]
-        return out
-
-
-class _DayBlocks:
-    """All day blocks of one batch, grouped by size, one block per layout."""
-
-    def __init__(self, layout: StackedLayout, n_pollutants: int):
-        by_size: dict = {}
-        for _, idx in sorted(layout.day_groups().items()):
-            by_size.setdefault(idx.size, []).append(idx)
-        self.groups = [
-            _BlockGroup(np.array(by_size[size]), layout, n_pollutants) for size in sorted(by_size)
-        ]
-
-    def corr(self, rate: float):
-        return [g.kernel.corr(rate) for g in self.groups]
-
-    def cov(self, cross: np.ndarray, corr_stacks):
-        return [g.kernel.cov(cross, R) for g, R in zip(self.groups, corr_stacks)]
-
-    def gather(self, stacked: np.ndarray) -> list:
-        """Rows of a stacked array per size group, each (G, n, ...)."""
-        return [stacked[g.rows] for g in self.groups]
-
-
 def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False, member=None) -> np.ndarray:
     """L^{-1} b, or L^{-T} b with ``transpose``, for lower factors L.
 
@@ -491,45 +443,46 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False, member=N
     return out
 
 
-def _factor_marginal(blocks: _DayBlocks, covs, nugget_row):
-    """Lower factors of C + D per size group, one per layout, or None if one is not PD."""
+def _factor_marginal(blocks: DayBlocks, covs, nugget2):
+    """Lower factors of C + D per size group, one per layout, or None if one
+    is not PD; the LMC stacks ``covs`` are left as they are."""
     try:
-        return [chol_pd(group.add_diag(C, nugget_row))[0] for group, C in zip(blocks.groups, covs)]
+        return blocks.factor([C.copy() for C in covs], nugget2)
     except CovarianceNotPDError:
         return None
 
 
-def _marginal_loglik(blocks: _DayBlocks, chols, resids) -> float:
+def _marginal_loglik(blocks: DayBlocks, chols, resids) -> float:
     """log N(resid; 0, C + D) without the 2 pi term, from the factors of C + D.
 
     ``resids`` holds the residual's rows per size group
-    (:meth:`_DayBlocks.gather`); each day's log-determinant and solve use
-    its layout's factor.
+    (:meth:`~specdown.lmc.DayBlocks.gather`); each day's log-determinant
+    and solve use its layout's factor.
     """
     total = 0.0
-    for group, L, r in zip(blocks.groups, chols, resids):
-        z = _solve_lower(L, r, member=group.member)
-        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).take(group.member, axis=0)
+    for member, L, r in zip(blocks.member, chols, resids):
+        z = _solve_lower(L, r, member=member)
+        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).take(member, axis=0)
         total += -0.5 * float(np.einsum("gn,gn->", z, z)) - float(log_diag.sum())
     return total
 
 
-def _gls_gram(blocks: _DayBlocks, chols, Xys) -> np.ndarray:
+def _gls_gram(blocks: DayBlocks, chols, Xys) -> np.ndarray:
     """[X | y]' S^{-1} [X | y] for S = C + D, from the factors of C + D.
 
     One triangular solve of L^{-1} [X | y] per day, against its layout's
     factor.  ``Xys`` holds the rows of the design with y as its last
-    column, per size group (:meth:`_DayBlocks.gather`).
+    column, per size group (:meth:`~specdown.lmc.DayBlocks.gather`).
     """
     m = Xys[0].shape[-1]
     gram = np.zeros((m, m))
-    for group, L, Xy in zip(blocks.groups, chols, Xys):
-        z = _solve_lower(L, Xy, member=group.member).reshape(-1, m)
+    for member, L, Xy in zip(blocks.member, chols, Xys):
+        z = _solve_lower(L, Xy, member=member).reshape(-1, m)
         gram += z.T @ z
     return gram
 
 
-def _draw_beta_gls(blocks: _DayBlocks, chols, Xys, beta_sd: float, rng) -> np.ndarray:
+def _draw_beta_gls(blocks: DayBlocks, chols, Xys, beta_sd: float, rng) -> np.ndarray:
     """Exact draw of beta from p(beta | theta, y) = N(V X' S^{-1} y, V).
 
     V^{-1} = X' S^{-1} X + I / beta_sd^2, both terms from the Gram matrix of
@@ -656,7 +609,7 @@ def fit_batch_mcmc(
     p = batch.p
     X, y = batch.X, batch.y
     pol_row = batch.layout.pollutant
-    blocks = _DayBlocks(batch.layout, K)
+    blocks = DayBlocks(batch.layout, K)
     Xys = blocks.gather(np.column_stack([X, y]))
     bounds = tuple(priors.decay_bounds)
 
@@ -685,7 +638,7 @@ def fit_batch_mcmc(
     cross = lower @ lower.T
     corr = blocks.corr(_rate(0.0, bounds))
     covs = field_covs(cross, corr)
-    chols = _factor_marginal(blocks, covs, nugget2[pol_row])
+    chols = _factor_marginal(blocks, covs, nugget2)
     if chols is None:
         raise McmcError("marginal covariance not positive definite even after jitter")
 
@@ -706,7 +659,7 @@ def fit_batch_mcmc(
             lower_p = _unpack_hyper(theta_p, K)[1]
             cross_p = lower_p @ lower_p.T
         covs_p = covs if corr_p is corr and cross_p is cross else field_covs(cross_p, corr_p)
-        chols_p = _factor_marginal(blocks, covs_p, np.exp(theta_p[:K])[pol_row])
+        chols_p = _factor_marginal(blocks, covs_p, np.exp(theta_p[:K]))
         logu = np.log(rng.uniform())
         if chols_p is None:
             return False
@@ -914,14 +867,11 @@ def marginal_loglik(
     """log p(y | theta) with the residual field integrated out.
 
     Days are independent, so the total is a sum of per-day Gaussian
-    log-densities with covariance C_d + diag(nugget).
+    log-densities with covariance C_d + diag(nugget).  A C + D that does not
+    factor even with jitter raises
+    :class:`~specdown.lmc.CovarianceNotPDError`.
     """
-    blocks = _DayBlocks(batch.layout, batch.n_pollutants)
-    corr = blocks.corr(decay.rate)
-    chols = _factor_marginal(
-        blocks, blocks.cov(coreg.cross_cov(), corr), np.asarray(nugget2)[batch.layout.pollutant]
-    )
-    if chols is None:
-        raise CovarianceNotPDError("marginal covariance not positive definite")
+    blocks = DayBlocks(batch.layout, batch.n_pollutants)
+    chols = blocks.factor(blocks.cov(coreg.cross_cov(), blocks.corr(decay.rate)), nugget2)
     loglik = _marginal_loglik(blocks, chols, blocks.gather(batch.y - batch.X @ beta))
     return float(loglik - 0.5 * batch.n * np.log(2.0 * np.pi))

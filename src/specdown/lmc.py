@@ -17,6 +17,10 @@ them, for the sampler's day blocks, the simulator's draws and the kriging
 stacks of prediction alike.  :func:`chol_pd` is the jitter rule: when plain
 Cholesky fails, add JITTER_SCALE * trace / n to the diagonal and retry once,
 and raise :class:`CovarianceNotPDError` if that fails too.
+
+:class:`DayBlocks`, the home of the day blocks, factors C + D, the LMC block
+plus the nugget diagonal, once per distinct day layout: for one theta in the
+batch sampler and for a stack of posterior draws in interpolation.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "StackedLayout",
     "CovarianceNotPDError",
     "LmcKernel",
+    "DayBlocks",
     "sample_w",
     "chol_pd",
     "JITTER_SCALE",
@@ -127,14 +132,6 @@ class StackedLayout:
         """Indices per day, days in ascending order."""
         return {int(d): np.flatnonzero(self.day == d) for d in np.unique(self.day)}
 
-    def site_key(self, idx=slice(None)) -> bytes:
-        """The exact (coords, pollutant) sequence of positions ``idx``.
-
-        Equal keys mean equal LMC covariance blocks, entry for entry; the
-        same sites in another row order give another key.
-        """
-        return self.coords[idx].tobytes() + self.pollutant[idx].tobytes()
-
 
 class LmcKernel:
     """Geometry of a set of site pairs, computed once, and the LMC covariance on it.
@@ -193,6 +190,68 @@ def chol_pd(cov: np.ndarray):
         raise CovarianceNotPDError(
             f"covariance not positive definite after jitter; smallest eigenvalue {smallest:.3e}"
         ) from None
+
+
+class DayBlocks:
+    """The day blocks of a stacked layout, by size, one block per day layout.
+
+    Days are independent, so a covariance over the layout is block diagonal
+    by day.  Days whose rows hold the same (coords, pollutant) sequence, the
+    same layout, have the same block, so each distinct layout is built and
+    factored once; the same sites in another row order are another layout.
+    Per size group s, n ascending: ``rows[s]`` (G, n) holds the stacked
+    indices of its G days, ascending; ``member[s]`` (G,) the layout of each,
+    numbered in order of first appearance; ``kernels[s]`` the
+    :class:`LmcKernel` of the U layouts, each on the rows of its first day,
+    and ``pollutant[s]`` (U, n) their pollutants.  Stacks are (U, n, n), or
+    (I, U, n, n) for a rate (I,), cross block (I, K, K) and nuggets (I, K).
+    """
+
+    def __init__(self, layout: StackedLayout, n_pollutants: int):
+        by_size: dict = {}
+        for _, idx in sorted(layout.day_groups().items()):
+            by_size.setdefault(idx.size, []).append(idx)
+        self.rows, self.member, self.kernels, self.pollutant = [], [], [], []
+        for size in sorted(by_size):
+            rows = np.array(by_size[size])
+            slot: dict = {}
+            keys = (layout.coords[r].tobytes() + layout.pollutant[r].tobytes() for r in rows)
+            member = np.array([slot.setdefault(key, len(slot)) for key in keys])
+            lead = rows[np.unique(member, return_index=True)[1]]  # (U, n)
+            self.rows.append(rows)
+            self.member.append(member)
+            self.kernels.append(LmcKernel(layout.coords[lead], layout.pollutant[lead], n_pollutants))
+            self.pollutant.append(layout.pollutant[lead])
+
+    def corr(self, rate) -> list:
+        """The correlation stacks exp(-rate * distance) per size group."""
+        return [kernel.corr(rate) for kernel in self.kernels]
+
+    def cov(self, cross, corrs, out=None) -> list:
+        """The LMC stacks C per size group from the correlation stacks
+        ``corrs``; ``out=corrs`` overwrites the correlations."""
+        out = [None] * len(corrs) if out is None else out
+        return [k.cov(cross, R, out=o) for k, R, o in zip(self.kernels, corrs, out)]
+
+    def factor(self, covs, nugget2) -> list:
+        """Lower factors of C + D per size group, D the nugget diagonal.
+
+        ``nugget2`` (K,), or (I, K) per draw, is added in place on the
+        diagonals of the stacks ``covs``, and each stack is factored by
+        :func:`chol_pd`.  Its jitter rule acts on the whole stack: when one
+        member fails to factor, every layout of that size, of every draw,
+        is jittered.
+        """
+        nugget2 = np.asarray(nugget2)
+        chols = []
+        for C, pol in zip(covs, self.pollutant):
+            np.einsum("...ii->...i", C)[...] += nugget2.take(pol, axis=-1)  # diagonal views
+            chols.append(chol_pd(C)[0])
+        return chols
+
+    def gather(self, stacked: np.ndarray) -> list:
+        """Rows of a stacked array per size group, each (G, n, ...)."""
+        return [stacked[rows] for rows in self.rows]
 
 
 def sample_w(

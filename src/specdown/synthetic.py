@@ -132,13 +132,6 @@ class SyntheticTruth:
     true_w: np.ndarray  # per observation
     w_days: dict  # day -> (StackedLayout over all station/pollutant pairs, values)
 
-    def observed_raw(self) -> dict:
-        """(site, day, pollutant) -> observed value on the original scale."""
-        return {
-            (o.site_id, o.day, o.pollutant_id): float(np.exp(o.value))
-            for o in self.observations
-        }
-
 
 def simulate_fields(config: SimConfig) -> dict:
     """Per-(field, day) Gaussian random fields with the configured spectrum.

@@ -454,12 +454,13 @@ class TestVectorisedPredict:
         reference = _reference_predict(post, targets, ctx, fields, np.random.default_rng(0))
         lower = post.coreg_draws()
         cross = lower @ np.swapaxes(lower, 1, 2)
+        kriging = evaluate._Conditioner(
+            ctx, (1, 2, 3), post.beta_draws(), post.nugget2_draws(), cross, post.decay_draws()
+        )
         for d in (1, 2, 3):
-            factor = evaluate._DayFactor(
-                ctx, d, post.beta_draws(), post.nugget2_draws(), cross, post.decay_draws()
-            )
             idx = [i for i, t in enumerate(targets) if t.day == d]
-            mean, var = factor.conditional(
+            mean, var = kriging.conditional(
+                d,
                 np.array([targets[i].x for i in idx]),
                 np.array([targets[i].y for i in idx]),
                 np.array([targets[i].pollutant_id for i in idx]),
@@ -524,8 +525,8 @@ class TestVectorisedPredict:
         kriged = w @ weights
         krige_var = cross[0][k, k] - np.einsum("tn,nt->t", c0, weights)
 
-        factor = evaluate._DayFactor(ctx, day, beta, nugget2, cross, rate)
-        mean, var = factor.conditional(x, y, k)
+        kriging = evaluate._Conditioner(ctx, [day], beta, nugget2, cross, rate)
+        mean, var = kriging.conditional(day, x, y, k)
         se = kriged.std(axis=0) / np.sqrt(n_draws)
         assert np.all(np.abs(kriged.mean(axis=0) - mean[0]) < 4.0 * se)
         spread = kriged.var(axis=0)
@@ -597,12 +598,12 @@ class TestVectorisedPredict:
         cross = lower @ np.swapaxes(lower, 1, 2)
         nugget2 = post.nugget2_draws()
         bound = 1.0 / (1.0 / cross[:, 0, 0] + 2.0 / nugget2[:, 0])
+        kriging = evaluate._Conditioner(
+            ctx, days, post.beta_draws(), nugget2, cross, post.decay_draws()
+        )
         for d in days:
-            factor = evaluate._DayFactor(
-                ctx, d, post.beta_draws(), nugget2, cross, post.decay_draws()
-            )
-            _, var = factor.conditional(
-                np.array([shared[0]]), np.array([shared[1]]), np.zeros(1, int)
+            _, var = kriging.conditional(
+                d, np.array([shared[0]]), np.array([shared[1]]), np.zeros(1, int)
             )
             assert np.all(var[:, 0] > 0.0)
             assert np.all(var[:, 0] <= bound * (1.0 + 1e-9))
@@ -615,17 +616,19 @@ class TestSharedFactors:
     def test_interpolation_factors_once_per_layout(self, monkeypatch, same_sites, calls):
         post, ctx, *_ = _kriging_setup(same_sites=same_sites)
         sizes = []
+        chol_pd = lmc.chol_pd  # the original: the patch replaces lmc.chol_pd
 
         def counting(cov):
-            sizes.append(cov.shape[0])
-            return lmc.chol_pd(cov)
+            sizes.append(cov.shape[:-2])
+            return chol_pd(cov)
 
-        monkeypatch.setattr(evaluate, "chol_pd", counting)
+        monkeypatch.setattr(lmc, "chol_pd", counting)
         targets = [
             PredictionTarget(20.0 * d, 40.0, d % 2, d, "interpolation", f"t{d}") for d in (1, 2, 3)
         ]
         predict(post, targets, ctx, np.random.default_rng(0))
-        assert sizes == [post.n_draws] * calls
+        # one stack per block size, of all draws of one layout
+        assert sizes == [(post.n_draws, 1)] * calls
 
     def test_shared_factor_is_the_fresh_one_bit_for_bit(self):
         post, ctx, *_ = _kriging_setup(same_sites=True)
@@ -636,16 +639,16 @@ class TestSharedFactors:
             lower @ np.swapaxes(lower, 1, 2),
             post.decay_draws(),
         )
-        shared = {}
-        first = evaluate._DayFactor(ctx, 1, *draws, shared)
+        kriging = evaluate._Conditioner(ctx, (1, 2, 3), *draws)
+        *_, first_inv, first_z = kriging.days[1]
         for d in (2, 3):
-            reused = evaluate._DayFactor(ctx, d, *draws, shared)
-            fresh = evaluate._DayFactor(ctx, d, *draws)
-            assert reused.chol_inv is first.chol_inv
-            assert np.array_equal(reused.chol_inv, fresh.chol_inv)
-            assert np.array_equal(reused.z, fresh.z)
-            assert not np.array_equal(reused.z, first.z)
-        assert len(shared) == 1
+            *_, inv, z = kriging.days[d]
+            *_, fresh_inv, fresh_z = evaluate._Conditioner(ctx, [d], *draws).days[d]
+            assert inv is first_inv
+            assert np.array_equal(inv, fresh_inv)
+            assert np.array_equal(z, fresh_z)
+            assert not np.array_equal(z, first_z)
+        assert len({id(inv) for *_, inv, _ in kriging.days.values()}) == 1
 
 
 class TestScore:

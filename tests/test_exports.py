@@ -9,7 +9,9 @@ its tests imports a name it does not use, every field of the run,
 sampler and prior configurations is read somewhere in the package, and
 every key of the default ``simulate`` section is read by
 :func:`~specdown.pipeline.build_sim_config`.  Every module-level name of
-the package is read somewhere in it or listed in an ``__all__``.
+the package is read somewhere in it or listed in an ``__all__``, and every
+method or property of a package class is read as ``.name`` in the package,
+its tests or the bench.
 """
 
 import ast
@@ -271,3 +273,32 @@ def _dead_names() -> list:
 def test_no_dead_module_names():
     # every module-level name is read somewhere in the package or exported
     assert _dead_names() == []
+
+
+def _class_members() -> list:
+    """(class, name) of each method and property defined in the body of a
+    package class, dunder methods aside."""
+    return sorted(
+        (f"{module}.{cls.name}", stmt.name)
+        for module, tree in TREES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    )
+
+
+#: Attribute names read anywhere in the package, its tests or the bench.
+ALL_ATTRIBUTE_READS = {
+    node.attr
+    for path in SOURCES + sorted((ROOT / "bench").glob("*.py"))
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+}
+
+
+@pytest.mark.parametrize("cls,name", _class_members(), ids=lambda v: v)
+def test_class_member_is_read(cls, name):
+    # a method or property that nothing reads as ``.name`` is dead code
+    assert name in ALL_ATTRIBUTE_READS, f"{cls}.{name} is never read"

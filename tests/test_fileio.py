@@ -146,13 +146,24 @@ class TestNpyFaults:
     @pytest.mark.parametrize(
         "make", [_posterior_file, _cell_table_file], ids=["read_posterior", "read_cell_table"]
     )
-    @pytest.mark.parametrize("damage", ["text", "truncated"])
+    @pytest.mark.parametrize("damage", ["text", "truncated", "trailing", "zip", "npz"])
     def test_damaged_body_names_the_file(self, tmp_path, make, damage):
-        # a bare numpy ValueError once reached the user without a path
+        # a bare numpy ValueError, zipfile.BadZipFile or AttributeError once
+        # reached the user without a path, and bytes after the array were
+        # read without complaint
         path = tmp_path / "damaged.npy"
         read = make(path)
         data = path.read_bytes()
-        path.write_bytes(b"a,b\n0.0,1.0\n" if damage == "text" else data[:-5])
+        archive = tmp_path / "archive.npz"
+        np.savez(archive, body=np.load(path))
+        bodies = {
+            "text": b"a,b\n0.0,1.0\n",
+            "truncated": data[:-5],
+            "trailing": data + bytes(16),
+            "zip": b"PK\x03\x04" + data[4:],
+            "npz": archive.read_bytes(),
+        }
+        path.write_bytes(bodies[damage])
         with pytest.raises(ParseError, match="not a .npy array") as err:
             read(path)
         assert str(path) in str(err.value)

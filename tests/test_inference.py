@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specdown import inference
+from specdown import lmc
 from specdown.inference import (
     BatchData,
     BatchPosterior,
@@ -19,7 +19,6 @@ from specdown.inference import (
     ols_posterior,
 )
 from specdown.inference import (
-    _DayBlocks,
     _IndependenceProposal,
     _factor_marginal,
     _gls_gram,
@@ -32,6 +31,7 @@ from specdown.inference import (
 from specdown.lmc import (
     JITTER_SCALE,
     Coregionalization,
+    DayBlocks,
     LmcKernel,
     SpatialDecay,
     StackedLayout,
@@ -574,18 +574,16 @@ class TestSharedLayouts:
         from scipy.stats import multivariate_normal
 
         batch = self._batch()
-        blocks = _DayBlocks(batch.layout, 2)
+        blocks = DayBlocks(batch.layout, 2)
         # sizes 8 (day 4) then 10 (days 1-3); day 2 is reordered, day 3 shares day 1's factor
-        assert [g.rows.shape for g in blocks.groups] == [(1, 8), (3, 10)]
-        assert [g.member.tolist() for g in blocks.groups] == [[0], [0, 1, 0]]
-        assert [g.lead.shape[0] for g in blocks.groups] == [1, 2]
+        assert [rows.shape for rows in blocks.rows] == [(1, 8), (3, 10)]
+        assert [member.tolist() for member in blocks.member] == [[0], [0, 1, 0]]
+        assert [pol.shape[0] for pol in blocks.pollutant] == [1, 2]
 
         lower = np.array([[0.9, 0.0], [0.5, 0.7]])
         cross, rate, nugget2 = lower @ lower.T, 0.03, np.array([0.2, 0.1])
         beta = np.array([0.3, -0.2, 0.5])
-        chols = _factor_marginal(
-            blocks, blocks.cov(cross, blocks.corr(rate)), nugget2[batch.layout.pollutant]
-        )
+        chols = _factor_marginal(blocks, blocks.cov(cross, blocks.corr(rate)), nugget2)
         assert [L.shape[0] for L in chols] == [1, 2]
         resid = batch.y - batch.X @ beta
         dense = self._dense_covs(batch, cross, rate, nugget2)
@@ -603,17 +601,38 @@ class TestSharedLayouts:
         gram = _gls_gram(blocks, chols, blocks.gather(Xy))
         np.testing.assert_allclose(gram, Xy.T @ np.linalg.solve(S, Xy), rtol=1e-10, atol=1e-12)
 
+    def test_draw_axis_factors_equal_single_draw_factors(self):
+        # a stack of I draws gives, member for member, the bytes of the I
+        # factors of one theta each: the sampler and interpolation factor alike
+        batch = self._batch()
+        blocks = DayBlocks(batch.layout, 2)
+        rng = np.random.default_rng(7)
+        I = 5
+        lower = np.zeros((I, 2, 2))
+        lower[:, [0, 1], [0, 1]] = rng.uniform(0.4, 1.2, (I, 2))
+        lower[:, 1, 0] = rng.normal(0.0, 0.3, I)
+        cross = lower @ np.swapaxes(lower, 1, 2)
+        rate = rng.uniform(0.01, 0.1, I)
+        nugget2 = rng.uniform(0.01, 0.2, (I, 2))
+        stacked = blocks.factor(blocks.cov(cross, blocks.corr(rate)), nugget2)
+        assert [L.shape for L in stacked] == [(I, 1, 8, 8), (I, 2, 10, 10)]
+        for i in range(I):
+            single = blocks.factor(blocks.cov(cross[i], blocks.corr(rate[i])), nugget2[i])
+            for L_stack, L_one in zip(stacked, single):
+                assert np.array_equal(L_stack[i], L_one)
+
     @pytest.mark.parametrize("distinct, stack", [(False, 1), (True, 3)])
     def test_sampler_factors_one_block_per_layout(self, monkeypatch, distinct, stack):
         sizes = []
+        batch = _k2_batch(3, n_sites=12, distinct=distinct)  # sample_w calls chol_pd too
 
         def counting(cov):
             sizes.append(cov.shape[0])
-            return chol_pd(cov)
+            return chol_pd(cov)  # the original, imported before the patch
 
-        monkeypatch.setattr(inference, "chol_pd", counting)
+        monkeypatch.setattr(lmc, "chol_pd", counting)
         cfg = McmcConfig(iterations=20, burnin=10, thin=1, seed=2)
-        fit_batch_mcmc(_k2_batch(3, n_sites=12, distinct=distinct), SPATIAL, _priors(), cfg)
+        fit_batch_mcmc(batch, SPATIAL, _priors(), cfg)
         # the initial factor, then one per move: decay, three mixing entries, two nuggets
         assert sizes == [stack] * (1 + cfg.iterations * 6)
 
