@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("--hi", type=float, required=True)
     p_filter.add_argument("--output", required=True)
 
-    p_cov = sub.add_parser("covariates", help="spectral covariates of one grid file")
+    p_cov = sub.add_parser(
+        "covariates", help="spectral covariates of one grid file, as grid files covariate_j*_b*_d*.txt"
+    )
     p_cov.add_argument("--input", required=True)
     p_cov.add_argument("--output-dir", required=True)
 

@@ -46,7 +46,6 @@ from .lmc import DayBlocks, LmcKernel
 from .stations import (
     CellTable,
     DesignMatrix,
-    ModelVariant,
     Station,
     cell_indices,
     design_rows,
@@ -112,7 +111,6 @@ class PredictionContext:
     posterior conditions on the training data: ``design`` then holds the
     standardized training rows and ``y`` their responses, aligned."""
 
-    variant: ModelVariant
     design: DesignMatrix
     spec: GridSpec
     train_days: tuple

@@ -1,27 +1,28 @@
 """File formats and run configuration.
 
-Artifacts are plain text (UTF-8) but for the grid and covariate files,
-posterior draws and the station-cell table.  Text floats are written with
-Python's shortest round-trip repr and binary ones as little-endian float64,
-so identical runs produce byte-identical files.
+Artifacts are plain text (UTF-8) but for the grid files, posterior draws
+and the station-cell table.  Text floats are written with Python's shortest
+round-trip repr and binary ones as little-endian float64, so identical runs
+produce byte-identical files.
 
 Grid file: the ASCII header line ``nx ny dx pollutant_id day <f8``, then
 exactly 8*nx*ny bytes holding the values as little-endian IEEE-754 float64
-in row-major order (x fastest).  A covariate file is the grid file of
-covariate b of pollutant j followed by the suffix line ``j b``.  One
-reader serves both: it checks the header, the body's byte count and that
-every value is finite, and raises a ``ParseError`` naming the file
-otherwise.  A header without the ``<f8`` token is a text grid of an
-earlier release; no reader for text bodies is kept, since formatting them
-took two thirds of ``simulate`` and parsing them 40% of ``fit`` on a
-128x128 grid.  Grid files keep the ``grid_*.txt`` names that stages find
-them by.  :func:`read_grid_header` reads the header line alone, so a stage
-can index a directory of grids without reading their values.
+in row-major order (x fastest).  Spectral covariates are grid files too:
+covariate b of pollutant j on a day is the grid file of its values, the
+header carrying j and the day and the file name the b.  The one reader,
+:func:`read_grid`, checks the header, the body's byte count and that every
+value is finite, and raises a ``ParseError`` naming the file otherwise.  A
+header without the ``<f8`` token is a text grid of an earlier release; no
+reader for text bodies is kept, since formatting them took two thirds of
+``simulate`` and parsing them 40% of ``fit`` on a 128x128 grid.  Grid files
+keep the ``grid_*.txt`` names that stages find them by.
+:func:`read_grid_header` reads the header line alone, so a stage can index
+a directory of grids without reading their values.
 
 Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
-nonpositive values with a count.
+nonpositive values with a count; a value that is not finite is an error.
 
 Posterior draws are one 2-D ``<f8`` ``.npy`` array of (draw, parameter)
 on the transformed scale, with a JSON sidecar holding the parameter names
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -64,8 +64,6 @@ __all__ = [
     "write_grid",
     "read_grid",
     "read_grid_header",
-    "write_covariate",
-    "read_covariate",
     "write_station_csv",
     "parse_station_file",
     "write_posterior",
@@ -110,27 +108,18 @@ def _load_npy(path, note: str = "") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Grid and covariate files
+# Grid files
 # ---------------------------------------------------------------------------
 
 
 #: Sixth header token of a grid file: its body is little-endian float64.
 GRID_DTYPE = "<f8"
 
-#: The suffix line ``j b`` of a covariate file.  Neither number has a
-#: leading zero or is -0, so bytes slipped in before the line cannot parse
-#: as the same pollutant.
-_SUFFIX = re.compile(rb"(0|-?[1-9][0-9]*) (0|[1-9][0-9]*)\n")
-
-
-def _grid_bytes(field: GridField) -> bytes:
-    spec = field.spec
-    header = f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day} {GRID_DTYPE}\n"
-    return header.encode("ascii") + field.values.astype(GRID_DTYPE).tobytes()
-
 
 def write_grid(field: GridField, path) -> None:
-    Path(path).write_bytes(_grid_bytes(field))
+    spec = field.spec
+    header = f"{spec.nx} {spec.ny} {_fmt(spec.dx)} {field.pollutant_id} {field.day} {GRID_DTYPE}\n"
+    Path(path).write_bytes(header.encode("ascii") + field.values.astype(GRID_DTYPE).tobytes())
 
 
 def _parse_grid_header(line: bytes, path) -> tuple[GridSpec, int, int]:
@@ -152,75 +141,35 @@ def _parse_grid_header(line: bytes, path) -> tuple[GridSpec, int, int]:
 
 
 def read_grid_header(path) -> tuple[GridSpec, int, int]:
-    """(spec, pollutant_id, day) of a grid or covariate file, read from its
-    first line only."""
+    """(spec, pollutant_id, day) of a grid file, read from its first line
+    only."""
     with open(path, "rb") as fh:
         return _parse_grid_header(fh.readline(), path)
 
 
-def _body_length_error(path, spec: GridSpec, found: int) -> ParseError:
-    return ParseError(
-        f"{path}: body holds {found} bytes; expected {8 * spec.ncells} bytes "
-        f"({spec.nx}x{spec.ny} {GRID_DTYPE} values)"
-    )
+def read_grid(path, log: bool = False) -> GridField:
+    """Read a grid file; ``log=True`` log-transforms at ingestion and
+    requires strictly positive values.
 
-
-def _read_grid_file(path) -> tuple[GridSpec, int, int, np.ndarray, bytes]:
-    """(spec, pollutant_id, day, values, the bytes after the body) of a grid
-    or covariate file.
-
-    The body must hold a finite value for every cell; the caller checks
-    what follows it."""
+    The header must parse, the body must hold exactly 8*nx*ny bytes, and
+    every value must be finite."""
     data = Path(path).read_bytes()
-    header, newline, _ = data.partition(b"\n")
+    header, newline, body = data.partition(b"\n")
     spec, pollutant_id, day = _parse_grid_header(header, path)
-    start = len(header) + len(newline)
-    nbytes = 8 * spec.ncells
-    if len(data) - start < nbytes:
-        raise _body_length_error(path, spec, len(data) - start)
-    values = np.frombuffer(data, dtype=GRID_DTYPE, count=spec.ncells, offset=start)
+    if len(body) != 8 * spec.ncells:
+        raise ParseError(
+            f"{path}: body holds {len(body)} bytes; expected {8 * spec.ncells} bytes "
+            f"({spec.nx}x{spec.ny} {GRID_DTYPE} values)"
+        )
+    values = np.frombuffer(data, dtype=GRID_DTYPE, offset=len(header) + len(newline))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ParseError(f"{path}: non-finite value {float(values[bad[0]])!r} at cell {bad[0]}")
-    return spec, pollutant_id, day, values, data[start + nbytes:]
-
-
-def read_grid(path, log: bool = False) -> GridField:
-    """Read a grid file; ``log=True`` log-transforms at ingestion and
-    requires strictly positive values."""
-    spec, pollutant_id, day, values, rest = _read_grid_file(path)
-    if rest:
-        raise _body_length_error(path, spec, 8 * spec.ncells + len(rest))
     if log:
         if np.any(values <= 0):
             raise ParseError(f"{path}: nonpositive values cannot be log-transformed")
         values = np.log(values)
     return GridField(spec, values, pollutant_id, day)
-
-
-def write_covariate(covariate: GridField, basis_index: int, path) -> None:
-    """The grid file of ``covariate`` with the suffix line ``j b``."""
-    suffix = f"{covariate.pollutant_id} {basis_index}\n".encode("ascii")
-    Path(path).write_bytes(_grid_bytes(covariate) + suffix)
-
-
-def read_covariate(path) -> tuple[GridField, int]:
-    """(covariate field, basis index) of a covariate file."""
-    spec, pollutant_id, day, values, rest = _read_grid_file(path)
-    nbytes = 8 * spec.ncells
-    match = _SUFFIX.fullmatch(rest)
-    if match is None:
-        raise ParseError(
-            f"{path}: expected a body of {nbytes} bytes, then the suffix line 'j b'; "
-            f"found {rest[:40]!r} after {nbytes} bytes"
-        )
-    j, b = int(match[1]), int(match[2])
-    if j != pollutant_id:
-        raise ParseError(
-            f"{path}: suffix pollutant {j} differs from header {pollutant_id} "
-            f"(the suffix follows a body of {nbytes} bytes)"
-        )
-    return GridField(spec, values, pollutant_id, day), b
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +221,10 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
     """Parse a station CSV into stations and log-scale observations.
 
     Returns (stations, observations, n_dropped).  Nonpositive raw values are
-    dropped and counted; malformed lines, unknown pollutant names,
-    inconsistent coordinates, and out-of-grid stations are errors.
+    dropped and counted; malformed lines, raw values that are not finite
+    (``nan``, ``inf``, ``-inf``, or an overflow such as ``1e400``), unknown
+    pollutant names, inconsistent coordinates, and out-of-grid stations are
+    a ``ParseError`` at their line.
     """
     table = dict(pollutants or DEFAULT_POLLUTANTS)
     stations: dict = {}
@@ -285,6 +236,8 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
             x, y, day, raw = float(xs), float(ys), int(ds), float(vs)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}")
+        if not math.isfinite(raw):
+            raise ParseError(f"{path}:{lineno}: value_raw {vs!r} is not finite")
         pol = _pollutant_id(pname, table, path, lineno)
         if sid in stations:
             st = stations[sid]
@@ -518,17 +471,24 @@ def write_aggregate_csv(rows, path, pollutants=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Keys the ``mcmc``, ``priors`` and ``simulate`` sections may set: the
-#: fields of :class:`Priors` less the one the run supplies itself, and the
-#: keys of the ``mcmc`` and ``simulate`` defaults (added below the class);
-#: the other :class:`McmcConfig` fields are test hooks, set in code only.
-_SECTION_KEYS = {"priors": frozenset(f.name for f in fields(Priors)) - {"decay_bounds"}}
+#: The :class:`McmcConfig` fields a run config leaves to code: the seed,
+#: which each batch derives, and the test hooks.
+_MCMC_IN_CODE = frozenset(
+    {"seed", "update_w", "update_beta", "update_nugget", "update_coreg", "update_decay", "init_nugget2"}
+)
+
+
+def _field_defaults(cls, leave_out) -> dict:
+    """The default of every field of dataclass ``cls`` not in ``leave_out``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in leave_out}
 
 
 @dataclass
 class RunConfig:
     """One JSON document drives every subcommand; defaults are embedded here
-    and dumped by ``print-config`` for reproducibility."""
+    and dumped by ``print-config`` for reproducibility.  The ``mcmc`` and
+    ``priors`` sections take their keys and defaults from :class:`McmcConfig`
+    and :class:`Priors`, less the fields the run supplies itself."""
 
     grids_dir: str = "grids"
     stations_file: str = "stations.csv"
@@ -542,25 +502,8 @@ class RunConfig:
     jobs: int = 1
     pollutants: dict = field(default_factory=lambda: dict(DEFAULT_POLLUTANTS))
     batch_len: int = 3
-    mcmc: dict = field(
-        default_factory=lambda: {
-            "iterations": 5000,
-            "burnin": 2000,
-            "thin": 3,
-            "step_decay": 0.8,
-            "step_coreg": 0.3,
-            "adapt": True,
-        }
-    )
-    priors: dict = field(
-        default_factory=lambda: {
-            "beta_sd": 100.0,
-            "coreg_offdiag_sd": 10.0,
-            "coreg_diag_log_sd": 10.0,
-            "nugget_shape": 2.0,
-            "nugget_scale": 0.1,
-        }
-    )
+    mcmc: dict = field(default_factory=lambda: _field_defaults(McmcConfig, _MCMC_IN_CODE))
+    priors: dict = field(default_factory=lambda: _field_defaults(Priors, {"decay_bounds"}))
     n_ols_draws: int = 1000
     max_kriging_draws: int = 400
     simulate: dict = field(
@@ -591,22 +534,30 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         """The defaults overlaid with a JSON document, dict sections merged key
-        by key.  An unknown key, at the top level or in the ``mcmc``,
-        ``priors`` or ``simulate`` section, is a ``ParseError`` naming it."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        by key.  A file that is not one JSON object, an unknown key (at the
+        top level or in the ``mcmc``, ``priors`` or ``simulate`` section) or
+        a section that is not an object is a ``ParseError`` naming the file
+        and the key."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"{path}: not JSON ({exc})")
+        if not isinstance(data, dict):
+            raise ParseError(f"{path}: a run config must be one JSON object")
         cfg = cls()
+        names = {f.name for f in fields(cls)}
         for key, value in data.items():
-            if not hasattr(cfg, key):
-                raise ParseError(f"unknown config key {key!r}")
-            if isinstance(getattr(cfg, key), dict) and isinstance(value, dict):
+            if key not in names:
+                raise ParseError(f"{path}: unknown config key {key!r}")
+            default = getattr(cfg, key)
+            if isinstance(default, dict):
+                if not isinstance(value, dict):
+                    raise ParseError(f"{path}: config key {key!r} must be a JSON object")
                 unknown = sorted(set(value) - _SECTION_KEYS.get(key, set(value)))
                 if unknown:
-                    raise ParseError(f"unknown {key} config key {unknown[0]!r}")
-                merged = dict(getattr(cfg, key))
-                merged.update(value)
-                setattr(cfg, key, merged)
-            else:
-                setattr(cfg, key, value)
+                    raise ParseError(f"{path}: unknown {key} config key {unknown[0]!r}")
+                value = {**default, **value}
+            setattr(cfg, key, value)
         return cfg
 
     def to_json(self) -> str:
@@ -625,4 +576,6 @@ class RunConfig:
         )
 
 
-_SECTION_KEYS.update(mcmc=frozenset(RunConfig().mcmc), simulate=frozenset(RunConfig().simulate))
+#: Keys the ``mcmc``, ``priors`` and ``simulate`` sections may set: those of
+#: their defaults.
+_SECTION_KEYS = {key: frozenset(getattr(RunConfig(), key)) for key in ("mcmc", "priors", "simulate")}

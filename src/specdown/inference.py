@@ -228,7 +228,6 @@ def make_batches(
 class OlsFit:
     coef: np.ndarray
     se: np.ndarray
-    residuals: np.ndarray
     sigma2: float
     cov_unit: np.ndarray  # (X'X)^{-1}; coefficient covariance is sigma2 * cov_unit
     df: int
@@ -259,7 +258,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, column_labels=None) -> OlsFit:
     sigma2 = float(resid @ resid / df) if df > 0 else 0.0
     cov_unit = np.linalg.inv(X.T @ X)
     se = np.sqrt(np.maximum(sigma2 * np.diag(cov_unit), 0.0))
-    return OlsFit(coef=coef, se=se, residuals=resid, sigma2=sigma2, cov_unit=cov_unit, df=df)
+    return OlsFit(coef=coef, se=se, sigma2=sigma2, cov_unit=cov_unit, df=df)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ and raise :class:`CovarianceNotPDError` if that fails too.
 
 :class:`DayBlocks`, the home of the day blocks, factors C + D, the LMC block
 plus the nugget diagonal, once per distinct day layout: for one theta in the
-batch sampler and for a stack of posterior draws in interpolation.
+batch sampler, for the simulator's days (with D = 0) and for a stack of
+posterior draws in interpolation.
 """
 
 from __future__ import annotations

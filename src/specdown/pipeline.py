@@ -57,7 +57,6 @@ from .fileio import (
     read_predictions_csv,
     write_aggregate_csv,
     write_coherence_csv,
-    write_covariate,
     write_grid,
     write_posterior,
     write_predictions_csv,
@@ -368,8 +367,9 @@ def cmd_filter(cfg: RunConfig, input_path, lo: float, hi: float, output_path) ->
 
 def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
     """The spectral covariates of one grid file, as read (no log
-    transform): one covariate file per basis function b, named
-    ``covariate_j<j>_b<b>_d<day>.txt``."""
+    transform): one grid file per basis function b, named
+    ``covariate_j<j>_b<b>_d<day>.txt``, whose header carries the input's
+    pollutant j and day."""
     field = read_grid(input_path, log=False)
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     out = Path(output_dir)
@@ -377,7 +377,7 @@ def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
     artifacts = []
     for b, values in enumerate(spectral_covariates(field, basis, center=cfg.center)):
         path = out / f"covariate_j{field.pollutant_id}_b{b}_d{field.day:03d}.txt"
-        write_covariate(GridField(field.spec, values, field.pollutant_id, field.day), b, path)
+        write_grid(GridField(field.spec, values, field.pollutant_id, field.day), path)
         artifacts.append(path)
     return artifacts
 
@@ -535,7 +535,7 @@ def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionC
         raise ValueError(f"{path} does not match the training data; refit")
     variant, spec, train_days = season.variant, season.spec, season.train_days
     if not variant.spatial:
-        return PredictionContext(variant, _design_from_record(rec), spec, train_days, table)
+        return PredictionContext(_design_from_record(rec), spec, train_days, table)
     n_gridded = max(j for j, _ in table.sources) + 1
     design, y = _training_design(
         lambda obs: table_design(variant, table, n_gridded, spec, obs, season.stations),
@@ -544,7 +544,7 @@ def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionC
     )
     if _design_record(design, variant, train_days, grids) != rec:
         raise ValueError(stale)
-    return PredictionContext(variant, design, spec, train_days, table, y)
+    return PredictionContext(design, spec, train_days, table, y)
 
 
 def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
@@ -568,7 +568,7 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
         fields, covs = _read_days(cfg, season, season.test_days)
         table = _station_table(season.variant.mean_kind, fields, covs, season.spec, season.stations)
         design = _design_from_record(rec)
-        ctx = PredictionContext(season.variant, design, season.spec, season.train_days, table)
+        ctx = PredictionContext(design, season.spec, season.train_days, table)
         combined = read_posterior(out / "combined.csv")
         targets = targets_for(season.stations, season.test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
@@ -619,7 +619,7 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
                 train_days,
                 seed_key=(vi, fold),
             )
-            ctx = PredictionContext(variant, design, spec, train_days, tables[variant.mean_kind], y)
+            ctx = PredictionContext(design, spec, train_days, tables[variant.mean_kind], y)
             rng = derive_rng(cfg.seed, 500, vi, fold)
 
             # interpolation at held-out stations, training days with data

@@ -18,7 +18,7 @@ import numpy as np
 from .filters import build_covariates, make_basis
 from .grid import GridField, GridSpec, frequency_lattice
 from .inference import derive_rng
-from .lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
+from .lmc import Coregionalization, DayBlocks, SpatialDecay, StackedLayout
 from .stations import Observation, Station, cell_indices
 
 __all__ = [
@@ -208,26 +208,26 @@ def simulate_stations(config: SimConfig, fields: dict):
     gap = CADENCE_GAP[config.cadence]
     offsets = {sid: int(o) for sid, o in zip(site_ids, rng.integers(0, gap, size=len(site_ids)))}
 
-    coreg = Coregionalization(config.coreg) if config.coreg is not None else None
-    decay = SpatialDecay(config.decay) if config.decay is not None else None
+    # the residual field is drawn for every (station, pollutant), observed or
+    # not, so every day shares one layout and one factor of its LMC block
+    pollutant = np.repeat(np.arange(K), len(site_ids))
+    coords = np.tile(np.array([[stations[s].x, stations[s].y] for s in site_ids]), (K, 1))
+    if config.coreg is not None:
+        cross = Coregionalization(config.coreg).cross_cov()
+        blocks = DayBlocks(StackedLayout(np.zeros_like(pollutant), pollutant, coords), K)
+        corrs = blocks.corr(SpatialDecay(config.decay).rate)
+        # one size group holding one layout
+        lower = blocks.factor(blocks.cov(cross, corrs, out=corrs), np.zeros(K))[0][0]
 
     observations = []
     true_mean = []
     true_w = []
     w_days = {}
     for day in config.day_list:
-        # residual field for every (station, pollutant), observed or not
         day_w = None
-        if coreg is not None:
-            layout = StackedLayout(
-                day=np.full(len(site_ids) * K, day),
-                pollutant=np.repeat(np.arange(K), len(site_ids)),
-                coords=np.tile(
-                    np.array([[stations[s].x, stations[s].y] for s in site_ids]), (K, 1)
-                ),
-            )
-            day_w = sample_w(layout, coreg, decay, rng)
-            w_days[day] = (layout, day_w)
+        if config.coreg is not None:
+            day_w = lower @ rng.standard_normal(pollutant.size)
+            w_days[day] = (StackedLayout(np.full_like(pollutant, day), pollutant, coords), day_w)
         for k in range(K):
             pos = np.array(
                 [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from specdown.cli import main
-from specdown.fileio import RunConfig, read_covariate, read_grid, write_grid
+from specdown.fileio import RunConfig, read_grid, write_grid
 from specdown.filters import FrequencyBand, band_filter, make_basis, spectral_covariates
 from specdown.grid import GridField, GridSpec
 
@@ -181,8 +181,10 @@ class TestGridCommands:
         cfg = RunConfig()
         expected = spectral_covariates(FIELD, make_basis(cfg.basis_size, cfg.basis_degree))
         assert printed == [out / f"covariate_j1_b{b}_d004.txt" for b in range(len(expected))]
-        for b, (path, values) in enumerate(zip(printed, expected)):
-            back, basis_index = read_covariate(path)
-            assert basis_index == b
+        for path, values in zip(printed, expected):
+            # a covariate is a plain grid file: j and the day in its header, b in its name
+            back = read_grid(path)
             assert (back.spec, back.pollutant_id, back.day) == (FIELD.spec, 1, 4)
             assert back.values.tobytes() == values.tobytes()
+            write_grid(GridField(FIELD.spec, values, 1, 4), tmp_path / "again.txt")
+            assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()

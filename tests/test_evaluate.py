@@ -151,7 +151,7 @@ def _fitted_setup(seed=0, tau2=0.04, l11=0.4, n_sites=25, phi=0.05, n_iter=900, 
     # some targets lie off the station cells: the table holds every cell
     table = CellTable.of_grids("SD", fields, covs, np.arange(spec.ncells))
     ctx = PredictionContext(
-        variant=variant, design=design, spec=spec, train_days=days, table=table, y=yv
+        design=design, spec=spec, train_days=days, table=table, y=yv
     )
     return spec, stations, obs, post, ctx, dict(tau2=tau2, l11=l11)
 
@@ -207,7 +207,6 @@ class TestPredict:
         )[0]
         # forecast from the same posterior at a test day
         ctx_fore = PredictionContext(
-            variant=ctx.variant,
             design=ctx.design,
             spec=spec,
             train_days=(1, 2),
@@ -248,7 +247,6 @@ class TestPredict:
         obs = [Observation(f"s{i}", 1, 0, v) for i, v in enumerate(y_vals)]
         design = assemble_design(variant, {(0, 1): field}, [], obs, stations)
         ctx = PredictionContext(
-            variant=variant,
             design=design,
             spec=spec,
             train_days=(1,),
@@ -410,7 +408,6 @@ def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3), same_sites=False):
     post = _spatial_posterior(natural, K, design.p, lo, hi, train_days)
     # the targets lie off the station cells: the table holds every cell
     ctx = PredictionContext(
-        variant=variant,
         design=design,
         spec=spec,
         train_days=train_days,
@@ -577,7 +574,6 @@ class TestVectorisedPredict:
         # an intercept-only design reads no source; "off" lies in no station cell
         spec = GridSpec(10, 10, 12.0)
         ctx = PredictionContext(
-            variant=variant,
             design=design,
             spec=spec,
             train_days=days,

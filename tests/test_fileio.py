@@ -1,4 +1,4 @@
-"""Posterior, grid, covariate and station-cell files: write -> read round
+"""Posterior, grid, station and station-cell files: write -> read round
 trips and faults; run configuration loading."""
 
 import json
@@ -15,11 +15,10 @@ from specdown.fileio import (
     ParseError,
     RunConfig,
     read_cell_table,
-    read_covariate,
     read_grid,
     read_grid_header,
     read_posterior,
-    write_covariate,
+    parse_station_file,
     write_grid,
     write_cell_table,
     write_posterior,
@@ -235,42 +234,12 @@ class TestGridRoundTrip:
         assert np.signbit(back.values[1])
 
 
-class TestCovariateRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(field=grid_fields(), j=st.integers(0, 9), b=st.integers(0, 20))
-    def test_write_read(self, field, j, b):
-        field = GridField(field.spec, field.values, j, field.day)
-        with tempfile.TemporaryDirectory() as tmp:
-            path, again = Path(tmp) / "cov.txt", Path(tmp) / "again.txt"
-            write_covariate(field, b, path)
-            back, back_b = read_covariate(path)
-            assert back.spec == field.spec
-            assert (back.pollutant_id, back_b) == (j, b)
-            _assert_same_field(back, field)
-            write_covariate(back, back_b, again)
-            assert again.read_bytes() == path.read_bytes()
-
-    def test_suffix_pollutant_must_match_header(self, tmp_path):
-        path = tmp_path / "cov.txt"
-        write_covariate(GridField(GridSpec(2, 2, 12.0), np.ones(4), 1, 3), 2, path)
-        data = path.read_bytes()
-        assert data.endswith(b"1 2\n")
-        path.write_bytes(data[:-4] + b"0 2\n")
-        with pytest.raises(ParseError, match="suffix pollutant 0"):
-            read_covariate(path)
-
-
 SPEC = GridSpec(3, 2, 12.5)
 BODY_BYTES = 8 * SPEC.ncells
 
 
-CODECS = pytest.mark.parametrize(
-    "write,read,suffix",
-    [
-        (lambda path, field: write_grid(field, path), read_grid, b""),
-        (lambda path, field: write_covariate(field, 4, path), read_covariate, b"1 4\n"),
-    ],
-    ids=["grid", "covariate"],
+GRID_CODEC = pytest.mark.parametrize(
+    "write,read", [(lambda path, field: write_grid(field, path), read_grid)], ids=["grid"]
 )
 
 
@@ -278,40 +247,36 @@ def _edit_body(path, edit):
     """Rewrite the file at ``path`` with ``edit(body)`` in place of its body."""
     data = path.read_bytes()
     start = data.index(b"\n") + 1
-    body, rest = data[start : start + BODY_BYTES], data[start + BODY_BYTES :]
-    path.write_bytes(data[:start] + edit(body) + rest)
+    path.write_bytes(data[:start] + edit(data[start:]))
 
 
 class TestGridCodecFaults:
-    @CODECS
-    def test_text_grid_is_refused_by_name(self, tmp_path, write, read, suffix):
+    @GRID_CODEC
+    def test_text_grid_is_refused_by_name(self, tmp_path, write, read):
         # grids written before bodies were binary have a five-token header
         path = tmp_path / "grid_j1_d007.txt"
-        path.write_bytes(b"3 2 12.5 1 7\n" + b" ".join([b"1.0"] * 6) + b"\n" + suffix)
+        path.write_bytes(b"3 2 12.5 1 7\n" + b" ".join([b"1.0"] * 6) + b"\n")
         for reader in (read, read_grid_header):
             with pytest.raises(ParseError, match="binary little-endian float64") as err:
                 reader(path)
             assert str(path) in str(err.value)
 
-    @CODECS
+    @GRID_CODEC
     @settings(max_examples=40, deadline=None)
     @given(cut=st.integers(1, BODY_BYTES))
-    def test_short_body_gives_the_byte_count(self, write, read, suffix, cut):
+    def test_short_body_gives_the_byte_count(self, write, read, cut):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "grid.txt"
             write(path, GridField(SPEC, np.arange(1.0, 7.0), 1, 7))
             _edit_body(path, lambda body: body[:-cut])
-            expected = f"expected (a body of )?{BODY_BYTES} bytes"
-            with pytest.raises(ParseError, match=expected) as err:
+            with pytest.raises(ParseError, match=f"expected {BODY_BYTES} bytes") as err:
                 read(path)
             assert str(path) in str(err.value)
 
-    @CODECS
+    @GRID_CODEC
     @settings(max_examples=40, deadline=None)
     @given(extra=st.binary(min_size=1, max_size=24) | st.sampled_from([b"0", b"-", b"5", b" "]))
-    def test_long_body_gives_the_byte_count(self, write, read, suffix, extra):
-        # bytes slipped in before a covariate's suffix line must not parse
-        # as part of it
+    def test_long_body_gives_the_byte_count(self, write, read, extra):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "grid.txt"
             write(path, GridField(SPEC, np.arange(1.0, 7.0), 1, 7))
@@ -320,15 +285,31 @@ class TestGridCodecFaults:
                 read(path)
             assert str(path) in str(err.value)
 
-    @CODECS
+    @GRID_CODEC
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_value_names_the_file(self, tmp_path, write, read, suffix, bad):
+    def test_non_finite_value_names_the_file(self, tmp_path, write, read, bad):
         path = tmp_path / "grid.txt"
         write(path, GridField(SPEC, np.ones(6), 1, 7))
         _edit_body(path, lambda body: body[:16] + struct.pack("<d", bad) + body[24:])
         with pytest.raises(ParseError, match=f"non-finite value {bad!r} at cell 2") as err:
             read(path)
         assert str(path) in str(err.value)
+
+
+class TestStationFile:
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e400", "-inf"])
+    def test_non_finite_value_is_parse_error_at_its_line(self, tmp_path, raw):
+        # at line 3; -inf was once dropped as nonpositive, the others raised
+        # a bare ValueError without the file or line
+        path = tmp_path / "stations.csv"
+        path.write_text(
+            "site_id,x_km,y_km,day,pollutant,value_raw\n"
+            f"A,5.0,5.0,1,PM25,2.5\nA,5.0,5.0,2,PM25,{raw}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            parse_station_file(path, GridSpec(4, 4, 10.0))
+        assert str(err.value) == f"{path}:3: value_raw '{raw}' is not finite"
 
 
 class TestRunConfig:
@@ -347,6 +328,28 @@ class TestRunConfig:
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ParseError, match=f"unknown .* config key '{key}'"):
             RunConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("[1, 2]", "one JSON object"),
+            ("{mcmc: 5}", "not JSON"),
+            ('{"mcmc": 5}', "config key 'mcmc' must be a JSON object"),
+            ('{"priors": "x"}', "config key 'priors' must be a JSON object"),
+            ('{"simulate": []}', "config key 'simulate' must be a JSON object"),
+            ('{"pollutants": null}', "config key 'pollutants' must be a JSON object"),
+            ('{"to_json": 1}', "unknown config key 'to_json'"),
+        ],
+        ids=["list", "not-json", "mcmc-number", "priors-string", "simulate-list", "pollutants-null", "method"],
+    )
+    def test_wrong_shape_is_parse_error_naming_the_file(self, tmp_path, text, match):
+        # each once raised AttributeError or JSONDecodeError here, a
+        # TypeError in mcmc_config or priors_for, or was accepted
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=match) as err:
+            RunConfig.from_json(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_every_section_field_reaches_its_dataclass(self, tmp_path):
         # the mcmc section sets the six run settings; the sampler's test

@@ -326,7 +326,7 @@ class TestStationCellTable:
             stations.assemble_design(variant, fields, covs, train_obs, sites)
         )
         y = np.array([o.value for o in train_obs])
-        ctx = evaluate.PredictionContext(variant, design, spec, train_days, table, y)
+        ctx = evaluate.PredictionContext(design, spec, train_days, table, y)
         rng = inference.derive_rng(cfg.seed, 9000)
         results = []
         for path in sorted(out.glob("batch_*.csv")):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from specdown import lmc
 from specdown.grid import GridSpec
 from specdown.inference import derive_rng
-from specdown.lmc import Coregionalization, SpatialDecay, StackedLayout, sample_w
+from specdown.lmc import Coregionalization, SpatialDecay, StackedLayout, chol_pd, sample_w
 from specdown.stations import cell_lookup
 from specdown.synthetic import (
     CADENCE_GAP,
@@ -147,6 +148,20 @@ class TestSimulateStations:
             for o, m, w in zip(truth.observations, truth.true_mean.tolist(), truth.true_w.tolist())
         ]
         assert got == _loop_reference(cfg, truth.covariates)
+
+    def test_one_factor_per_simulate(self, monkeypatch):
+        # every day draws w on the same (station, pollutant) rows, so the
+        # season factors one LMC block, not one per day
+        shapes = []
+
+        def counting(cov):
+            shapes.append(cov.shape)
+            return chol_pd(cov)
+
+        monkeypatch.setattr(lmc, "chol_pd", counting)
+        truth = simulate(_config(days=6))
+        assert shapes == [(1, 40, 40)]
+        assert sorted(truth.w_days) == list(range(1, 7))
 
     def test_deterministic_truth(self):
         t1 = simulate(_config())
