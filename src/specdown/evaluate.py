@@ -9,7 +9,11 @@ field is unconditioned: its mean is zero and only its variance enters the
 predictive draws.  Point predictions are reported on the original
 concentration scale as exp of the posterior median of the log-scale draws.
 
-Prediction is vectorised over targets.  Design rows are gathered by each
+Targets (:func:`prediction_targets`) and predictions are record arrays, a
+row per target: :func:`predict` returns the target columns with the
+prediction's columns beside them, and :func:`score` pairs them with the
+held-out observation records by (site, day, pollutant).  Prediction is
+vectorised over targets.  Design rows are gathered by each
 target's cell from the context's :class:`~specdown.stations.CellTable`,
 the field or covariate values at station cells, with
 :func:`~specdown.stations.design_rows`, which also makes the training
@@ -47,13 +51,14 @@ from .stations import (
     CellTable,
     DesignMatrix,
     Station,
+    as_records,
     cell_indices,
     design_rows,
+    records,
 )
 
 __all__ = [
-    "PredictionTarget",
-    "PredictionResult",
+    "prediction_targets",
     "PredictionContext",
     "Scorecard",
     "cv_split",
@@ -79,27 +84,18 @@ COHERENCE_POINTS = 100
 COHERENCE_ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class PredictionTarget:
-    x: float
-    y: float
-    pollutant_id: int
-    day: int
-    mode: str
-    site_id: str = ""
-
-    def __post_init__(self):
-        if self.mode not in ("interpolation", "forecast"):
-            raise ValueError(f"mode must be interpolation or forecast, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class PredictionResult:
-    target: PredictionTarget
-    mean_log: float
-    lo_log: float
-    hi_log: float
-    point: float
+def prediction_targets(x, y, pollutant_id, day, mode, site_id) -> np.recarray:
+    """Prediction targets as one record array, a scalar broadcast to the
+    others' length; :func:`predict` checks each ``mode`` is interpolation
+    or forecast."""
+    return records(
+        x=np.asarray(x, dtype=float),
+        y=np.asarray(y, dtype=float),
+        pollutant_id=np.asarray(pollutant_id, dtype=int),
+        day=np.asarray(day, dtype=int),
+        mode=np.asarray(mode, dtype=str),
+        site_id=np.asarray(site_id, dtype=str),
+    )
 
 
 @dataclass(frozen=True)
@@ -275,8 +271,13 @@ def predict(
     ctx: PredictionContext,
     rng: np.random.Generator | None = None,
     max_kriging_draws: int | None = None,
-) -> list:
-    """Predictive draws per target; returns results aligned with ``targets``.
+) -> np.recarray:
+    """Predictive draws per target of the records ``targets`` (see
+    :func:`prediction_targets`) or a nonempty list of their rows.  Returns one
+    prediction record per target, in order: the target's columns, then the
+    mean and the 2.5% and 97.5% percentiles of its log-scale draws,
+    ``mean_log``, ``lo_log`` and ``hi_log``, and ``point``, exp of their
+    median.
 
     The regression mean uses the posterior coefficient draws against the
     target's standardized design row.  With a spatial posterior,
@@ -295,21 +296,21 @@ def predict(
     consecutive targets, so the chunk size does not change the stream.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    targets = list(targets)
-    if not targets:
-        return []
-    x = np.array([t.x for t in targets], dtype=float)
-    y = np.array([t.y for t in targets], dtype=float)
-    k = np.array([t.pollutant_id for t in targets], dtype=int)
-    day = np.array([int(t.day) for t in targets], dtype=int)
-    interp = np.array([t.mode == "interpolation" for t in targets])
+    targets = as_records(targets)
+    x, y, k, day = targets.x, targets.y, targets.pollutant_id, targets.day
+    modes = np.isin(targets.mode, ("interpolation", "forecast"))
+    if not modes.all():
+        bad = str(targets.mode[np.argmin(modes)])
+        raise ValueError(f"mode must be interpolation or forecast, got {bad!r}")
+    interp = targets.mode == "interpolation"
     in_train = np.isin(day, np.array([int(d) for d in ctx.train_days], dtype=int))
     bad = np.flatnonzero(interp != in_train)
     if bad.size:
-        t = targets[bad[0]]
         where = "outside" if interp[bad[0]] else "inside"
-        raise ValueError(f"{t.mode} target day {t.day} {where} the training period")
-    cells = cell_indices(x, y, ctx.spec, [t.site_id or "target" for t in targets])
+        mode = targets.mode[bad[0]]
+        raise ValueError(f"{mode} target day {day[bad[0]]} {where} the training period")
+    labels = np.where(targets.site_id == "", "target", targets.site_id)
+    cells = cell_indices(x, y, ctx.spec, labels)
 
     beta = posterior.beta_draws()
     n_draws = beta.shape[0]
@@ -340,7 +341,7 @@ def predict(
     I = draw_idx.size
     widest = max(n_blocks, kriging.widest if kriging is not None else 0)
     step = max(1, PREDICT_CHUNK_VALUES // max(I * widest, beta.shape[1]))
-    results = []
+    summary = np.empty((4, len(targets)))  # mean_log, lo_log, hi_log, point
     for start in range(0, len(targets), step):
         chunk = slice(start, start + step)
         kc, dc = k[chunk], day[chunk]
@@ -357,19 +358,12 @@ def predict(
                     resid_sd[sel] = np.sqrt(np.maximum(var, 0.0)).T
             draws = draws + (resid_mean + resid_sd * noise[:, 0])
         draws = draws + nugget_sd[:, kc].T * noise[:, -1]
-        lo, med, hi = np.percentile(draws, [2.5, 50.0, 97.5], axis=1)
-        mean_log = draws.mean(axis=1)
-        for i, t in enumerate(targets[chunk]):
-            results.append(
-                PredictionResult(
-                    target=t,
-                    mean_log=float(mean_log[i]),
-                    lo_log=float(lo[i]),
-                    hi_log=float(hi[i]),
-                    point=float(np.exp(med[i])),
-                )
-            )
-    return results
+        summary[0, chunk] = draws.mean(axis=1)
+        summary[1, chunk], med, summary[2, chunk] = np.percentile(draws, [2.5, 50.0, 97.5], axis=1)
+        summary[3, chunk] = np.exp(med)
+    mean_log, lo_log, hi_log, point = summary
+    columns = {name: targets[name] for name in targets.dtype.names}
+    return records(**columns, mean_log=mean_log, lo_log=lo_log, hi_log=hi_log, point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +389,31 @@ class Scorecard:
                 raise ValueError(f"correlation out of range for pollutant {k}")
 
 
-def score(predictions, observed_raw, variant: str = "", fold: int = -1) -> Scorecard:
-    """Score aligned predictions against held-out raw-scale observations.
+def _last_match(rows, table) -> np.ndarray:
+    """Index of the last record of ``table`` with each row's (site_id, day,
+    pollutant_id), or -1 where it has none."""
+    names = ("site_id", "day", "pollutant_id")
+    keys = records(**{name: np.concatenate([table[name], rows[name]]) for name in names})
+    _, code = np.unique(keys, return_inverse=True)
+    last = np.full(code.size, -1)
+    np.maximum.at(last, code[: len(table)], np.arange(len(table)))
+    return last[code[len(table) :]]
 
-    ``observed_raw`` maps (site_id, day, pollutant_id) to the observed value
-    in original units.  RMSE is computed on the original scale; pollutants
-    with fewer than 2 pairs get a missing correlation.
+
+def score(predictions, observed_raw, variant: str = "", fold: int = -1) -> Scorecard:
+    """Score prediction records against held-out raw-scale observations.
+
+    ``observed_raw`` holds observation records (site_id, day, pollutant_id,
+    value) with values in original units; a prediction is paired with the
+    last of them that has its site, day and pollutant, if any.  RMSE is
+    computed on the original scale; pollutants with fewer than 2 pairs get
+    a missing correlation.
     """
-    by_pollutant = {}
-    for res in predictions:
-        t = res.target
-        key = (t.site_id, int(t.day), t.pollutant_id)
-        if key not in observed_raw:
-            continue
-        by_pollutant.setdefault(t.pollutant_id, []).append((res.point, observed_raw[key]))
+    match = _last_match(predictions, observed_raw)
     rmse, corr = {}, {}
-    for k, pairs in sorted(by_pollutant.items()):
-        pred = np.array([p for p, _ in pairs])
-        obs = np.array([o for _, o in pairs])
+    for k in np.unique(predictions.pollutant_id[match >= 0]).tolist():
+        sel = (match >= 0) & (predictions.pollutant_id == k)
+        pred, obs = predictions.point[sel], observed_raw.value[match[sel]]
         rmse[k] = float(np.sqrt(np.mean((pred - obs) ** 2)))
         if pred.size >= 2 and pred.std() > 0 and obs.std() > 0:
             corr[k] = float(np.corrcoef(pred, obs)[0, 1])

@@ -23,6 +23,12 @@ Station files are CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count; a value that is not finite is an error.
+:func:`parse_station_file` splits the file once and converts and checks
+whole columns, so it builds no object per line: the observations come back
+as one record array (:func:`~specdown.stations.observation_records`).  When
+a check fails, the shortest failing prefix of the file, found by bisection,
+ends at the first faulty line, which the ``ParseError`` names.  The writers
+of station and prediction files format whole columns of records.
 
 Posterior draws are one 2-D ``<f8`` ``.npy`` array of (draw, parameter)
 on the transformed scale, with a JSON sidecar holding the parameter names
@@ -57,7 +63,13 @@ import numpy as np
 
 from .grid import GridField, GridSpec
 from .inference import BatchPosterior, McmcConfig, Priors
-from .stations import CellTable, Observation, OutOfGridError, Station, cell_lookup
+from .stations import (
+    CellTable,
+    Station,
+    cell_indices,
+    observation_records,
+    station_coords,
+)
 
 __all__ = [
     "ParseError",
@@ -179,88 +191,135 @@ def read_grid(path, log: bool = False) -> GridField:
 STATION_HEADER = "site_id,x_km,y_km,day,pollutant,value_raw"
 
 
-def _csv_rows(path, header: str):
-    """(line number, stripped fields) of each nonblank line under ``header``;
-    a line whose field count differs from the header's is a ``ParseError``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != header:
+def _read_csv(path, header: str, parse):
+    """``parse(*columns)`` of the nonblank lines under ``header``, a list of
+    stripped fields per header field.  A line whose field count differs
+    from the header's, a ``ValueError`` that ``parse`` raises, or an int past
+    int64 is a ``ParseError`` at the first line whose prefix of the file is
+    rejected: every check judges a line by the lines up to it, so that line
+    is the first faulty one, and the message is its first fault in the
+    order of the checks."""
+    text = Path(path).read_text(encoding="utf-8").splitlines()
+    if not text or text[0].strip() != header:
         raise ParseError(f"{path}:1: expected header {header!r}")
+    linenos = [n for n, line in enumerate(text, start=1) if n > 1 and line.strip()]
+    lines = [text[n - 1] for n in linenos]
     n_fields = header.count(",") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-        yield lineno, [p.strip() for p in parts]
+
+    def attempt(n):
+        try:
+            counts = np.fromiter((line.count(",") + 1 for line in lines[:n]), int, n)
+            if np.any(counts != n_fields):
+                raise ValueError(f"expected {n_fields} fields, got {counts[counts != n_fields][0]}")
+            tokens = list(map(str.strip, ",".join(lines[:n]).split(","))) if n else []
+            return parse(*(tokens[i::n_fields] for i in range(n_fields))), None
+        except (ValueError, OverflowError) as exc:
+            return None, exc
+
+    result, error = attempt(len(lines))
+    if error is None:
+        return result
+    good, bad = 0, len(lines)  # the first `good` lines pass, the first `bad` do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        _, mid_error = attempt(mid)
+        if mid_error is None:
+            good = mid
+        else:
+            bad, error = mid, mid_error
+    raise ParseError(f"{path}:{linenos[bad - 1]}: {error}")
 
 
-def _pollutant_id(name: str, table: dict, path, lineno: int) -> int:
-    """The id ``table`` gives a pollutant name; a numeric id is taken as-is."""
-    if name in table:
-        return table[name]
-    if name.isdigit():
-        return int(name)
-    raise ParseError(f"{path}:{lineno}: unknown pollutant {name!r}")
+def _numbers(convert, strings) -> np.ndarray:
+    """Python's ``convert`` (``float`` or ``int``) of each string, as a
+    float64 or int64 array."""
+    return np.fromiter(map(convert, strings), convert, len(strings))
+
+
+def _pollutant_ids(names, pollutants) -> np.ndarray:
+    """The id of each pollutant name in ``pollutants`` (name -> id) or the
+    default table, a numeric name taken as the id; an unknown name is a
+    ``ValueError``."""
+    table = pollutants or DEFAULT_POLLUTANTS
+    ids = {n: table[n] if n in table else int(n) if n.isdecimal() else None for n in set(names)}
+    unknown = [n for n in names if ids[n] is None]
+    if unknown:
+        raise ValueError(f"unknown pollutant {unknown[0]!r}")
+    return np.fromiter(map(ids.get, names), int, len(names))
+
+
+def _pollutant_names(pollutants):
+    """The name of a pollutant id, from ``pollutants`` (name -> id) or the
+    default table; an id neither names is written as itself."""
+    names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
+    return lambda k: names.get(k, str(k))
+
+
+def _write_csv(path, header: str, *columns) -> None:
+    """``header`` and one line per row of the string ``columns``."""
+    lines = [header, *map(",".join, zip(*columns))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_station_csv(stations: dict, observations, path, pollutants=None) -> None:
     """Observations back to CSV on the original (exp) scale."""
-    names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
-    lines = [STATION_HEADER]
-    for o in observations:
-        st = stations[o.site_id]
-        name = names.get(o.pollutant_id, str(o.pollutant_id))
-        lines.append(
-            f"{o.site_id},{_fmt(st.x)},{_fmt(st.y)},{o.day},{name},{_fmt(np.exp(o.value))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    x, y = station_coords(stations, observations.site_id)
+    _write_csv(
+        path,
+        STATION_HEADER,
+        observations.site_id.tolist(),
+        map(repr, x.tolist()),
+        map(repr, y.tolist()),
+        map(str, observations.day.tolist()),
+        map(_pollutant_names(pollutants), observations.pollutant_id.tolist()),
+        map(repr, np.exp(observations.value).tolist()),
+    )
 
 
 def parse_station_file(path, spec: GridSpec, pollutants=None):
     """Parse a station CSV into stations and log-scale observations.
 
-    Returns (stations, observations, n_dropped).  Nonpositive raw values are
-    dropped and counted; malformed lines, raw values that are not finite
-    (``nan``, ``inf``, ``-inf``, or an overflow such as ``1e400``), unknown
-    pollutant names, inconsistent coordinates, and out-of-grid stations are
-    a ``ParseError`` at their line.
+    Returns (stations, observations, n_dropped): stations by site id in the
+    order they first appear, the observation records
+    (:func:`~specdown.stations.observation_records`) in file order.
+    Nonpositive raw values are dropped and counted, though a station still
+    measures their pollutant.  The first faulty line is a ``ParseError`` at
+    that line; of a line's own faults the first in this order: a field count
+    other than the header's, a malformed number (x, y, day, then value, with
+    the message of Python's ``float`` or ``int``), a raw value that is not
+    finite (``nan``, ``inf``, ``-inf``, or an overflow such as ``1e400``), an
+    unknown pollutant name, and a station that moved or lies outside the
+    grid.  The file is split and checked in bulk; numbers are converted by
+    Python's ``float`` and ``int``, so they accept exactly its spellings.
     """
-    table = dict(pollutants or DEFAULT_POLLUTANTS)
-    stations: dict = {}
-    measures: dict = {}
-    observations = []
-    dropped = 0
-    for lineno, (sid, xs, ys, ds, pname, vs) in _csv_rows(path, STATION_HEADER):
-        try:
-            x, y, day, raw = float(xs), float(ys), int(ds), float(vs)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}")
-        if not math.isfinite(raw):
-            raise ParseError(f"{path}:{lineno}: value_raw {vs!r} is not finite")
-        pol = _pollutant_id(pname, table, path, lineno)
-        if sid in stations:
-            st = stations[sid]
-            if (st.x, st.y) != (x, y):
-                raise ParseError(f"{path}:{lineno}: station {sid} moved coordinates")
-        else:
-            probe = Station(site_id=sid, x=x, y=y, measures=frozenset([pol]))
-            try:
-                cell_lookup(probe, spec)
-            except OutOfGridError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}")
-            stations[sid] = probe
-        measures.setdefault(sid, set()).add(pol)
-        if raw <= 0:
-            dropped += 1
-            continue
-        observations.append(
-            Observation(site_id=sid, day=day, pollutant_id=pol, value=float(np.log(raw)))
-        )
-    stations = {
-        sid: Station(site_id=sid, x=st.x, y=st.y, measures=frozenset(measures[sid]))
-        for sid, st in stations.items()
-    }
+
+    def parse(site, xs, ys, ds, names, vs):
+        x, y = _numbers(float, xs), _numbers(float, ys)
+        day, raw = _numbers(int, ds), _numbers(float, vs)
+        bad = np.flatnonzero(~np.isfinite(raw))
+        if bad.size:
+            raise ValueError(f"value_raw {vs[bad[0]]!r} is not finite")
+        pol = _pollutant_ids(names, pollutants)
+        codes = {sid: c for c, sid in enumerate(dict.fromkeys(site))}  # in order of appearance
+        code = np.fromiter(map(codes.get, site), int, len(site))
+        first = np.unique(code, return_index=True)[1]
+        site = np.array(site, dtype=str)
+        moved = (x != x[first][code]) | (y != y[first][code])
+        moved[first] = False
+        if moved.any():
+            raise ValueError(f"station {site[np.argmax(moved)]} moved coordinates")
+        cell_indices(x, y, spec, site)
+        pairs = np.unique(np.stack([code, pol]), axis=1)
+        measures = np.split(pairs[1], np.flatnonzero(np.diff(pairs[0])) + 1)
+        stations = {
+            sid: Station(sid, float(x[row]), float(y[row]), frozenset(m.tolist()))
+            for sid, row, m in zip(codes, first.tolist(), measures)
+        }
+        keep = raw > 0
+        observations = observation_records(site[keep], day[keep], pol[keep], np.log(raw[keep]))
+        return stations, observations, int(np.count_nonzero(~keep))
+
+    stations, observations, dropped = _read_csv(path, STATION_HEADER, parse)
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} nonpositive value(s)", stacklevel=2)
     return stations, observations, dropped
@@ -385,37 +444,39 @@ PREDICTIONS_HEADER = "site_or_cell,x,y,day,pollutant,pred,lo95,hi95"
 
 
 def write_predictions_csv(results, path, pollutants=None) -> None:
-    """``site_or_cell,x,y,day,pollutant,pred,lo95,hi95``; pred and the 95%
-    bounds are on the original concentration scale."""
-    names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
-    lines = [PREDICTIONS_HEADER]
-    for r in results:
-        t = r.target
-        name = names.get(t.pollutant_id, str(t.pollutant_id))
-        lines.append(
-            f"{t.site_id},{_fmt(t.x)},{_fmt(t.y)},{t.day},{name},"
-            f"{_fmt(r.point)},{_fmt(np.exp(r.lo_log))},{_fmt(np.exp(r.hi_log))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """``site_or_cell,x,y,day,pollutant,pred,lo95,hi95`` of each prediction
+    record, in order; pred and the 95% bounds are on the original
+    concentration scale."""
+    _write_csv(
+        path,
+        PREDICTIONS_HEADER,
+        results.site_id.tolist(),
+        map(repr, results.x.tolist()),
+        map(repr, results.y.tolist()),
+        map(str, results.day.tolist()),
+        map(_pollutant_names(pollutants), results.pollutant_id.tolist()),
+        map(repr, results.point.tolist()),
+        map(repr, np.exp(results.lo_log).tolist()),
+        map(repr, np.exp(results.hi_log).tolist()),
+    )
 
 
 def read_predictions_csv(path, pollutants=None) -> list:
     """``(x, y, pollutant_id, pred)`` of each line of a predictions CSV.  A
-    malformed number, an unknown pollutant, or a concentration (pred or a
-    bound) that is negative or not finite is a ``ParseError`` at its line."""
-    table = dict(pollutants or DEFAULT_POLLUTANTS)
-    rows = []
-    for lineno, (_, xs, ys, ds, pname, *concentrations) in _csv_rows(path, PREDICTIONS_HEADER):
-        try:
-            x, y, _ = float(xs), float(ys), int(ds)
-            pred, lo, hi = (float(v) for v in concentrations)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}")
-        for value in (pred, lo, hi):
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ParseError(f"{path}:{lineno}: concentration {value!r} is not finite and >= 0")
-        rows.append((x, y, _pollutant_id(pname, table, path, lineno), pred))
-    return rows
+    malformed number, a concentration (pred or a bound) that is negative or
+    not finite, or an unknown pollutant is a ``ParseError`` at its line."""
+
+    def parse(_, xs, ys, ds, names, *bounds):
+        x, y, _ = _numbers(float, xs), _numbers(float, ys), _numbers(int, ds)
+        pred, lo, hi = (_numbers(float, c) for c in bounds)
+        for c in (pred, lo, hi):
+            bad = np.flatnonzero(~(np.isfinite(c) & (c >= 0.0)))
+            if bad.size:
+                raise ValueError(f"concentration {float(c[bad[0]])!r} is not finite and >= 0")
+        pol = _pollutant_ids(names, pollutants)
+        return list(zip(x.tolist(), y.tolist(), pol.tolist(), pred.tolist()))
+
+    return _read_csv(path, PREDICTIONS_HEADER, parse)
 
 
 def write_scorecard_csv(scorecards, path, pollutants=None) -> None:
@@ -423,14 +484,14 @@ def write_scorecard_csv(scorecards, path, pollutants=None) -> None:
 
     Multiple scorecards per variant (one per fold) are averaged.
     """
-    names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
+    name = _pollutant_names(pollutants)
     by_variant: dict = {}
     pol_ids: set = set()
     for card in scorecards:
         by_variant.setdefault(card.variant, []).append(card)
         pol_ids.update(card.rmse)
     pol_ids = sorted(pol_ids)
-    lines = ["variant," + ",".join(names.get(k, str(k)) for k in pol_ids)]
+    lines = ["variant," + ",".join(map(name, pol_ids))]
     for variant, cards in by_variant.items():
         cells = []
         for k in pol_ids:
@@ -459,10 +520,10 @@ def write_coherence_csv(curves, path) -> None:
 
 
 def write_aggregate_csv(rows, path, pollutants=None) -> None:
-    names = {v: k for k, v in (pollutants or DEFAULT_POLLUTANTS).items()}
+    name = _pollutant_names(pollutants)
     lines = ["region,pollutant,n,mean_pred"]
     for region, k, n, mean_pred in rows:
-        lines.append(f"{region},{names.get(k, str(k))},{n},{_fmt(mean_pred)}")
+        lines.append(f"{region},{name(k)},{n},{_fmt(mean_pred)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -537,7 +598,10 @@ class RunConfig:
         by key.  A file that is not one JSON object, an unknown key (at the
         top level or in the ``mcmc``, ``priors`` or ``simulate`` section) or
         a section that is not an object is a ``ParseError`` naming the file
-        and the key."""
+        and the key.  So is a scalar whose type is not its default's (an int
+        may stand for a float, a bool for nothing else) and a
+        ``batch_len``, ``jobs``, ``n_ols_draws`` or ``max_kriging_draws``
+        below 1."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
@@ -557,6 +621,13 @@ class RunConfig:
                 if unknown:
                     raise ParseError(f"{path}: unknown {key} config key {unknown[0]!r}")
                 value = {**default, **value}
+            kind = type(default)
+            allowed = (kind, int) if kind is float else (kind,)  # a bool is no int here
+            if kind in (bool, int, float, str) and type(value) not in allowed:
+                got = json.dumps(value)
+                raise ParseError(f"{path}: config key {key!r} must be {kind.__name__}, got {got}")
+            if key in ("batch_len", "jobs", "n_ols_draws", "max_kriging_draws") and value < 1:
+                raise ParseError(f"{path}: config key {key!r} must be at least 1, got {value}")
             setattr(cfg, key, value)
         return cfg
 

@@ -40,11 +40,11 @@ import numpy as np
 
 from .evaluate import (
     PredictionContext,
-    PredictionTarget,
     aggregate_means,
     coherence_curve,
     cv_split,
     predict,
+    prediction_targets,
     score,
     split_season,
 )
@@ -91,6 +91,7 @@ from .stations import (
     assemble_design,
     cell_indices,
     standardize,
+    station_coords,
     table_design,
     variant_from_name,
 )
@@ -210,8 +211,7 @@ def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
 def _station_table(mean_kind: str, fields, covs, spec: GridSpec, stations: dict) -> CellTable:
     """The fields (LD) or their covariate arrays (SD) at the cell of every
     station."""
-    sites = list(stations.values())
-    cells = cell_indices([s.x for s in sites], [s.y for s in sites], spec)
+    cells = cell_indices(*station_coords(stations, list(stations)), spec)
     return CellTable.of_grids(mean_kind, fields, covs, cells)
 
 
@@ -224,9 +224,8 @@ def _training_design(assemble, observations, train_days):
     """Standardized design and responses of the training-day observations,
     rows in observation order: what ``fit`` fits and interpolation
     conditions on.  ``assemble(observations)`` builds the raw design."""
-    train_set = set(int(d) for d in train_days)
-    train_obs = [o for o in observations if int(o.day) in train_set]
-    return standardize(assemble(train_obs)), np.array([o.value for o in train_obs])
+    train_obs = observations[np.isin(observations.day, train_days)]
+    return standardize(assemble(train_obs)), np.array(train_obs.value)
 
 
 def fit_variant(
@@ -306,7 +305,6 @@ def _design_from_record(rec: dict) -> DesignMatrix:
         columns=columns,
         row_day=np.zeros(0, dtype=int),
         row_pollutant=np.zeros(0, dtype=int),
-        row_site=(),
         row_x=np.zeros(0),
         row_y=np.zeros(0),
         col_mean=np.array(rec["col_mean"]),
@@ -393,7 +391,7 @@ class _Season:
     train_days: tuple
     test_days: tuple
     stations: dict
-    observations: list
+    observations: np.recarray
     variant: ModelVariant
 
 
@@ -470,7 +468,7 @@ def cmd_combine(cfg: RunConfig) -> list:
     return write_posterior(consensus_combine(posteriors), out / "combined.csv")
 
 
-def targets_for(stations: dict, days, mode: str, observations=None) -> list:
+def targets_for(stations: dict, days, mode: str, observations=None) -> np.recarray:
     """Prediction targets on ``days``, in the order that fixes the random
     stream of :func:`~specdown.evaluate.predict`.
 
@@ -480,38 +478,28 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> list:
     observation order.
     """
     if observations is None:
-        return [
-            PredictionTarget(
-                x=stations[sid].x, y=stations[sid].y, pollutant_id=k, day=d, mode=mode, site_id=sid
-            )
-            for d in days
-            for sid in sorted(stations)
-            for k in sorted(stations[sid].measures)
-        ]
-    wanted = {int(d) for d in days}
-    return [
-        PredictionTarget(
-            x=stations[o.site_id].x,
-            y=stations[o.site_id].y,
-            pollutant_id=o.pollutant_id,
-            day=int(o.day),
-            mode=mode,
-            site_id=o.site_id,
-        )
-        for o in observations
-        if int(o.day) in wanted
-    ]
+        sites = sorted(stations)
+        measures = [sorted(stations[sid].measures) for sid in sites]
+        site_id = np.repeat(np.array(sites, dtype=str), [len(m) for m in measures])
+        pollutant = np.array([k for m in measures for k in m], dtype=int)
+        days = np.asarray(days, dtype=int)
+        day = np.repeat(days, site_id.size)
+        site_id, pollutant = np.tile(site_id, days.size), np.tile(pollutant, days.size)
+    else:
+        rows = observations[np.isin(observations.day, days)]
+        site_id, pollutant, day = rows.site_id, rows.pollutant_id, rows.day
+    return prediction_targets(*station_coords(stations, site_id), pollutant, day, mode, site_id)
 
 
 def _interpolate(posteriors, stations: dict, ctx, rng, max_kriging_draws, observations=None):
-    """Interpolation results of each posterior in turn, on its days: at
+    """Interpolation records of each posterior in turn, on its days: at
     every station, or with ``observations`` at each of theirs (see
     :func:`targets_for`).  One random stream runs through them all."""
     results = []
     for post in posteriors:
         targets = targets_for(stations, post.days, "interpolation", observations)
-        results.extend(predict(post, targets, ctx, rng, max_kriging_draws))
-    return results
+        results.append(predict(post, targets, ctx, rng, max_kriging_draws))
+    return np.concatenate(results).view(np.recarray)
 
 
 def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionContext:
@@ -574,7 +562,10 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
     else:
         ctx = _interpolation_context(season, out, rec)
-        posteriors = (read_posterior(p) for p in sorted(out.glob("batch_*.csv")))
+        paths = sorted(out.glob("batch_*.csv"))
+        if not paths:
+            raise FileNotFoundError(f"no batch posteriors under {out}")
+        posteriors = (read_posterior(p) for p in paths)
         results = _interpolate(posteriors, season.stations, ctx, rng, cfg.max_kriging_draws)
     path = out / f"predictions_{mode}.csv"
     write_predictions_csv(results, path, cfg.pollutants)
@@ -599,15 +590,15 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
     covs = build_covariates(fields, basis, cfg.center)
     tables = {kind: _station_table(kind, fields, covs, spec, stations) for kind in ("LD", "SD")}
     folds = cv_split(stations.values(), cfg.folds, seed=derived_seed(cfg.seed, 77))
-    observed_raw = {
-        (o.site_id, int(o.day), o.pollutant_id): float(np.exp(o.value)) for o in observations
-    }
+    observed_raw = observations.copy()
+    observed_raw.value = np.exp(observations.value)
+    forecast_targets = targets_for(stations, test_days, "forecast", observations)
 
     interp_cards, forecast_cards = [], []
     for vi, variant in enumerate(ALL_VARIANTS):
         for fold in range(cfg.folds):
-            heldout = {sid for sid, f in folds.items() if f == fold}
-            train_obs = [o for o in observations if o.site_id not in heldout]
+            heldout = np.isin(observations.site_id, [sid for sid, f in folds.items() if f == fold])
+            train_obs = observations[~heldout]
             design, y, posteriors = fit_variant(
                 cfg,
                 variant,
@@ -623,20 +614,18 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
             rng = derive_rng(cfg.seed, 500, vi, fold)
 
             # interpolation at held-out stations, training days with data
-            heldout_obs = [o for o in observations if o.site_id in heldout]
             interp_results = _interpolate(
-                posteriors, stations, ctx, rng, cfg.max_kriging_draws, heldout_obs
+                posteriors, stations, ctx, rng, cfg.max_kriging_draws, observations[heldout]
             )
-            if interp_results:
+            if len(interp_results):
                 interp_cards.append(
                     score(interp_results, observed_raw, variant=variant.name, fold=fold)
                 )
 
             # forecast at all stations over the test days with data
-            targets = targets_for(stations, test_days, "forecast", observations)
-            if targets:
+            if len(forecast_targets):
                 forecast_results = predict(
-                    consensus_combine(posteriors), targets, ctx, rng, cfg.max_kriging_draws
+                    consensus_combine(posteriors), forecast_targets, ctx, rng, cfg.max_kriging_draws
                 )
                 forecast_cards.append(
                     score(forecast_results, observed_raw, variant=variant.name, fold=fold)

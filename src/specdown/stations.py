@@ -1,7 +1,11 @@
 """Station observations, model variants, and design-matrix assembly.
 
-Stations sit at point coordinates inside the grid; each observation is one
-(site, day, pollutant) log-scale value.  The eight model variants share one
+Stations sit at point coordinates inside the grid.  Observations are one
+record array (:func:`observation_records`) with a row per (site, day,
+pollutant) log-scale value; consumers read its columns, and a row reads as
+``o.site_id``, ``o.day``, ``o.pollutant_id``, ``o.value``.  Design assembly
+and prediction also take a list of rows (:func:`as_records`), such as a
+row-by-row filter of the records gives.  The eight model variants share one
 design-matrix layout: K one-hot intercept columns followed by covariate
 columns grouped by observed pollutant k, so the matrix is block-diagonal by
 pollutant and joint least squares decouples into per-pollutant fits.
@@ -26,7 +30,10 @@ from .lmc import StackedLayout
 
 __all__ = [
     "Station",
-    "Observation",
+    "records",
+    "as_records",
+    "observation_records",
+    "station_coords",
     "ModelVariant",
     "ALL_VARIANTS",
     "variant_from_name",
@@ -34,7 +41,6 @@ __all__ = [
     "DesignMatrix",
     "CellTable",
     "OutOfGridError",
-    "cell_lookup",
     "cell_indices",
     "assemble_design",
     "table_design",
@@ -61,16 +67,40 @@ class Station:
         object.__setattr__(self, "measures", frozenset(int(k) for k in self.measures))
 
 
-@dataclass(frozen=True)
-class Observation:
-    site_id: str
-    day: int
-    pollutant_id: int
-    value: float  # log micrograms per cubic metre
+def records(**columns) -> np.recarray:
+    """One record array of the named ``columns``, in order; a scalar is
+    broadcast to the others' length."""
+    arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
+    return np.rec.fromarrays(arrays, names=list(columns))
 
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"non-finite observation at {self.site_id} day {self.day}")
+
+def as_records(rows) -> np.recarray:
+    """A record array, or a nonempty list of its rows, as one record array;
+    an empty list has no fields to give."""
+    return np.asarray(rows).view(np.recarray)
+
+
+def observation_records(site_id, day, pollutant_id, value) -> np.recarray:
+    """Observations with log-scale values (log micrograms per cubic metre);
+    a value that is not finite is a ``ValueError``."""
+    obs = records(
+        site_id=np.asarray(site_id, dtype=str),
+        day=np.asarray(day, dtype=int),
+        pollutant_id=np.asarray(pollutant_id, dtype=int),
+        value=np.asarray(value, dtype=float),
+    )
+    bad = np.flatnonzero(~np.isfinite(obs.value))
+    if bad.size:
+        raise ValueError(f"non-finite observation at {obs.site_id[bad[0]]} day {obs.day[bad[0]]}")
+    return obs
+
+
+def station_coords(stations: dict, site_id) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the station of each entry of ``site_id``."""
+    sites, inverse = np.unique(site_id, return_inverse=True)
+    xy = np.array([(stations[s].x, stations[s].y) for s in sites.tolist()], dtype=float)
+    xy = xy.reshape(-1, 2)[inverse.reshape(-1)]
+    return xy[:, 0], xy[:, 1]
 
 
 @dataclass(frozen=True)
@@ -112,11 +142,6 @@ def variant_from_name(name: str) -> ModelVariant:
         if "".join(v.name.lower().split()).replace("+", "") == key:
             return v
     raise ValueError(f"unknown model variant {name!r}; one of {[v.name for v in ALL_VARIANTS]}")
-
-
-def cell_lookup(station: Station, spec: GridSpec) -> int:
-    """Row-major index of the grid cell containing the station."""
-    return int(cell_indices([station.x], [station.y], spec, [station.site_id])[0])
 
 
 def cell_indices(x, y, spec: GridSpec, labels=None) -> np.ndarray:
@@ -177,7 +202,6 @@ class DesignMatrix:
     columns: tuple
     row_day: np.ndarray
     row_pollutant: np.ndarray
-    row_site: tuple
     row_x: np.ndarray
     row_y: np.ndarray
     col_mean: np.ndarray
@@ -268,7 +292,7 @@ def assemble_design(
     variant: ModelVariant,
     fields: dict,
     covs: dict,
-    observations: list[Observation],
+    observations,
     stations: dict,
 ) -> DesignMatrix:
     """Build the regression design for ``variant`` from whole grids.
@@ -286,10 +310,11 @@ def assemble_design(
         raise ValueError("design assembly requires gridded fields")
     if variant.mean_kind == "SD" and not covs:
         raise ValueError("SD variant requires spectral covariates")
+    if not len(observations):
+        raise ValueError("no observations to assemble")
     spec = next(iter(fields.values())).spec
-    sites = [stations[sid] for sid in dict.fromkeys(o.site_id for o in observations)]
-    labels = [s.site_id for s in sites]
-    cells = cell_indices([s.x for s in sites], [s.y for s in sites], spec, labels)
+    site_id = as_records(observations).site_id
+    cells = cell_indices(*station_coords(stations, site_id), spec, site_id)
     return table_design(
         variant,
         CellTable.of_grids(variant.mean_kind, fields, covs, cells),
@@ -305,7 +330,7 @@ def table_design(
     table: CellTable,
     n_gridded: int,
     spec: GridSpec,
-    observations: list[Observation],
+    observations,
     stations: dict,
 ) -> DesignMatrix:
     """The regression design for ``variant``, its values read from ``table``.
@@ -313,12 +338,14 @@ def table_design(
     J is ``n_gridded``; for SD variants B is read from the table's arrays.
     ``stations`` maps site_id to Station, and ``spec`` places them in grid
     cells.  The assembly is deterministic: rows follow the order of
-    ``observations``; columns are intercepts for k = 0..K-1 followed by each
+    ``observations`` (records or a list of their rows); columns are
+    intercepts for k = 0..K-1 followed by each
     k's covariate block ordered by (j, b).
     """
-    if not observations:
+    if not len(observations):
         raise ValueError("no observations to assemble")
-    K = max(o.pollutant_id for o in observations) + 1
+    obs = as_records(observations)
+    K = int(obs.pollutant_id.max()) + 1
     if variant.mean_kind == "SD":
         B = next(iter(table.sources.values())).shape[0]
 
@@ -331,20 +358,15 @@ def table_design(
             else:
                 columns.extend(ColumnMeta("covariate", k, j, b) for b in range(B))
 
-    sites = [stations[o.site_id] for o in observations]
-    row_site = tuple(o.site_id for o in observations)
-    row_x = np.array([st.x for st in sites], dtype=float)
-    row_y = np.array([st.y for st in sites], dtype=float)
-    row_day = np.array([o.day for o in observations], dtype=int)
-    row_pol = np.array([o.pollutant_id for o in observations], dtype=int)
-    cells = cell_indices(row_x, row_y, spec, row_site)
+    row_x, row_y = station_coords(stations, obs.site_id)
+    row_day, row_pol = np.array(obs.day), np.array(obs.pollutant_id)
+    cells = cell_indices(row_x, row_y, spec, obs.site_id)
     p = len(columns)
     return DesignMatrix(
         X=design_rows(columns, table, cells, row_pol, row_day),
         columns=tuple(columns),
         row_day=row_day,
         row_pollutant=row_pol,
-        row_site=row_site,
         row_x=row_x,
         row_y=row_y,
         col_mean=np.zeros(p),

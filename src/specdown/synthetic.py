@@ -19,7 +19,7 @@ from .filters import build_covariates, make_basis
 from .grid import GridField, GridSpec, frequency_lattice
 from .inference import derive_rng
 from .lmc import Coregionalization, DayBlocks, SpatialDecay, StackedLayout
-from .stations import Observation, Station, cell_indices
+from .stations import Station, cell_indices, observation_records, station_coords
 
 __all__ = [
     "FieldSpectrum",
@@ -127,7 +127,7 @@ class SyntheticTruth:
     fields: dict  # (j, day) -> GridField
     covariates: dict  # (j, day) -> read-only (B, ncells) spectral covariates
     stations: dict  # site_id -> Station
-    observations: tuple
+    observations: np.recarray
     true_mean: np.ndarray  # per observation, log scale
     true_w: np.ndarray  # per observation
     w_days: dict  # day -> (StackedLayout over all station/pollutant pairs, values)
@@ -202,16 +202,16 @@ def simulate_stations(config: SimConfig, fields: dict):
 
     stations = _station_layout(config, rng)
     site_ids = sorted(stations)
-    cell_index = cell_indices(
-        [stations[s].x for s in site_ids], [stations[s].y for s in site_ids], spec, site_ids
-    )
+    x, y = station_coords(stations, site_ids)
+    cell_index = cell_indices(x, y, spec, site_ids)
     gap = CADENCE_GAP[config.cadence]
-    offsets = {sid: int(o) for sid, o in zip(site_ids, rng.integers(0, gap, size=len(site_ids)))}
+    offsets = rng.integers(0, gap, size=len(site_ids))
+    measures = np.array([[k in stations[sid].measures for k in range(K)] for sid in site_ids])
 
     # the residual field is drawn for every (station, pollutant), observed or
     # not, so every day shares one layout and one factor of its LMC block
     pollutant = np.repeat(np.arange(K), len(site_ids))
-    coords = np.tile(np.array([[stations[s].x, stations[s].y] for s in site_ids]), (K, 1))
+    coords = np.tile(np.column_stack([x, y]), (K, 1))
     if config.coreg is not None:
         cross = Coregionalization(config.coreg).cross_cov()
         blocks = DayBlocks(StackedLayout(np.zeros_like(pollutant), pollutant, coords), K)
@@ -219,9 +219,7 @@ def simulate_stations(config: SimConfig, fields: dict):
         # one size group holding one layout
         lower = blocks.factor(blocks.cov(cross, corrs, out=corrs), np.zeros(K))[0][0]
 
-    observations = []
-    true_mean = []
-    true_w = []
+    rows, values, true_mean, true_w = [], [], [], []  # blocks of (day, k)
     w_days = {}
     for day in config.day_list:
         day_w = None
@@ -229,14 +227,7 @@ def simulate_stations(config: SimConfig, fields: dict):
             day_w = lower @ rng.standard_normal(pollutant.size)
             w_days[day] = (StackedLayout(np.full_like(pollutant, day), pollutant, coords), day_w)
         for k in range(K):
-            pos = np.array(
-                [
-                    p
-                    for p, sid in enumerate(site_ids)
-                    if k in stations[sid].measures and (day - 1 - offsets[sid]) % gap == 0
-                ],
-                dtype=int,
-            )
+            pos = np.flatnonzero(measures[:, k] & ((day - 1 - offsets) % gap == 0))
             block_cells = cell_index[pos]
             # summed over (j, b) in this order: another order changes the last bits
             mu = np.full(pos.size, config.beta0[k])
@@ -249,22 +240,20 @@ def simulate_stations(config: SimConfig, fields: dict):
                 if config.nugget2[k] > 0
                 else 0.0
             )
-            value = mu + w_val + eps
-            observations.extend(
-                Observation(site_id=site_ids[p], day=day, pollutant_id=k, value=float(v))
-                for p, v in zip(pos.tolist(), value.tolist())
-            )
-            true_mean.extend(mu.tolist())
-            true_w.extend(w_val.tolist())
+            rows.append(np.column_stack([pos, np.full(pos.size, day), np.full(pos.size, k)]))
+            values.append(mu + w_val + eps)
+            true_mean.append(mu)
+            true_w.append(w_val)
 
+    pos, day, k = np.concatenate(rows).T
     truth = SyntheticTruth(
         config=config,
         fields=fields,
         covariates=covariates,
         stations=stations,
-        observations=tuple(observations),
-        true_mean=np.array(true_mean),
-        true_w=np.array(true_w),
+        observations=observation_records(np.array(site_ids)[pos], day, k, np.concatenate(values)),
+        true_mean=np.concatenate(true_mean),
+        true_w=np.concatenate(true_w),
         w_days=w_days,
     )
     return stations, truth.observations, truth

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from specdown import evaluate, lmc
 from specdown.evaluate import (
     PredictionContext,
-    PredictionTarget,
     Scorecard,
     aggregate_means,
     coherence_curve,
     cv_split,
     predict,
+    prediction_targets,
     score,
     split_season,
 )
@@ -33,13 +33,23 @@ from specdown.stations import (
     ColumnMeta,
     DesignMatrix,
     ModelVariant,
-    Observation,
     Station,
     assemble_design,
     cell_indices,
-    cell_lookup,
+    observation_records,
+    records,
     standardize,
 )
+
+
+def _obs(*rows):
+    """Observation records of (site_id, day, pollutant_id, value) rows."""
+    return observation_records(*zip(*rows))
+
+
+def _targets(*rows):
+    """Prediction targets of (x, y, pollutant_id, day, mode, site_id) rows."""
+    return prediction_targets(*zip(*rows))
 
 
 def _stations(n_total=10, n_species=5, n_both=5, seed=0):
@@ -132,14 +142,12 @@ def _fitted_setup(seed=0, tau2=0.04, l11=0.4, n_sites=25, phi=0.05, n_iter=900, 
     )
     w = sample_w(layout, Coregionalization(np.array([[l11]])), SpatialDecay(phi), rng)
     beta0, slope = 1.0, 0.8
-    obs = [Observation(s, d, 0, 0.0) for d in days for s in sids]
+    obs = _obs(*((s, d, 0, 0.0) for d in days for s in sids))
     variant = ModelVariant("SD", False, True)
     design = assemble_design(variant, fields, covs, obs, stations)
     mean = beta0 + design.X[:, 1:] @ np.array([slope, 0.3, 0.1])
     y = mean + w + rng.normal(0, np.sqrt(tau2), len(obs))
-    obs = [
-        Observation(o.site_id, o.day, o.pollutant_id, float(v)) for o, v in zip(obs, y)
-    ]
+    obs = _obs(*((o.site_id, o.day, o.pollutant_id, float(v)) for o, v in zip(obs, y)))
     design = standardize(assemble_design(variant, fields, covs, obs, stations))
     yv = np.array([o.value for o in obs])
     batch = BatchData(days=days, y=yv, X=design.X, layout=layout, n_pollutants=1, design=design)
@@ -160,23 +168,29 @@ class TestPredict:
     def test_mode_day_validation(self):
         spec, stations, obs, post, ctx, _ = _fitted_setup()
         with pytest.raises(ValueError, match="outside the training period"):
-            predict(post, [PredictionTarget(5, 5, 0, 99, "interpolation")], ctx)
+            predict(post, _targets((5, 5, 0, 99, "interpolation", "")), ctx)
         with pytest.raises(ValueError, match="inside the training period"):
-            predict(post, [PredictionTarget(5, 5, 0, 2, "forecast")], ctx)
+            predict(post, _targets((5, 5, 0, 2, "forecast", "")), ctx)
+
+    def test_unknown_mode_rejected(self):
+        spec, stations, obs, post, ctx, _ = _fitted_setup()
+        targets = _targets((5, 5, 0, 2, "interpolation", "a"), (5, 5, 0, 2, "kriging", "b"))
+        with pytest.raises(ValueError, match="mode must be interpolation or forecast, got 'kriging'"):
+            predict(post, targets, ctx)
 
     def test_interpolation_day_outside_posterior_days(self):
         # day 4 is a training day of the context but not of this batch
         spec, stations, obs, post, ctx, _ = _fitted_setup()
         wider = replace(ctx, train_days=(1, 2, 3, 4))
         with pytest.raises(ValueError, match="outside the posterior's days"):
-            predict(post, [PredictionTarget(5, 5, 0, 4, "interpolation")], wider)
+            predict(post, _targets((5, 5, 0, 4, "interpolation", "")), wider)
 
     def test_target_outside_grid_rejected(self):
         spec, stations, obs, post, ctx, _ = _fitted_setup()
         from specdown.stations import OutOfGridError
 
         with pytest.raises(OutOfGridError):
-            predict(post, [PredictionTarget(-5.0, 5, 0, 2, "interpolation")], ctx)
+            predict(post, _targets((-5.0, 5, 0, 2, "interpolation", "")), ctx)
 
     def test_interpolation_approaches_observation_as_nugget_vanishes(self):
         # with the model's nugget pinned near zero, the field conditioned on
@@ -185,12 +199,8 @@ class TestPredict:
             tau2=1e-12, n_iter=700, fix_nugget=1e-12
         )
         some = [o for o in obs if o.day == 2][:6]
-        targets = [
-            PredictionTarget(
-                stations[o.site_id].x, stations[o.site_id].y, 0, 2, "interpolation", o.site_id
-            )
-            for o in some
-        ]
+        xy = [(stations[o.site_id].x, stations[o.site_id].y) for o in some]
+        targets = _targets(*((x, y, 0, 2, "interpolation", o.site_id) for (x, y), o in zip(xy, some)))
         results = predict(post, targets, ctx, np.random.default_rng(0))
         for res, o in zip(results, some):
             assert abs(res.mean_log - o.value) < 1e-6
@@ -203,7 +213,7 @@ class TestPredict:
         st_ = stations[sid]
         rng = np.random.default_rng(1)
         interp = predict(
-            post, [PredictionTarget(st_.x, st_.y, 0, 2, "interpolation", sid)], ctx, rng
+            post, _targets((st_.x, st_.y, 0, 2, "interpolation", sid)), ctx, rng
         )[0]
         # forecast from the same posterior at a test day
         ctx_fore = PredictionContext(
@@ -213,7 +223,7 @@ class TestPredict:
             table=ctx.table,
         )
         fore = predict(
-            post, [PredictionTarget(st_.x, st_.y, 0, 3, "forecast", sid)], ctx_fore, rng
+            post, _targets((st_.x, st_.y, 0, 3, "forecast", sid)), ctx_fore, rng
         )[0]
         assert (fore.hi_log - fore.lo_log) >= (interp.hi_log - interp.lo_log)
 
@@ -244,7 +254,7 @@ class TestPredict:
         field = GridField(spec, np.zeros(64), 0, 1)
         variant = ModelVariant("LD", False, True)
         stations = {f"s{i}": Station(f"s{i}", x, y, frozenset([0])) for i, (x, y) in enumerate(sites)}
-        obs = [Observation(f"s{i}", 1, 0, v) for i, v in enumerate(y_vals)]
+        obs = _obs(*((f"s{i}", 1, 0, v) for i, v in enumerate(y_vals)))
         design = assemble_design(variant, {(0, 1): field}, [], obs, stations)
         ctx = PredictionContext(
             design=design,
@@ -253,8 +263,8 @@ class TestPredict:
             table=CellTable.of_grids("LD", {(0, 1): field}, {}, np.arange(spec.ncells)),
             y=y_vals,
         )
-        target = PredictionTarget(15.0, 0.0, 0, 1, "interpolation", "new")
-        res = predict(post, [target], ctx, np.random.default_rng(0))[0]
+        target = _targets((15.0, 0.0, 0, 1, "interpolation", "new"))
+        res = predict(post, target, ctx, np.random.default_rng(0))[0]
 
         marginal = l11**2 * np.exp(-phi * np.abs(sites[:, 0:1] - sites[:, 0:1].T))
         marginal += tau2 * np.eye(3)
@@ -269,12 +279,12 @@ class TestPredict:
 
     def test_results_align_with_targets(self):
         spec, stations, obs, post, ctx, _ = _fitted_setup()
-        targets = [
-            PredictionTarget(10.0, 10.0, 0, 1, "interpolation", "a"),
-            PredictionTarget(50.0, 50.0, 0, 2, "interpolation", "b"),
-        ]
+        targets = _targets(
+            (10.0, 10.0, 0, 1, "interpolation", "a"),
+            (50.0, 50.0, 0, 2, "interpolation", "b"),
+        )
         results = predict(post, targets, ctx, np.random.default_rng(0))
-        assert [r.target.site_id for r in results] == ["a", "b"]
+        assert [r.site_id for r in results] == ["a", "b"]
         for r in results:
             assert r.lo_log <= r.mean_log <= r.hi_log
             assert r.point > 0
@@ -318,7 +328,7 @@ def _spatial_posterior(draws, K, n_beta, lo, hi, days):
 
 def _reference_row(ctx, fields, t):
     """Design row of one target, column by column, from the fields."""
-    cell = cell_lookup(Station("t", t.x, t.y, frozenset([t.pollutant_id])), ctx.spec)
+    cell = int(cell_indices([t.x], [t.y], ctx.spec)[0])
     design = ctx.design
     row = np.zeros(design.p)
     for idx, col in enumerate(design.columns):
@@ -387,12 +397,14 @@ def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3), same_sites=False):
         )
         for i in range(10)
     }
-    obs = [
-        Observation(sid, d, k, float(rng.standard_normal()))
-        for d in train_days
-        for sid in sorted(stations)[: 8 if same_sites else 6 + d]
-        for k in sorted(stations[sid].measures)
-    ]
+    obs = _obs(
+        *(
+            (sid, d, k, float(rng.standard_normal()))
+            for d in train_days
+            for sid in sorted(stations)[: 8 if same_sites else 6 + d]
+            for k in sorted(stations[sid].measures)
+        )
+    )
     variant = ModelVariant("LD", True, True)
     design = standardize(assemble_design(variant, fields, [], obs, stations))
     lower = np.zeros((I, K, K))
@@ -426,8 +438,8 @@ class TestVectorisedPredict:
             day = int(rng.integers(1, 5))
             mode = "forecast" if day == 4 else "interpolation"
             x, y = rng.uniform(0, 96, 2)
-            out.append(PredictionTarget(float(x), float(y), i % 2, day, mode, f"t{i}"))
-        return out
+            out.append((float(x), float(y), i % 2, day, mode, f"t{i}"))
+        return _targets(*out)
 
     @pytest.mark.parametrize("chunk_values", [None, 1000])
     def test_matches_per_target_reference(self, monkeypatch, chunk_values):
@@ -563,7 +575,6 @@ class TestVectorisedPredict:
             columns=(ColumnMeta("intercept", 0),),
             row_day=day,
             row_pollutant=np.zeros(day.size, int),
-            row_site=tuple(f"s{i}" for i in range(day.size)),
             row_x=coords[:, 0],
             row_y=coords[:, 1],
             col_mean=np.zeros(1),
@@ -581,11 +592,13 @@ class TestVectorisedPredict:
             y=y,
         )
         shared, off = sites[0], (55.0, 45.0)
-        targets = [
-            PredictionTarget(float(x), float(y), 0, d, "interpolation", name)
-            for d in days
-            for name, (x, y) in (("shared", shared), ("off", off))
-        ]
+        targets = _targets(
+            *(
+                (float(x), float(y), 0, d, "interpolation", name)
+                for d in days
+                for name, (x, y) in (("shared", shared), ("off", off))
+            )
+        )
         results = predict(post, targets, ctx, np.random.default_rng(0))
         for r in results:
             assert np.all(np.isfinite([r.mean_log, r.lo_log, r.hi_log, r.point]))
@@ -619,9 +632,7 @@ class TestSharedFactors:
             return chol_pd(cov)
 
         monkeypatch.setattr(lmc, "chol_pd", counting)
-        targets = [
-            PredictionTarget(20.0 * d, 40.0, d % 2, d, "interpolation", f"t{d}") for d in (1, 2, 3)
-        ]
+        targets = _targets(*((20.0 * d, 40.0, d % 2, d, "interpolation", f"t{d}") for d in (1, 2, 3)))
         predict(post, targets, ctx, np.random.default_rng(0))
         # one stack per block size, of all draws of one layout
         assert sizes == [(post.n_draws, 1)] * calls
@@ -649,15 +660,10 @@ class TestSharedFactors:
 
 class TestScore:
     def _results(self, pairs):
-        out = []
-        obs = {}
-        for i, (pred, actual) in enumerate(pairs):
-            t = PredictionTarget(0.0, 0.0, 0, 1, "interpolation", f"s{i}")
-            out.append(
-                type("R", (), {"target": t, "point": pred, "mean_log": 0.0, "lo_log": 0.0, "hi_log": 0.0})()
-            )
-            obs[(f"s{i}", 1, 0)] = actual
-        return out, obs
+        sites = [f"s{i}" for i in range(len(pairs))]
+        preds, actual = zip(*pairs)
+        out = records(site_id=sites, day=1, pollutant_id=0, point=np.array(preds))
+        return out, observation_records(sites, 1, 0, np.array(actual))
 
     def test_perfect_predictions(self):
         results, obs = self._results([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
@@ -684,7 +690,7 @@ class TestScore:
     def test_order_invariant(self):
         results, obs = self._results([(1.0, 2.0), (5.0, 4.0), (3.0, 3.5)])
         a = score(results, obs)
-        b = score(list(reversed(results)), obs)
+        b = score(results[::-1], obs)
         assert a.rmse == b.rmse and a.corr == b.corr
 
     def test_scorecard_validation(self):
@@ -741,7 +747,6 @@ class TestCoherenceCurve:
             columns=columns,
             row_day=np.zeros(0, int),
             row_pollutant=np.zeros(0, int),
-            row_site=(),
             row_x=np.zeros(0),
             row_y=np.zeros(0),
             col_mean=np.zeros(p),

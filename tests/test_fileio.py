@@ -2,6 +2,7 @@
 trips and faults; run configuration loading."""
 
 import json
+import re
 import struct
 import tempfile
 from dataclasses import fields
@@ -311,6 +312,124 @@ class TestStationFile:
             parse_station_file(path, GridSpec(4, 4, 10.0))
         assert str(err.value) == f"{path}:3: value_raw '{raw}' is not finite"
 
+    def _parse(self, tmp_path, *lines):
+        path = tmp_path / "stations.csv"
+        path.write_text(
+            "\n".join(("site_id,x_km,y_km,day,pollutant,value_raw",) + lines) + "\n",
+            encoding="utf-8",
+        )
+        return path, parse_station_file(path, GridSpec(4, 4, 10.0))
+
+    def _fault(self, tmp_path, *lines):
+        with pytest.raises(ParseError) as err:
+            self._parse(tmp_path, *lines)
+        return str(err.value).removeprefix(str(tmp_path / "stations.csv"))
+
+    def test_rows_stations_and_measures(self, tmp_path):
+        # blank lines are skipped, fields stripped, a numeric pollutant is
+        # its own id, and day and pollutant keep the file's order
+        _, (stations, obs, dropped) = self._parse(
+            tmp_path,
+            "B,25.0,35.0,2,EC,3.0",
+            "",
+            " A , 5.0 ,5.0, 1 , PM25 ,2.5",
+            "B,25.0,35.0,1,7,4.0",
+        )
+        assert dropped == 0
+        assert list(stations) == ["B", "A"]
+        assert (stations["B"].x, stations["B"].y) == (25.0, 35.0)
+        assert stations["B"].measures == frozenset({1, 7})
+        assert stations["A"].measures == frozenset({0})
+        assert [(o.site_id, o.day, o.pollutant_id) for o in obs] == [
+            ("B", 2, 1),
+            ("A", 1, 0),
+            ("B", 1, 7),
+        ]
+        assert [o.value for o in obs] == pytest.approx(np.log([3.0, 2.5, 4.0]), rel=1e-15)
+
+    def test_nonpositive_values_are_dropped_with_a_count(self, tmp_path):
+        with pytest.warns(UserWarning, match="dropped 2 nonpositive value"):
+            _, (stations, obs, dropped) = self._parse(
+                tmp_path,
+                "A,5.0,5.0,1,PM25,0",
+                "A,5.0,5.0,1,EC,2.0",
+                "A,5.0,5.0,2,PM25,-1.5",
+            )
+        assert dropped == 2
+        assert [(o.day, o.pollutant_id) for o in obs] == [(1, 1)]
+        # the pollutant whose only values were dropped is still measured
+        assert stations["A"].measures == frozenset({0, 1})
+
+    def test_long_site_id_is_kept_whole(self, tmp_path):
+        _, (stations, obs, _) = self._parse(
+            tmp_path, "A,5.0,5.0,1,PM25,2.0", "STATION_WITH_A_LONG_ID,15.0,5.0,1,PM25,3.0"
+        )
+        assert sorted(stations) == ["A", "STATION_WITH_A_LONG_ID"]
+        assert [o.site_id for o in obs] == ["A", "STATION_WITH_A_LONG_ID"]
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "stations.csv"
+        path.write_text("site,x,y\nA,5.0,5.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r":1: expected header"):
+            parse_station_file(path, GridSpec(4, 4, 10.0))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("A,5.0,5.0,2,PM25", "expected 6 fields, got 5"),
+            ("A,5.0,5.0,2,PM25,1.0,9", "expected 6 fields, got 7"),
+            ("A,5.0,abc,2,PM25,1.0", "could not convert string to float: 'abc'"),
+            ("A,5.0,5.0,2.5,PM25,1.0", "invalid literal for int() with base 10: '2.5'"),
+            ("A,5.0,5.0,2,PM25,", "could not convert string to float: ''"),
+            ("A,5.0,5.0,2,XYZ,1.0", "unknown pollutant 'XYZ'"),
+            # once a bare ValueError from int('\u00b2'), naming no file
+            ("A,5.0,5.0,2,\u00b2,1.0", "unknown pollutant '\u00b2'"),
+            ("A,6.0,5.0,2,PM25,1.0", "station A moved coordinates"),
+            (
+                "B,45.0,5.0,2,PM25,1.0",
+                "station B at (45.0, 5.0) km is outside the 4x4 grid (40.0 x 40.0 km)",
+            ),
+        ],
+    )
+    def test_fault_at_its_line(self, tmp_path, line, message):
+        fault = self._fault(tmp_path, "A,5.0,5.0,1,PM25,2.0", line, "C,15.0,5.0,1,PM25,2.0")
+        assert fault == f":3: {message}"
+
+    def test_day_past_int64_is_a_fault_at_its_line(self, tmp_path):
+        # once an OverflowError naming no file
+        day = "99999999999999999999"
+        fault = self._fault(tmp_path, "A,5.0,5.0,1,PM25,2.0", f"A,5.0,5.0,{day},PM25,1.0")
+        assert fault.startswith(":3: ") and "too large" in fault
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("B,abc,5.0,x,XYZ,nan", "could not convert string to float: 'abc'"),
+            ("B,45.0,5.0,x,XYZ,nan", "invalid literal for int() with base 10: 'x'"),
+            ("B,45.0,5.0,1,XYZ,nan", "value_raw 'nan' is not finite"),
+            ("B,45.0,5.0,1,XYZ,1.0", "unknown pollutant 'XYZ'"),
+            ("A,45.0,5.0,1,PM25,1.0", "station A moved coordinates"),
+        ],
+    )
+    def test_faults_of_one_line_rank_in_order(self, tmp_path, line, message):
+        # field count, number (x, y, day, value), finiteness, pollutant,
+        # coordinates
+        assert self._fault(tmp_path, "A,5.0,5.0,1,PM25,2.0", line) == f":3: {message}"
+
+    @pytest.mark.parametrize(
+        "first,later",
+        [
+            ("A,5.0,5.0,1,PM25", "A,5.0,5.0,x,PM25,1.0"),
+            ("A,5.0,5.0,x,PM25,1.0", "A,5.0,5.0,1,PM25"),
+            ("A,5.0,5.0,1,XYZ,1.0", "A,5.0,abc,1,PM25,1.0"),
+            ("B,45.0,5.0,1,PM25,1.0", "A,5.0,5.0,1,PM25,inf"),
+            ("A,6.0,5.0,1,PM25,1.0", "A,5.0,5.0,1,XYZ,1.0"),
+        ],
+    )
+    def test_earlier_line_is_reported(self, tmp_path, first, later):
+        fault = self._fault(tmp_path, "A,5.0,5.0,1,PM25,2.0", first, "C,15.0,5.0,1,PM25,2.0", later)
+        assert fault.startswith(":3: ")
+
 
 class TestRunConfig:
     @pytest.mark.parametrize(
@@ -350,6 +469,36 @@ class TestRunConfig:
         with pytest.raises(ParseError, match=match) as err:
             RunConfig.from_json(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "data,match",
+        [
+            # each once failed deep in fit with a TypeError or ZeroDivisionError
+            ({"jobs": "2"}, "config key 'jobs' must be int, got \"2\""),
+            ({"basis_size": "5"}, "config key 'basis_size' must be int, got \"5\""),
+            ({"batch_len": 0}, "config key 'batch_len' must be at least 1, got 0"),
+            ({"jobs": -1}, "config key 'jobs' must be at least 1"),
+            ({"n_ols_draws": 0}, "config key 'n_ols_draws' must be at least 1"),
+            ({"max_kriging_draws": 0}, "config key 'max_kriging_draws' must be at least 1"),
+            ({"folds": True}, "config key 'folds' must be int, got true"),
+            ({"folds": 2.0}, "config key 'folds' must be int, got 2.0"),
+            ({"center": 1}, "config key 'center' must be bool, got 1"),
+            ({"variant": None}, "config key 'variant' must be str, got null"),
+        ],
+    )
+    def test_scalar_of_wrong_type_or_range_names_the_key(self, tmp_path, data, match):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(match)) as err:
+            RunConfig.from_json(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_int_stands_for_a_float(self, tmp_path):
+        path = tmp_path / "config.json"
+        data = {"simulate": {"dx": 12, "beta0": [1, 2]}, "priors": {"beta_sd": 3}, "jobs": 1}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        cfg = RunConfig.from_json(path)
+        assert cfg.simulate["dx"] == 12 and cfg.priors["beta_sd"] == 3 and cfg.jobs == 1
 
     def test_every_section_field_reaches_its_dataclass(self, tmp_path):
         # the mcmc section sets the six run settings; the sampler's test

@@ -463,9 +463,9 @@ class TestMakeBatches:
     def _design(self, n_days=8, per_day=6):
         from specdown.stations import (
             ModelVariant as MV,
-            Observation,
             Station,
             assemble_design,
+            observation_records,
         )
         from specdown.grid import GridField, GridSpec
 
@@ -478,11 +478,8 @@ class TestMakeBatches:
         fields = {
             (0, d): GridField(spec, rng.standard_normal(16), 0, d) for d in range(1, n_days + 1)
         }
-        obs = [
-            Observation(sid, d, 0, float(rng.standard_normal()))
-            for d in range(1, n_days + 1)
-            for sid in stations
-        ]
+        rows = [(sid, d, 0, float(rng.standard_normal())) for d in range(1, n_days + 1) for sid in stations]
+        obs = observation_records(*zip(*rows))
         design = assemble_design(MV("LD", False, False), fields, [], obs, stations)
         return design, np.array([o.value for o in obs])
 

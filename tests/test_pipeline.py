@@ -23,7 +23,7 @@ from specdown.pipeline import (
     load_fields,
     targets_for,
 )
-from specdown.stations import Observation, Station
+from specdown.stations import Station, observation_records
 
 STATIONS = {
     "b": Station("b", 30.0, 40.0, frozenset([1, 0])),
@@ -46,12 +46,7 @@ class TestTargetsFor:
         assert (targets[1].x, targets[1].y) == (30.0, 40.0)
 
     def test_observation_order_and_day_filter(self):
-        obs = [
-            Observation("b", 3, 1, 0.0),
-            Observation("a", 9, 0, 0.0),
-            Observation("a", 2, 0, 0.0),
-            Observation("b", 2, 0, 0.0),
-        ]
+        obs = observation_records(["b", "a", "a", "b"], [3, 9, 2, 2], [1, 0, 0, 0], 0.0)
         targets = targets_for(STATIONS, [2, 3], "interpolation", obs)
         assert [(t.site_id, t.day, t.pollutant_id) for t in targets] == [
             ("b", 3, 1),
@@ -332,7 +327,8 @@ class TestStationCellTable:
         for path in sorted(out.glob("batch_*.csv")):
             post = read_posterior(path)
             targets = targets_for(sites, post.days, "interpolation")
-            results.extend(evaluate.predict(post, targets, ctx, rng, cfg.max_kriging_draws))
+            results.append(evaluate.predict(post, targets, ctx, rng, cfg.max_kriging_draws))
+        results = np.concatenate(results).view(np.recarray)
         fileio.write_predictions_csv(results, tmp_path / "whole_grids.csv", cfg.pollutants)
         from_table = (out / "predictions_interpolation.csv").read_bytes()
         assert from_table == (tmp_path / "whole_grids.csv").read_bytes()
@@ -438,6 +434,42 @@ class TestBenchProbeReplay:
         assert "decay" in post.acceptance
         assert any(k.startswith("coreg") for k in post.acceptance)
 
+    def test_sampler_probe_rows_match_the_record_columns(self, tiny_data):
+        # the probe filters observation rows by attribute and hands the list
+        # to assemble_design; that list must give the design the columns give
+        cfg = _tiny_config(tiny_data, tiny_data)
+        spec, fields = pipeline.load_fields(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sites, observations, _ = fileio.parse_station_file(
+                cfg.stations_file, spec, cfg.pollutants
+            )
+        basis = filters.make_basis(cfg.basis_size, cfg.basis_degree)
+        covs = pipeline.build_covariates(fields, basis, cfg.center)
+        variant = stations.variant_from_name(cfg.variant)
+        train = {1, 2, 3}
+        train_obs = [o for o in observations if o.day in train]
+        y = np.array([o.value for o in train_obs])
+        subset = observations[np.isin(observations.day, list(train))]
+        np.testing.assert_array_equal(y, subset.value)
+        rows = stations.assemble_design(variant, fields, covs, train_obs, sites)
+        columns = stations.assemble_design(variant, fields, covs, subset, sites)
+        np.testing.assert_array_equal(rows.X, columns.X)
+        np.testing.assert_array_equal(rows.row_day, columns.row_day)
+
+    @pytest.mark.parametrize("days", [(5, 6), ()], ids=["two-days", "no-days"])
+    def test_predict_trace_reads_mode_and_length(self, days):
+        # the bench's predict wrapper reads targets[0].mode and len(targets)
+        # on every run
+        targets = targets_for(STATIONS, days, "interpolation")
+        assert len(targets) == 3 * len(days)
+        mode = targets[0].mode if len(targets) else "none"
+        assert mode == ("interpolation" if days else "none")
+        obs = observation_records(["a", "b"], [5, 7], [0, 1], 0.0)
+        targets = targets_for(STATIONS, days, "forecast", obs)
+        assert len(targets) == len(days) // 2
+        assert (targets[0].mode if len(targets) else "none") == ("forecast" if days else "none")
+
 
 # Bounds of the end-to-end recovery test, from the same config on seeds
 # 101-140: forecast coverage ran 0.856-0.972, combined nugget median / truth
@@ -516,3 +548,4 @@ class TestEndToEndRecovery:
         decay = np.median(combined.decay_draws()) / truth["decay"]
         assert np.all((RECOVERY_NUGGET[0] <= nugget) & (nugget <= RECOVERY_NUGGET[1])), nugget
         assert RECOVERY_DECAY[0] <= decay <= RECOVERY_DECAY[1], decay
+

@@ -9,13 +9,12 @@ from specdown.stations import (
     ALL_VARIANTS,
     CellTable,
     ModelVariant,
-    Observation,
     OutOfGridError,
     Station,
     assemble_design,
     cell_indices,
-    cell_lookup,
     coef_to_raw,
+    observation_records,
     standardize,
     variant_from_name,
 )
@@ -25,6 +24,16 @@ SPEC = GridSpec(4, 4, 12.0)
 
 def _station(sid, x, y, measures=(0,)):
     return Station(site_id=sid, x=x, y=y, measures=frozenset(measures))
+
+
+def cell_lookup(station, spec):
+    """Cell of one station, looked up on its own."""
+    return int(cell_indices([station.x], [station.y], spec, [station.site_id])[0])
+
+
+def _obs(*rows):
+    """Observation records of (site_id, day, pollutant_id, value) rows."""
+    return observation_records(*zip(*rows))
 
 
 def _fields_and_covs(spec, J, days, B=5, degree=3, seed=0):
@@ -115,10 +124,24 @@ class TestCellTable:
             ld.positions([2, 3])
 
 
+class TestObservationRecords:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused_where_built(self, bad):
+        with pytest.raises(ValueError, match="non-finite observation at b day 2"):
+            _obs(("a", 1, 0, 0.5), ("b", 2, 1, bad))
+
+    def test_rows_read_by_attribute(self):
+        obs = _obs(("a", 1, 0, 0.5), ("long_site", 2, 1, -0.25))
+        assert [(o.site_id, o.day, o.pollutant_id, o.value) for o in obs] == [
+            ("a", 1, 0, 0.5),
+            ("long_site", 2, 1, -0.25),
+        ]
+
+
 class TestAssembleDesign:
     def test_ld_single_pollutant_row(self):
         stations = {"a": _station("a", 6.0, 6.0)}
-        obs = [Observation("a", 1, 0, 0.5)]
+        obs = _obs(("a", 1, 0, 0.5))
         fields, _ = _fields_and_covs(SPEC, J=1, days=[1])
         design = assemble_design(ModelVariant("LD", False, False), fields, [], obs, stations)
         assert design.X.shape == (1, 2)
@@ -131,12 +154,7 @@ class TestAssembleDesign:
             "a": _station("a", 6.0, 6.0, (0, 1)),
             "b": _station("b", 30.0, 30.0, (0, 1)),
         }
-        obs = [
-            Observation("a", 1, 0, 0.1),
-            Observation("a", 1, 1, 0.2),
-            Observation("b", 1, 0, 0.3),
-            Observation("b", 1, 1, 0.4),
-        ]
+        obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2), ("b", 1, 0, 0.3), ("b", 1, 1, 0.4))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
         design = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
         assert design.p == 2 + 2 * 2 * 5
@@ -147,14 +165,14 @@ class TestAssembleDesign:
     )
     def test_documented_column_counts(self, mean_kind, cross, expected):
         stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
-        obs = [Observation("a", 1, 0, 0.1), Observation("a", 1, 1, 0.2)]
+        obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
         design = assemble_design(ModelVariant(mean_kind, cross, False), fields, covs, obs, stations)
         assert design.p == expected
 
     def test_sd_columns_nest_in_cross(self):
         stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
-        obs = [Observation("a", 1, 0, 0.1), Observation("a", 1, 1, 0.2)]
+        obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
         plain = assemble_design(ModelVariant("SD", False, False), fields, covs, obs, stations)
         cross = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
@@ -165,7 +183,7 @@ class TestAssembleDesign:
 
     def test_missing_covariate_is_config_error(self):
         stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
-        obs = [Observation("a", 1, 0, 0.1), Observation("a", 1, 1, 0.2)]
+        obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
         covs.pop((1, 1))
         with pytest.raises(ValueError, match="missing covariate"):
@@ -177,12 +195,14 @@ class TestAssembleDesign:
             f"s{i}": _station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), (0, 1))
             for i in range(6)
         }
-        obs = [
-            Observation(sid, d, k, float(rng.standard_normal()))
-            for d in (1, 2)
-            for sid in stations
-            for k in (0, 1)
-        ]
+        obs = _obs(
+            *(
+                (sid, d, k, float(rng.standard_normal()))
+                for d in (1, 2)
+                for sid in stations
+                for k in (0, 1)
+            )
+        )
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1, 2])
         variant = ModelVariant("SD", True, False)
         d1 = assemble_design(variant, fields, covs, obs, stations)
@@ -197,7 +217,7 @@ def _small_design():
         "b": _station("b", 30.0, 6.0),
         "c": _station("c", 6.0, 30.0),
     }
-    obs = [Observation(s, 1, 0, 0.1 * i) for i, s in enumerate(("a", "b", "c"))]
+    obs = _obs(*((s, 1, 0, 0.1 * i) for i, s in enumerate(("a", "b", "c"))))
     fields, covs = _fields_and_covs(SPEC, J=1, days=[1], B=2, degree=1, seed=9)
     return assemble_design(ModelVariant("SD", False, False), fields, covs, obs, stations)
 
