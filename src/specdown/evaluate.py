@@ -17,7 +17,8 @@ vectorised over targets.  Design rows are gathered by each
 target's cell from the context's :class:`~specdown.stations.CellTable`,
 the field or covariate values at station cells, with
 :func:`~specdown.stations.design_rows`, which also makes the training
-design, and standardized as the training design was.
+design, and standardized as the training design was: once per call, for
+all targets, as one (targets, p) block.
 The marginal covariances of the interpolation days' observations, C + D
 with C the LMC block of the observed sites and D the nugget diagonal, one
 (n, n) matrix per posterior draw and day layout, are factored as
@@ -31,9 +32,15 @@ and c0 the cross-covariances between a target and the sites, the
 conditional mean of the field is (L^{-1} c0) . (L^{-1} r) =
 c0 . (C + D)^{-1} r and its variance sigma_kk^2 - ||L^{-1} c0||^2, both by
 batched matrix products over draws and targets.  Targets go through in
-chunks of consecutive targets, sized so that no temporary holds more than
-``PREDICT_CHUNK_VALUES`` floats; noise is drawn chunk by chunk in target
-order, so the chunk size does not change results.
+chunks of consecutive targets, sized so that no per-draw temporary holds
+more than ``PREDICT_CHUNK_VALUES`` floats; each chunk slices its rows of
+the design block.  Noise is drawn chunk by chunk in target order, so the
+random stream does not depend on the chunk size, and the summaries agree
+across chunk sizes to rounding: a chunk's matrix products round
+differently with its row count.  A chunk's draws are averaged as drawn,
+then sorted once along the draw axis, and the 2.5, 50 and 97.5% points are
+read from the sorted rows by numpy's ``linear`` rule, the values
+``np.percentile`` gives.
 """
 
 from __future__ import annotations
@@ -71,10 +78,11 @@ __all__ = [
 
 TRAIN_FRACTION = 78.0 / 90.0
 
-#: Largest number of float64 values in one prediction temporary.  Targets
-#: are processed in chunks sized so that the (I, T, n) cross-covariances of
-#: I draws, T targets and n sites of a day stay under it, which bounds the
-#: memory a prediction call adds beyond its per-day factors.
+#: Largest number of float64 values in one per-draw prediction temporary.
+#: Targets are processed in chunks sized so that the (I, T, n)
+#: cross-covariances of I draws, T targets and n sites of a day stay under
+#: it, which bounds the memory a prediction call adds beyond its per-day
+#: factors and its (targets, p) design block, which is held whole.
 PREDICT_CHUNK_VALUES = 2**16
 
 #: Magnitudes per coherence curve, evenly spaced over (0, MAX_MAGNITUDE].
@@ -201,6 +209,34 @@ def _design_rows(ctx: PredictionContext, cells, pollutant, day) -> np.ndarray:
     return rows
 
 
+def _sorted_quantiles(ranked: np.ndarray, q) -> np.ndarray:
+    """Quantiles at fractions ``q`` of each row of ``ranked``, whose rows are
+    sorted ascending with any NaN last, as ``np.sort`` leaves them; shape
+    (len(q), rows).
+
+    The result equals ``np.percentile(x, 100 * q, axis=1)`` of the unsorted
+    rows bit for bit, up to the sign of a zero (a sort and numpy's partition
+    may order -0.0 and 0.0 either way).  It follows numpy's ``linear`` rule
+    (Hyndman & Fan 1996, type 7): virtual index (n - 1) q, gamma its
+    fractional part, and numpy's two-branch interpolation, a + (b - a) gamma,
+    or b - (b - a)(1 - gamma) where gamma >= 0.5.  An index at or past
+    n - 1 takes the last value as both neighbours, with gamma the index
+    plus one, as numpy's does; a row that holds NaN gives NaN.
+    """
+    n = ranked.shape[1]
+    virtual = (n - 1) * np.asarray(q, dtype=float)
+    below = np.floor(virtual).astype(int)
+    last = virtual >= n - 1
+    below[last] = -1
+    above = np.where(last, -1, below + 1)
+    gamma = (virtual - below)[:, None]
+    a, b = ranked[:, below].T, ranked[:, above].T
+    diff = b - a
+    out = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    out[:, np.isnan(ranked[:, -1])] = np.nan
+    return out
+
+
 def _invert_lower(L: np.ndarray) -> None:
     """Invert each lower-triangular factor of a (..., n, n) stack in place.
 
@@ -292,8 +328,11 @@ def predict(
 
     Noise is drawn target by target in ``targets`` order: for a spatial
     posterior a residual block of one normal per draw, then a nugget block;
-    otherwise the nugget block only.  Targets are processed in chunks of
-    consecutive targets, so the chunk size does not change the stream.
+    otherwise the nugget block only.  The design rows of all targets are
+    built once; targets are then processed in chunks of consecutive
+    targets, so the chunk size does not change the random stream, and the
+    summaries agree across chunk sizes to rounding.  Each chunk's draws are
+    sorted once for their percentiles (see :func:`_sorted_quantiles`).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     targets = as_records(targets)
@@ -341,12 +380,13 @@ def predict(
     I = draw_idx.size
     widest = max(n_blocks, kriging.widest if kriging is not None else 0)
     step = max(1, PREDICT_CHUNK_VALUES // max(I * widest, beta.shape[1]))
+    rows = _design_rows(ctx, cells, k, day)  # (targets, p), sliced per chunk
     summary = np.empty((4, len(targets)))  # mean_log, lo_log, hi_log, point
     for start in range(0, len(targets), step):
         chunk = slice(start, start + step)
         kc, dc = k[chunk], day[chunk]
         noise = rng.standard_normal((kc.size, n_blocks, I))
-        draws = _design_rows(ctx, cells[chunk], kc, dc) @ beta.T  # (T, I)
+        draws = rows[chunk] @ beta.T  # (T, I)
         if posterior.has_spatial:
             resid_mean = np.zeros_like(draws)
             resid_sd = marginal_sd[:, kc].T
@@ -358,8 +398,9 @@ def predict(
                     resid_sd[sel] = np.sqrt(np.maximum(var, 0.0)).T
             draws = draws + (resid_mean + resid_sd * noise[:, 0])
         draws = draws + nugget_sd[:, kc].T * noise[:, -1]
-        summary[0, chunk] = draws.mean(axis=1)
-        summary[1, chunk], med, summary[2, chunk] = np.percentile(draws, [2.5, 50.0, 97.5], axis=1)
+        summary[0, chunk] = draws.mean(axis=1)  # before the sort, which would reorder its sum
+        draws.sort(axis=1)
+        summary[1, chunk], med, summary[2, chunk] = _sorted_quantiles(draws, [0.025, 0.5, 0.975])
         summary[3, chunk] = np.exp(med)
     mean_log, lo_log, hi_log, point = summary
     columns = {name: targets[name] for name in targets.dtype.names}
@@ -422,20 +463,30 @@ def score(predictions, observed_raw, variant: str = "", fold: int = -1) -> Score
     return Scorecard(variant=variant, fold=fold, rmse=rmse, corr=corr)
 
 
-def aggregate_means(rows, spec: GridSpec) -> list:
-    """Group-by-mean export rows: quadrant region x pollutant means of
-    predictions given as ``(x, y, pollutant_id, pred)`` rows.
+def aggregate_means(predictions, spec: GridSpec) -> list:
+    """Group-by-mean export rows: quadrant region x pollutant means of the
+    ``point`` column of prediction records with ``x``, ``y`` and
+    ``pollutant_id`` columns.
 
-    Returns rows (region, pollutant_id, n, mean_predicted).
+    Returns rows (region, pollutant_id, n, mean_predicted) sorted by
+    (region, pollutant_id).  Each group's values are averaged in the
+    records' order.
     """
+    if not len(predictions):
+        return []
     half_x, half_y = spec.extent_km[0] / 2.0, spec.extent_km[1] / 2.0
-    groups = {}
-    for x, y, k, pred in rows:
-        region = ("E" if x >= half_x else "W") + ("N" if y >= half_y else "S")
-        groups.setdefault((region, k), []).append(pred)
+    region = np.char.add(
+        np.where(predictions.x >= half_x, "E", "W"), np.where(predictions.y >= half_y, "N", "S")
+    )
+    pollutant = predictions.pollutant_id
+    order = np.lexsort((pollutant, region))  # stable: file order within a group
+    region, pollutant, point = region[order], pollutant[order], predictions.point[order]
+    starts = np.flatnonzero(
+        np.r_[True, (region[1:] != region[:-1]) | (pollutant[1:] != pollutant[:-1])]
+    )
     return [
-        (region, k, len(preds), float(np.mean(preds)))
-        for (region, k), preds in sorted(groups.items())
+        (str(region[s]), int(pollutant[s]), len(group), float(np.mean(group)))
+        for s, group in zip(starts, np.split(point, starts[1:]))
     ]
 
 

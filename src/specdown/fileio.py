@@ -28,7 +28,8 @@ whole columns, so it builds no object per line: the observations come back
 as one record array (:func:`~specdown.stations.observation_records`).  When
 a check fails, the shortest failing prefix of the file, found by bisection,
 ends at the first faulty line, which the ``ParseError`` names.  The writers
-of station and prediction files format whole columns of records.
+of station and prediction files format whole columns of records, and a
+predictions file reads back as one record array.
 
 Posterior draws are one 2-D ``<f8`` ``.npy`` array of (draw, parameter)
 on the transformed scale, with a JSON sidecar holding the parameter names
@@ -68,6 +69,7 @@ from .stations import (
     Station,
     cell_indices,
     observation_records,
+    records,
     station_coords,
 )
 
@@ -461,10 +463,12 @@ def write_predictions_csv(results, path, pollutants=None) -> None:
     )
 
 
-def read_predictions_csv(path, pollutants=None) -> list:
-    """``(x, y, pollutant_id, pred)`` of each line of a predictions CSV.  A
-    malformed number, a concentration (pred or a bound) that is negative or
-    not finite, or an unknown pollutant is a ``ParseError`` at its line."""
+def read_predictions_csv(path, pollutants=None) -> np.recarray:
+    """A predictions CSV as one record array, a row per line in file order,
+    with columns ``x``, ``y``, ``pollutant_id`` and ``point`` (the pred
+    column).  A malformed number, a concentration (pred or a bound) that is
+    negative or not finite, or an unknown pollutant is a ``ParseError`` at
+    its line."""
 
     def parse(_, xs, ys, ds, names, *bounds):
         x, y, _ = _numbers(float, xs), _numbers(float, ys), _numbers(int, ds)
@@ -473,8 +477,7 @@ def read_predictions_csv(path, pollutants=None) -> list:
             bad = np.flatnonzero(~(np.isfinite(c) & (c >= 0.0)))
             if bad.size:
                 raise ValueError(f"concentration {float(c[bad[0]])!r} is not finite and >= 0")
-        pol = _pollutant_ids(names, pollutants)
-        return list(zip(x.tolist(), y.tolist(), pol.tolist(), pred.tolist()))
+        return records(x=x, y=y, pollutant_id=_pollutant_ids(names, pollutants), point=pred)
 
     return _read_csv(path, PREDICTIONS_HEADER, parse)
 

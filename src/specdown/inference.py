@@ -807,7 +807,10 @@ def consensus_combine(posteriors) -> BatchPosterior:
     result is invariant to input permutation; a single batch is returned
     unchanged.  Draw counts are truncated to the shortest batch; a singular
     batch covariance is factored under the jitter rule of
-    :func:`~specdown.lmc.chol_pd`, with a warning.
+    :func:`~specdown.lmc.chol_pd`, with a warning.  A batch of n <= P draws
+    for P parameters always has a singular covariance, whose null directions
+    the jitter then pins to the batch means: when the shortest batch is that
+    short, one warning names both counts in place of the per-batch ones.
     """
     posteriors = list(posteriors)
     if not posteriors:
@@ -824,11 +827,17 @@ def consensus_combine(posteriors) -> BatchPosterior:
     if any(post.n_draws != n_draws for post in posteriors):
         warnings.warn(f"truncating batches to the shortest draw count {n_draws}", stacklevel=2)
     P = first.draws.shape[1]
+    if n_draws <= P:
+        warnings.warn(
+            f"{n_draws} kept draws for {P} parameters: every batch covariance that short is "
+            "singular, so consensus pins its null directions to the batch means",
+            stacklevel=2,
+        )
 
     weights = []
     for post in posteriors:
         L, jittered = chol_pd(post.sample_cov)
-        if jittered:
+        if jittered and post.n_draws > P:
             warnings.warn("singular batch covariance; ridge-regularizing", stacklevel=2)
         weights.append(cho_solve((L, True), np.eye(P)))
 

@@ -238,11 +238,14 @@ class DesignMatrix:
     def scale_rows(self, X: np.ndarray, pollutant: np.ndarray) -> None:
         """Apply the recorded (x - col_mean) / col_sd in place to each
         covariate column of rows ``X``, over the rows of the column's
-        pollutant; the identity on an unstandardized design."""
-        for idx, col in enumerate(self.columns):
-            if col.kind == "covariate":
-                active = pollutant == col.k
-                X[active, idx] = (X[active, idx] - self.col_mean[idx]) / self.col_sd[idx]
+        pollutant; the identity on an unstandardized design.  The covariate
+        columns of one pollutant are scaled as one block."""
+        covariate = np.array([col.kind == "covariate" for col in self.columns], dtype=bool)
+        col_k = np.array([col.k for col in self.columns])
+        for k in np.unique(col_k[covariate]).tolist():
+            cols = np.flatnonzero(covariate & (col_k == k))
+            block = np.ix_(np.flatnonzero(pollutant == k), cols)
+            X[block] = (X[block] - self.col_mean[cols]) / self.col_sd[cols]
 
 
 @dataclass(frozen=True)
@@ -383,27 +386,35 @@ def design_rows(columns, table: CellTable, cells, pollutant, day) -> np.ndarray:
     An intercept column is 1 on the rows of its pollutant.  A covariate
     column (k, j[, b]) holds, on the rows of pollutant k, the value at the
     row's cell of the field (LD) or of covariate b (SD) of pollutant j on
-    the row's day, read from ``table`` one column and day at a time; it is
-    0 on the other rows.  A missing field or covariate array, or a cell the
-    table does not hold, raises ``ValueError``.
+    the row's day, read from ``table``; it is 0 on the other rows.  The rows
+    are sorted once by (pollutant, day), and each column is filled from the
+    (pollutant, day) groups of its pollutant in day order.  A missing field
+    or covariate array, the first in column order and then day order, or a
+    cell the table does not hold, raises ``ValueError``.
     """
     pos = table.positions(cells)
     rows = np.zeros((pos.size, len(columns)))
-    by_day = [(int(d), day == d) for d in np.unique(day)]
+    if not pos.size:
+        return rows
+    order = np.lexsort((day, pollutant))
+    key_pol, key_day = pollutant[order], day[order]
+    starts = np.flatnonzero(
+        np.r_[True, (key_pol[1:] != key_pol[:-1]) | (key_day[1:] != key_day[:-1])]
+    )
+    groups = {}  # pollutant -> [(day, its rows, their source positions)]
+    for members in np.split(order, starts[1:]):
+        k, d = int(pollutant[members[0]]), int(day[members[0]])
+        groups.setdefault(k, []).append((d, members, pos[members]))
     for idx, col in enumerate(columns):
-        active = pollutant == col.k
-        if col.kind == "intercept":
-            rows[active, idx] = 1.0
-            continue
-        for d, on_day in by_day:
-            sel = active & on_day
-            if not sel.any():
+        for d, members, at in groups.get(col.k, ()):
+            if col.kind == "intercept":
+                rows[members, idx] = 1.0
                 continue
             source = table.sources.get((col.j, d))
             if source is None:
                 what = "field" if col.b is None else "covariates"
                 raise ValueError(f"missing {what} for pollutant {col.j} day {d}")
-            rows[sel, idx] = source[col.b or 0][pos[sel]]
+            rows[members, idx] = source[col.b or 0][at]
     return rows
 
 

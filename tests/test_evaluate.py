@@ -457,6 +457,28 @@ class TestVectorisedPredict:
             )
             assert res.mean_log == pytest.approx(mean, rel=1e-10, abs=1e-12)
 
+    def test_design_rows_once_per_call_and_no_percentile(self, monkeypatch):
+        post, ctx, *_ = _kriging_setup()
+        targets = self._targets()
+        monkeypatch.setattr(evaluate, "PREDICT_CHUNK_VALUES", 1000)
+        calls = {"design_rows": 0, "_sorted_quantiles": 0}
+        for name in calls:
+            original = getattr(evaluate, name)
+
+            def counting(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(evaluate, name, counting)
+
+        def no_percentile(*args, **kwargs):
+            raise AssertionError("predict sorts its draws; it does not call np.percentile")
+
+        monkeypatch.setattr(np, "percentile", no_percentile)
+        predict(post, targets, ctx, np.random.default_rng(3))
+        assert calls["_sorted_quantiles"] > 1  # one per chunk
+        assert calls["design_rows"] == 1
+
     def test_conditional_moments_match_direct_solves(self):
         post, ctx, _, _, fields = _kriging_setup()
         targets = [t for t in self._targets() if t.mode == "interpolation"]
@@ -618,6 +640,36 @@ class TestVectorisedPredict:
             assert np.all(var[:, 0] <= bound * (1.0 + 1e-9))
 
 
+@st.composite
+def _draw_rows(draw):
+    """(rows, n) arrays with n up to 1,200: rounded values give ties, and
+    some rows hold infinities or NaN."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, n)) * draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    x = np.round(x, draw(st.sampled_from([0, 1, 8])))
+    for value in (np.inf, -np.inf, np.nan):
+        rate = draw(st.sampled_from([0.0, 0.0, 1.0 / n, 0.3]))
+        spoil = rng.random((rows, n)) < rate
+        spoil[rng.random(rows) < 0.5] = False  # leave some rows clean
+        x[spoil] = value
+    return x
+
+
+class TestSortedQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(x=_draw_rows())
+    def test_equals_numpy_percentile(self, x):
+        with np.errstate(invalid="ignore"):
+            want = np.percentile(x, [2.5, 50.0, 97.5], axis=1)
+            got = evaluate._sorted_quantiles(np.sort(x, axis=1), [0.025, 0.5, 0.975])
+        assert got.shape == want.shape
+        # equal as values: a sort and numpy's partition may order -0.0 and
+        # 0.0, which compare equal, either way
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestSharedFactors:
     """Days observed in one layout share one Cholesky factor."""
 
@@ -704,7 +756,9 @@ class TestAggregate:
     def test_quadrant_grouping(self):
         spec = GridSpec(10, 10, 10.0)
         points = [(10.0, 10.0), (90.0, 90.0), (10.0, 90.0), (90.0, 10.0)]
-        rows = aggregate_means([(x, y, 0, float(i + 1)) for i, (x, y) in enumerate(points)], spec)
+        x, y = np.array(points).T
+        predictions = records(x=x, y=y, pollutant_id=0, point=np.arange(1.0, 5.0))
+        rows = aggregate_means(predictions, spec)
         assert rows == [
             ("EN", 0, 1, 2.0),
             ("ES", 0, 1, 4.0),

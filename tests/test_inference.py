@@ -1,5 +1,7 @@
 """Least squares, the batch sampler's full conditionals, consensus merging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -731,6 +733,31 @@ class TestConsensus:
         assert np.all(np.isfinite(combined.draws))
         # the jittered variance is tiny, so that batch pins the constant coordinate
         assert np.allclose(combined.draws[:, 1], 0.5, rtol=0, atol=1e-4)
+
+
+    @pytest.mark.parametrize("n_draws, warns", [(5, True), (200, False)])
+    def test_batches_too_short_for_their_parameters_warn_once(self, n_draws, warns):
+        rng = np.random.default_rng(4)
+        posts = [
+            BatchPosterior(
+                draws=rng.normal(size=(n_draws, 8)),
+                param_names=tuple(f"p{i}" for i in range(8)),
+                transforms=("id",) * 8,
+                n_beta=7,
+                n_pollutants=1,
+                days=(d,),
+            )
+            for d in (1, 2, 3)
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            consensus_combine(posts)
+        messages = [str(w.message) for w in caught]
+        if warns:
+            assert len(messages) == 1
+            assert messages[0].startswith("5 kept draws for 8 parameters:")
+        else:
+            assert messages == []
 
 
 class TestOlsPosterior:

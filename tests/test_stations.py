@@ -14,6 +14,7 @@ from specdown.stations import (
     assemble_design,
     cell_indices,
     coef_to_raw,
+    design_rows,
     observation_records,
     standardize,
     variant_from_name,
@@ -209,6 +210,85 @@ class TestAssembleDesign:
         d2 = assemble_design(variant, fields, covs, obs, stations)
         assert np.array_equal(d1.X, d2.X)
         assert d1.columns == d2.columns
+
+
+class TestDesignRows:
+    """Rows of pollutants 0..2 on days 1..3 at six station cells, with the
+    SD + Cross columns."""
+
+    DAYS = (1, 2, 3)
+
+    def _setup(self):
+        rng = np.random.default_rng(11)
+        stations = {
+            f"s{i}": _station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), (0, 1, 2))
+            for i in range(6)
+        }
+        obs = _obs(
+            *(
+                (sid, d, k, float(rng.standard_normal()))
+                for d in self.DAYS
+                for sid in stations
+                for k in (0, 1, 2)
+            )
+        )
+        fields, covs = _fields_and_covs(SPEC, J=3, days=self.DAYS)
+        design = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+        cells = cell_indices(design.row_x, design.row_y, SPEC)
+        table = CellTable.of_grids("SD", fields, covs, cells)
+        # interleave days and pollutants row by row
+        order = rng.permutation(design.n)
+        pol, day = design.row_pollutant[order], design.row_day[order]
+        return design.columns, table, cells[order], pol, day
+
+    @staticmethod
+    def _mask_rows(columns, table, cells, pol, day):
+        """Reference: one boolean mask per (column, day), over every row."""
+        pos = table.positions(cells)
+        rows = np.zeros((pos.size, len(columns)))
+        for idx, col in enumerate(columns):
+            if col.kind == "intercept":
+                rows[pol == col.k, idx] = 1.0
+                continue
+            for d in np.unique(day).tolist():
+                sel = (pol == col.k) & (day == d)
+                if sel.any():
+                    rows[sel, idx] = table.sources[(col.j, d)][col.b][pos[sel]]
+        return rows
+
+    def test_rows_match_the_per_column_mask_reference(self):
+        columns, table, cells, pol, day = self._setup()
+        rows = design_rows(columns, table, cells, pol, day)
+        assert np.array_equal(rows, self._mask_rows(columns, table, cells, pol, day))
+
+    def test_shuffled_rows_are_the_rows_shuffled(self):
+        columns, table, cells, pol, day = self._setup()
+        rows = design_rows(columns, table, cells, pol, day)
+        perm = np.random.default_rng(3).permutation(cells.size)
+        shuffled = design_rows(columns, table, cells[perm], pol[perm], day[perm])
+        assert np.array_equal(shuffled, rows[perm])
+
+    @pytest.mark.parametrize(
+        "removed,named",
+        [
+            ([(1, 2), (0, 3)], "pollutant 0 day 3"),  # column (k=0, j=0) precedes (k=0, j=1)
+            ([(1, 3), (1, 2)], "pollutant 1 day 2"),  # one column, the earlier day
+        ],
+        ids=["column-order-first", "then-day-order"],
+    )
+    def test_first_missing_source_in_column_then_day_order(self, removed, named):
+        columns, table, cells, pol, day = self._setup()
+        sources = {key: src for key, src in table.sources.items() if key not in removed}
+        with pytest.raises(ValueError, match=f"missing covariates for {named}$"):
+            design_rows(columns, CellTable(sources, table.cells), cells, pol, day)
+
+    def test_intercept_is_one_on_its_pollutant_across_days(self):
+        columns, table, cells, pol, day = self._setup()
+        rows = design_rows(columns, table, cells, pol, day)
+        for idx, col in enumerate(columns):
+            if col.kind == "intercept":
+                assert np.array_equal(rows[:, idx], (pol == col.k).astype(float))
+                assert set(day[pol == col.k].tolist()) == set(self.DAYS)
 
 
 def _small_design():
