@@ -34,12 +34,13 @@ c0 . (C + D)^{-1} r and its variance sigma_kk^2 - ||L^{-1} c0||^2, both by
 batched matrix products over draws and targets.  Targets go through in
 chunks of consecutive targets, sized so that no per-draw temporary holds
 more than ``PREDICT_CHUNK_VALUES`` floats; each chunk slices its rows of
-the design block.  Noise is drawn chunk by chunk in target order, so the
-random stream does not depend on the chunk size, and the summaries agree
-across chunk sizes to rounding: a chunk's matrix products round
-differently with its row count.  A chunk's draws are averaged as drawn,
-then sorted once along the draw axis, and the 2.5, 50 and 97.5% points are
-read from the sorted rows by numpy's ``linear`` rule, the values
+the design block, which is built once per call and so holds targets x p
+floats outside that bound.  Noise is drawn chunk by chunk in target
+order, so the random stream does not depend on the chunk size, and the
+summaries agree across chunk sizes to rounding: a chunk's matrix products
+round differently with its row count.  A chunk's draws are averaged as
+drawn, then sorted once along the draw axis, and the 2.5, 50 and 97.5%
+points are read from the sorted rows by numpy's ``linear`` rule, the values
 ``np.percentile`` gives.
 """
 
@@ -475,18 +476,14 @@ def aggregate_means(predictions, spec: GridSpec) -> list:
     if not len(predictions):
         return []
     half_x, half_y = spec.extent_km[0] / 2.0, spec.extent_km[1] / 2.0
-    region = np.char.add(
-        np.where(predictions.x >= half_x, "E", "W"), np.where(predictions.y >= half_y, "N", "S")
-    )
-    pollutant = predictions.pollutant_id
-    order = np.lexsort((pollutant, region))  # stable: file order within a group
-    region, pollutant, point = region[order], pollutant[order], predictions.point[order]
-    starts = np.flatnonzero(
-        np.r_[True, (region[1:] != region[:-1]) | (pollutant[1:] != pollutant[:-1])]
-    )
+    west, south = ~(predictions.x >= half_x), ~(predictions.y >= half_y)
+    order = np.lexsort((predictions.pollutant_id, south, west))  # stable: records' order in a group
+    keys = np.column_stack([west, south, predictions.pollutant_id])[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    groups = np.split(predictions.point[order], starts[1:])
     return [
-        (str(region[s]), int(pollutant[s]), len(group), float(np.mean(group)))
-        for s, group in zip(starts, np.split(point, starts[1:]))
+        ("EW"[w] + "NS"[s], k, len(group), float(np.mean(group)))
+        for (w, s, k), group in zip(keys[starts].tolist(), groups)
     ]
 
 

@@ -3,28 +3,27 @@
 Usage (from the repository root)::
 
     python3 tools/cmp_artifacts.py PARENT_REV
-    python3 tools/cmp_artifacts.py PARENT_REV --cases desk-1 wide-1
 
 The parent's ``src/`` is extracted with ``git archive`` into
-``.cmp_work/parent_src/``.  Each case simulates its data once, with the
-parent's source, and then runs its stages under the parent's ``src/`` and
-under this tree's ``src/``, each in one subprocess with BLAS at one thread:
-``fit``, ``combine``, both ``predict`` modes, ``coherence`` and
-``aggregate`` of the forecast predictions, or ``cv`` alone for a cv case.
-Every file the two runs write is compared byte for byte.  The first file
-that differs, or that only one run wrote, is printed and the exit code is 1;
-when every case matches the exit code is 0.
+``.cmp_work/parent_src/``.  Each case runs under the parent's ``src/`` and
+under this tree's ``src/``, each in its own subprocesses with BLAS at one
+thread: first ``simulate``, whose data files are compared, and then, on
+that run's own data, the workload's stages with ``aggregate`` of the
+forecast predictions after them.  Every file the two runs write is compared
+byte for byte.  The first file that differs, or that only one run wrote, is
+printed and the exit code is 1; when every case matches the exit code is 0.
 
 Cases: desk seeds 1-10, desk with ``simulate.cadence`` "1-in-3" seeds 1-2,
-wide seed 1 and the cv scorecards of seeds 1-2.  The desk, wide and cv
-configurations are those of the benchmark's workloads of the same names.
-Everything is written under ``.cmp_work/``; nothing is read from the
-network.
+wide seed 1 and the cv workload of seeds 1-2.  The configurations and
+stages are read from ``WORKLOADS`` in ``bench/run.py`` with ``ast``,
+without running that file.  Everything is written under ``.cmp_work/``;
+nothing is read from the network.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -35,46 +34,45 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".cmp_work"
 
-DESK = {
-    "variant": "Spatial SD + Cross",
-    "jobs": 1,
-    "mcmc": {"iterations": 120, "burnin": 60, "thin": 1},
-}
-WIDE = {
-    "variant": "SD + Cross",
-    "jobs": 1,
-    "simulate": {
-        "nx": 128,
-        "ny": 128,
-        "n_observed": 4,
-        "n_gridded": 4,
-        "n_stations": 400,
-        "days": 12,
-        "beta0": [1.0, 0.5, 0.3, 0.2],
-        "nugget2": [0.04, 0.04, 0.04, 0.04],
-        "coreg_diag": 0.0,
-    },
-}
-CV = {"jobs": 2, "folds": 2, "mcmc": {"iterations": 60, "burnin": 30, "thin": 1}}
 
-PIPELINE = [
-    ["fit"],
-    ["combine"],
-    ["predict", "--mode", "forecast"],
-    ["predict", "--mode", "interpolation"],
-    ["coherence"],
-    ["aggregate", "--predictions", "{out}/predictions_forecast.csv"],
-]
+def bench_workloads() -> dict:
+    """``WORKLOADS`` of ``bench/run.py``, each module-level name it uses
+    replaced by that name's literal value."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    assigns = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    class Inline(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return self.visit(assigns[node.id])
+
+    return ast.literal_eval(Inline().visit(assigns["WORKLOADS"]))
+
+
+AGGREGATE = ["aggregate", "--predictions", "{out}/predictions_forecast.csv"]
 
 
 def cases() -> dict:
     """Case name -> (seed, config overrides, stages)."""
-    out = {f"desk-{s}": (s, DESK, PIPELINE) for s in range(1, 11)}
-    cadence = {**DESK, "simulate": {"cadence": "1-in-3"}}
-    out.update({f"desk-1in3-{s}": (s, cadence, PIPELINE) for s in (1, 2)})
-    out["wide-1"] = (1, WIDE, PIPELINE)
-    out.update({f"cv-{s}": (s, CV, [["cv"]]) for s in (1, 2)})
-    return out
+    out = {}
+    for name, spec in bench_workloads().items():
+        stages = [list(argv) for _, argv in spec["stages"]]
+        if ["predict", "--mode", "forecast"] in stages:
+            stages.append(AGGREGATE)
+        out[name] = (spec["config"], stages)
+    desk, stages = out["desk"]
+    cadence = ({**desk, "simulate": {"cadence": "1-in-3"}}, stages)
+    return {
+        **{f"desk-{s}": (s, *out["desk"]) for s in range(1, 11)},
+        **{f"desk-1in3-{s}": (s, *cadence) for s in (1, 2)},
+        "wide-1": (1, *out["wide"]),
+        **{f"cv-{s}": (s, *out["cv"]) for s in (1, 2)},
+    }
 
 
 #: Runs the stages given as JSON in argv[1] through ``specdown.cli.main``,
@@ -132,21 +130,7 @@ def artifacts(out: Path) -> dict:
     }
 
 
-def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict) -> str | None:
-    """What differs first between the runs of one case, or None."""
-    case = fresh(WORK / name)
-    data = case / "data"
-    data.mkdir()
-    sim_cfg = write_config(data / "config.json", overrides, data, data)
-    run(srcs["parent"], [["--config", str(sim_cfg), "--seed", str(seed), "simulate"]])
-    outputs = {}
-    for label, src in srcs.items():
-        out = case / label
-        out.mkdir()
-        cfg = str(write_config(out / "config.json", overrides, data, out))
-        run(src, [["--config", cfg] + [a.format(out=out) for a in argv] for argv in stages])
-        outputs[label] = artifacts(out)
-    parent, head = outputs["parent"], outputs["head"]
+def first_difference(parent: dict, head: dict) -> str | None:
     if not parent:  # two empty runs would match
         return "no artifacts written"
     for rel in sorted(set(parent) | set(head)):
@@ -155,10 +139,32 @@ def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict) -> 
     return None
 
 
+def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict) -> str | None:
+    """What differs first between the runs of one case, or None: the
+    simulated data first, then the stages' outputs."""
+    case = fresh(WORK / name)
+    data, outputs = {}, {}
+    for label, src in srcs.items():
+        sim = case / label / "data"
+        sim.mkdir(parents=True)
+        sim_cfg = write_config(sim / "config.json", overrides, sim, sim)
+        run(src, [["--config", str(sim_cfg), "--seed", str(seed), "simulate"]])
+        data[label] = artifacts(sim)
+    differs = first_difference(data["parent"], data["head"])
+    if differs is not None:
+        return f"simulate: {differs}"
+    for label, src in srcs.items():
+        out = case / label / "out"
+        out.mkdir()
+        cfg = str(write_config(out / "config.json", overrides, case / label / "data", out))
+        run(src, [["--config", cfg] + [a.format(out=out) for a in argv] for argv in stages])
+        outputs[label] = artifacts(out)
+    return first_difference(outputs["parent"], outputs["head"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_rev", help="git revision to compare this tree's src/ against")
-    parser.add_argument("--cases", nargs="+", choices=sorted(cases()), help="a subset of the cases")
     args = parser.parse_args(argv)
 
     parent_src = fresh(WORK / "parent_src")
@@ -170,8 +176,7 @@ def main(argv=None) -> int:
     subprocess.run(["tar", "-x", "-C", str(parent_src)], input=archive, check=True)
     srcs = {"parent": parent_src / "src", "head": ROOT / "src"}
 
-    selected = {k: v for k, v in cases().items() if not args.cases or k in args.cases}
-    for name, (seed, overrides, stages) in selected.items():
+    for name, (seed, overrides, stages) in cases().items():
         differs = compare(name, seed, overrides, stages, srcs)
         if differs is not None:
             print(f"{name}: {differs}")
