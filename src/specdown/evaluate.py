@@ -17,8 +17,8 @@ vectorised over targets.  Design rows are gathered by each
 target's cell from the context's :class:`~specdown.stations.CellTable`,
 the field or covariate values at station cells, with
 :func:`~specdown.stations.design_rows`, which also makes the training
-design, and standardized as the training design was: once per call, for
-all targets, as one (targets, p) block.
+design, and standardized as the training design was, one slab of whole
+chunks (below) at a time.
 The marginal covariances of the interpolation days' observations, C + D
 with C the LMC block of the observed sites and D the nugget diagonal, one
 (n, n) matrix per posterior draw and day layout, are factored as
@@ -33,9 +33,11 @@ conditional mean of the field is (L^{-1} c0) . (L^{-1} r) =
 c0 . (C + D)^{-1} r and its variance sigma_kk^2 - ||L^{-1} c0||^2, both by
 batched matrix products over draws and targets.  Targets go through in
 chunks of consecutive targets, sized so that no per-draw temporary holds
-more than ``PREDICT_CHUNK_VALUES`` floats; each chunk slices its rows of
-the design block, which is built once per call and so holds targets x p
-floats outside that bound.  Noise is drawn chunk by chunk in target
+more than ``PREDICT_CHUNK_VALUES`` floats.  The design rows are built in
+slabs of whole chunks, each of at most ``PREDICT_CHUNK_VALUES`` floats, or
+of one chunk when a chunk's rows alone hold more; each chunk slices its
+rows from its slab.  Design rows are built row by row, so the slabs do not
+change their values.  Noise is drawn chunk by chunk in target
 order, so the random stream does not depend on the chunk size, and the
 summaries agree across chunk sizes to rounding: a chunk's matrix products
 round differently with its row count.  A chunk's draws are averaged as
@@ -79,11 +81,13 @@ __all__ = [
 
 TRAIN_FRACTION = 78.0 / 90.0
 
-#: Largest number of float64 values in one per-draw prediction temporary.
-#: Targets are processed in chunks sized so that the (I, T, n)
-#: cross-covariances of I draws, T targets and n sites of a day stay under
-#: it, which bounds the memory a prediction call adds beyond its per-day
-#: factors and its (targets, p) design block, which is held whole.
+#: Largest number of float64 values in one per-draw prediction temporary
+#: and in one slab of design rows.  Targets are processed in chunks sized
+#: so that the (I, T, n) cross-covariances of I draws, T targets and n
+#: sites of a day stay under it, and their design rows are built in slabs
+#: of whole chunks under it (one chunk when a chunk's rows alone are more),
+#: which bounds the memory a prediction call adds beyond its per-day
+#: factors.
 PREDICT_CHUNK_VALUES = 2**16
 
 #: Magnitudes per coherence curve, evenly spaced over (0, MAX_MAGNITUDE].
@@ -329,10 +333,10 @@ def predict(
 
     Noise is drawn target by target in ``targets`` order: for a spatial
     posterior a residual block of one normal per draw, then a nugget block;
-    otherwise the nugget block only.  The design rows of all targets are
-    built once; targets are then processed in chunks of consecutive
-    targets, so the chunk size does not change the random stream, and the
-    summaries agree across chunk sizes to rounding.  Each chunk's draws are
+    otherwise the nugget block only.  Targets are processed in chunks of
+    consecutive targets, so the chunk size does not change the random
+    stream, and the summaries agree across chunk sizes to rounding; their
+    design rows are built in slabs of whole chunks.  Each chunk's draws are
     sorted once for their percentiles (see :func:`_sorted_quantiles`).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -378,16 +382,19 @@ def predict(
             rate = posterior.decay_draws()[draw_idx]
             kriging = _Conditioner(ctx, interp_days, beta, nugget2, cross, rate)
 
-    I = draw_idx.size
+    I, p = draw_idx.size, beta.shape[1]
     widest = max(n_blocks, kriging.widest if kriging is not None else 0)
-    step = max(1, PREDICT_CHUNK_VALUES // max(I * widest, beta.shape[1]))
-    rows = _design_rows(ctx, cells, k, day)  # (targets, p), sliced per chunk
+    step = max(1, PREDICT_CHUNK_VALUES // max(I * widest, p))
+    slab = step * max(1, PREDICT_CHUNK_VALUES // (step * p))  # whole chunks of design rows
     summary = np.empty((4, len(targets)))  # mean_log, lo_log, hi_log, point
     for start in range(0, len(targets), step):
         chunk = slice(start, start + step)
+        if start % slab == 0:
+            span = slice(start, start + slab)
+            rows = _design_rows(ctx, cells[span], k[span], day[span])  # (<= slab, p)
         kc, dc = k[chunk], day[chunk]
         noise = rng.standard_normal((kc.size, n_blocks, I))
-        draws = rows[chunk] @ beta.T  # (T, I)
+        draws = rows[start % slab : start % slab + step] @ beta.T  # (T, I)
         if posterior.has_spatial:
             resid_mean = np.zeros_like(draws)
             resid_sd = marginal_sd[:, kc].T

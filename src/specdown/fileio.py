@@ -48,8 +48,14 @@ station cell, so that interpolation reads no grid.  As text, with repr
 floats, it cost 0.06-0.12 s per ``fit`` on a 128x128 grid with 400
 stations (about 80k floats).  It is one ``.npy`` file
 (:func:`write_cell_table`), whose bytes depend on its content alone; an
-``.npz`` archive would stamp its members with the time of writing.  One
-loader reads both ``.npy`` kinds and names the file it cannot read.
+``.npz`` archive would stamp its members with the time of writing.
+
+``fit`` also records the station file it parsed, so that ``predict``
+parses none (:func:`write_station_records`): the stations as one ``.npy``
+record array (``sites.npy``), the observation records as another
+(``observations.npy``), and a JSON sidecar (``sites.json``) with the
+station file's sha256 and the station, observation and dropped counts.
+One loader reads every ``.npy`` kind and names the file it cannot read.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ __all__ = [
     "read_posterior",
     "write_cell_table",
     "read_cell_table",
+    "write_station_records",
+    "read_station_records",
     "PREDICTIONS_HEADER",
     "write_predictions_csv",
     "read_predictions_csv",
@@ -435,6 +443,115 @@ def read_cell_table(path) -> CellTable:
         return CellTable(sources, records["cell"])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}")
+
+
+# ---------------------------------------------------------------------------
+# Station records
+# ---------------------------------------------------------------------------
+
+
+def _measure_name(k) -> str:
+    return f"k{k}"
+
+
+def _observation_dtype(site_id_dtype) -> list:
+    return [("site_id", site_id_dtype), ("day", "<i8"), ("pollutant_id", "<i8"), ("value", "<f8")]
+
+
+def write_station_records(stations: dict, observations, dropped: int, sha256: str, out) -> list:
+    """Record the ``stations`` and ``observations`` parsed from a station
+    file in directory ``out``, and return the three paths written.
+
+    ``sites.npy`` holds one record per station, in the order of ``stations``:
+    ``site_id``, ``x``, ``y`` and a bool field ``k<k>`` per pollutant id
+    that any station measures, true where this one does, so a pollutant
+    whose values were all dropped stays measured.  ``observations.npy``
+    holds the observation records with fields ``site_id``, ``day``,
+    ``pollutant_id`` and ``value`` (``<i8`` ints, ``<f8`` values).  The
+    sidecar ``sites.json`` holds ``sha256``, the station file's digest, and
+    the ``stations``, ``observations`` and ``dropped`` counts."""
+    out = Path(out)
+    site_id = np.array(list(stations), dtype=str)
+    ids = sorted({k for s in stations.values() for k in s.measures})
+    layout = [("site_id", site_id.dtype.str), ("x", "<f8"), ("y", "<f8")]
+    sites = np.zeros(site_id.size, layout + [(_measure_name(k), "?") for k in ids])
+    sites["site_id"] = site_id
+    sites["x"] = [s.x for s in stations.values()]
+    sites["y"] = [s.y for s in stations.values()]
+    for k in ids:
+        sites[_measure_name(k)] = [k in s.measures for s in stations.values()]
+    obs = np.asarray(observations).astype(_observation_dtype(observations.site_id.dtype.str), copy=False)
+    paths = [out / name for name in ("sites.npy", "observations.npy", "sites.json")]
+    np.save(paths[0], sites, allow_pickle=False)
+    np.save(paths[1], obs, allow_pickle=False)
+    meta = {"sha256": sha256, "stations": len(sites), "observations": len(obs), "dropped": dropped}
+    paths[2].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return paths
+
+
+def _site_table(sites: np.ndarray, path) -> dict:
+    """Stations by site id of the records of a ``sites.npy`` body."""
+    names = sites.dtype.names or ()
+    if sites.ndim != 1 or names[:3] != ("site_id", "x", "y") or sites.dtype["site_id"].kind != "U":
+        raise ParseError(f"{path}: not a station table")
+    if sites.dtype["x"].str != "<f8" or sites.dtype["y"].str != "<f8":
+        raise ParseError(f"{path}: station coordinates are not <f8")
+    for name in names[3:]:
+        k = name.removeprefix("k")
+        if not k.isdecimal() or _measure_name(int(k)) != name or sites.dtype[name].str != "|b1":
+            raise ParseError(f"{path}: malformed measures field {name!r}")
+    ids = np.array([int(name[1:]) for name in names[3:]], dtype=int)
+    held = np.zeros((sites.size, ids.size), dtype=bool)
+    for i, name in enumerate(names[3:]):
+        held[:, i] = sites[name]
+    rows = zip(sites["site_id"].tolist(), sites["x"].tolist(), sites["y"].tolist(), held)
+    try:
+        stations = {sid: Station(sid, x, y, frozenset(ids[h].tolist())) for sid, x, y, h in rows}
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}")
+    if len(stations) != sites.size:
+        raise ParseError(f"{path}: a site id is repeated")
+    return stations
+
+
+def read_station_records(out) -> tuple[dict, np.recarray, dict]:
+    """(stations, observations, sidecar) that :func:`write_station_records`
+    wrote in directory ``out``: the stations by site id, the observation
+    records of :func:`~specdown.stations.observation_records`, and the
+    sidecar's dict.  A missing file is a ``FileNotFoundError`` that says to
+    refit, since only ``fit`` writes them.  A body that is not one ``.npy``
+    array of the documented fields and dtypes, or whose record count is not
+    the sidecar's, is a ``ParseError`` naming the file."""
+    paths = [Path(out) / name for name in ("sites.npy", "observations.npy", "sites.json")]
+    for path in paths:
+        if not path.is_file():
+            raise FileNotFoundError(f"{path} is missing; refit")
+    sites_path, obs_path, meta_path = paths
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        counts = {key: int(meta[key]) for key in ("stations", "observations", "dropped")}
+        if not isinstance(meta["sha256"], str):
+            raise TypeError("sha256 is not a string")
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ParseError(f"{meta_path}: not a station-records sidecar ({exc!r})")
+    stations = _site_table(_load_npy(sites_path), sites_path)
+    obs = _load_npy(obs_path)
+    names = tuple(name for name, _ in _observation_dtype("<U"))
+    if (
+        obs.ndim != 1
+        or obs.dtype.names != names
+        or obs.dtype["site_id"].kind != "U"
+        or obs.dtype.descr != _observation_dtype(obs.dtype["site_id"].str)
+    ):
+        raise ParseError(f"{obs_path}: not observation records {_observation_dtype('<U')}")
+    for path, n, key in ((sites_path, len(stations), "stations"), (obs_path, obs.size, "observations")):
+        if n != counts[key]:
+            raise ParseError(f"{path}: holds {n} records; the sidecar gives {counts[key]}")
+    try:
+        observations = observation_records(*(obs[name] for name in names))
+    except ValueError as exc:
+        raise ParseError(f"{obs_path}: {exc}")
+    return stations, observations, meta
 
 
 # ---------------------------------------------------------------------------

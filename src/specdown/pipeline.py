@@ -23,6 +23,13 @@ training days beside ``design.json``, where it records a sha256 digest of
 each training grid file.  Interpolation ``predict`` reads that table once
 the digests of the training grid files match the recorded ones.
 
+The station file is parsed by ``fit`` and ``cv`` only.  ``fit`` records
+the stations and observations it parsed, with the file's sha256
+(:func:`~specdown.fileio.write_station_records`).  Both ``predict`` modes
+hash the station file, compare the digest with the recorded one, and load
+the records; a station file changed since ``fit`` is an error that says to
+refit.  ``cv`` has no prior ``fit`` and parses the file itself.
+
 Posterior draws pass from ``fit`` (``batch_*.csv``) through ``combine``
 (``combined.csv``) to ``predict`` and ``coherence`` in one binary format
 (:func:`~specdown.fileio.write_posterior`, :func:`~specdown.fileio.read_posterior`).
@@ -65,6 +72,8 @@ from .fileio import (
     parse_station_file,
     read_cell_table,
     write_cell_table,
+    read_station_records,
+    write_station_records,
 )
 from .filters import (
     FrequencyBand,
@@ -380,11 +389,16 @@ def cmd_covariates(cfg: RunConfig, input_path, output_dir) -> list:
     return artifacts
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @dataclass(frozen=True)
 class _Season:
     """Every input of ``fit`` and ``predict`` but the grid values: the
     grid spec and index, the split of the season, the station file's
-    stations and observations, and the configured variant."""
+    stations, observations and count of dropped values, and the configured
+    variant."""
 
     spec: GridSpec
     index: dict
@@ -392,16 +406,35 @@ class _Season:
     test_days: tuple
     stations: dict
     observations: np.recarray
+    dropped: int
     variant: ModelVariant
 
 
-def _season(cfg: RunConfig) -> _Season:
+def _season(cfg: RunConfig, read_stations) -> _Season:
+    """The season of the grid headers, with the station file's contents
+    from ``read_stations(cfg, spec)``, a (stations, observations, dropped)
+    triple: :func:`_parsed_stations` in ``fit``, :func:`_recorded_stations`
+    in ``predict``."""
     spec, index = _grid_index(cfg)
     train_days, test_days = split_season(sorted({day for _, day in index}))
-    stations, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
-    return _Season(
-        spec, index, train_days, test_days, stations, observations, variant_from_name(cfg.variant)
-    )
+    variant = variant_from_name(cfg.variant)
+    return _Season(spec, index, train_days, test_days, *read_stations(cfg, spec), variant)
+
+
+def _parsed_stations(cfg: RunConfig, spec: GridSpec):
+    return parse_station_file(cfg.stations_file, spec, cfg.pollutants)
+
+
+def _recorded_stations(cfg: RunConfig, spec: GridSpec):
+    """The station file's contents as ``fit`` recorded them in
+    ``output_dir`` (:func:`~specdown.fileio.read_station_records`), once
+    the file's sha256 matches the recorded one: a station file changed
+    since ``fit`` is an error that says to refit.  ``fit`` placed the
+    stations on the grid, so ``spec`` is not read."""
+    stations, observations, meta = read_station_records(cfg.output_dir)
+    if _sha256(cfg.stations_file) != meta["sha256"]:
+        raise ValueError(f"{cfg.stations_file} does not match the training data; refit")
+    return stations, observations, meta["dropped"]
 
 
 def _read_days(cfg: RunConfig, season: _Season, days) -> tuple[dict, dict]:
@@ -421,7 +454,7 @@ def _grid_digests(season: _Season) -> list:
     ``design.json`` records them."""
     wanted = set(season.train_days)
     return [
-        {"j": j, "day": day, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        {"j": j, "day": day, "sha256": _sha256(path)}
         for (j, day), path in sorted(season.index.items())
         if day in wanted
     ]
@@ -429,8 +462,12 @@ def _grid_digests(season: _Season) -> list:
 
 def cmd_fit(cfg: RunConfig) -> list:
     """Fit the configured variant; one posterior file per batch, then
-    ``design.json`` and the station-cell table."""
-    season = _season(cfg)
+    ``design.json`` with the digests of the training grid files, the
+    station-cell table, and the station records: the stations and
+    observations parsed from the station file, with its digest
+    (:func:`~specdown.fileio.write_station_records`)."""
+    season = _season(cfg, _parsed_stations)
+    digest = _sha256(cfg.stations_file)
     fields, covs = _read_days(cfg, season, season.train_days)
     design, y, posteriors = fit_variant(
         cfg,
@@ -453,7 +490,10 @@ def cmd_fit(cfg: RunConfig) -> list:
     artifacts.append(rec_path)
     table = _station_table(season.variant.mean_kind, fields, covs, season.spec, season.stations)
     artifacts.append(write_cell_table(table, out / CELL_TABLE))
-    return artifacts
+    # last: a fit that fails before here leaves the earlier fit's records,
+    # whose digest makes predict refuse the station file this fit parsed
+    records = write_station_records(season.stations, season.observations, season.dropped, digest, out)
+    return artifacts + records
 
 
 def cmd_combine(cfg: RunConfig) -> list:
@@ -509,7 +549,8 @@ def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionC
     missing station-cell table, or one of other training days, mean the
     inputs changed since the fit: an error that says to refit.  A spatial
     posterior conditions on the training data, so its design is rebuilt
-    from the table as ``fit`` built it, and must match ``design.json``.
+    from the table and the observations ``fit`` recorded, as ``fit`` built
+    it, and must match ``design.json``.
     """
     grids = _grid_digests(season)
     stale = f"{out / 'design.json'} does not match the training data; refit"
@@ -539,16 +580,20 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     """Predict at every station for the test (forecast) or training
     (interpolation) days and write the predictions CSV.
 
-    A forecast reads the test-day grids and the standardization from
-    ``design.json``.  Interpolation reads no grid value: it checks the
-    training grid files against the digests in ``design.json`` and takes
-    its design rows from the station-cell table that ``fit`` wrote (see
-    :func:`_interpolation_context`).  A station whose cell the table does
-    not hold is a ``ValueError`` that says to refit.
+    Neither mode parses the station file: both check its sha256 against
+    the one ``fit`` recorded and load the stations and observations ``fit``
+    recorded (:func:`_recorded_stations`), so a station file changed since
+    ``fit`` is a ``ValueError`` and missing records a ``FileNotFoundError``,
+    each saying to refit.  A forecast reads the test-day grids and the
+    standardization from ``design.json``.  Interpolation reads no grid
+    value: it checks the training grid files against the digests in
+    ``design.json`` and takes its design rows from the station-cell table
+    that ``fit`` wrote (see :func:`_interpolation_context`).  A station whose
+    cell the table does not hold is a ``ValueError`` that says to refit.
     """
     if mode not in ("forecast", "interpolation"):
         raise ValueError(f"mode must be forecast or interpolation, got {mode!r}")
-    season = _season(cfg)
+    season = _season(cfg, _recorded_stations)
     out = Path(cfg.output_dir)
     rec = json.loads((out / "design.json").read_text(encoding="utf-8"))
     rng = derive_rng(cfg.seed, 9000)

@@ -421,20 +421,22 @@ def design_rows(columns, table: CellTable, cells, pollutant, day) -> np.ndarray:
 def standardize(design: DesignMatrix) -> DesignMatrix:
     """Scale covariate columns to mean 0, sd 1 over their active rows.
 
-    A covariate column's active rows are those of its pollutant k.
-    Intercept columns are untouched.  Zero-variance columns are flagged and
-    left unscaled with (mean, sd) recorded as (0, 1).  Sample sd uses the
-    n-1 denominator.
+    A covariate column's active rows are those of its pollutant k, found
+    once per pollutant and taken in row order.  Intercept columns are
+    untouched.  Zero-variance columns are flagged and left unscaled with
+    (mean, sd) recorded as (0, 1).  Sample sd uses the n-1 denominator.
     """
     if design.standardized:
         raise ValueError("design is already standardized")
     mean = np.zeros(design.p)
     sd = np.ones(design.p)
     flagged = []
+    pollutants = {col.k for col in design.columns if col.kind == "covariate"}
+    active = {k: np.flatnonzero(design.row_pollutant == k) for k in pollutants}
     for idx, col in enumerate(design.columns):
         if col.kind != "covariate":
             continue
-        vals = design.X[design.row_pollutant == col.k, idx]
+        vals = design.X[active[col.k], idx]
         if vals.size < 2:
             raise ValueError(f"column {col.label} has fewer than 2 active rows")
         s = vals.std(ddof=1)

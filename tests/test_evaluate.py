@@ -457,27 +457,48 @@ class TestVectorisedPredict:
             )
             assert res.mean_log == pytest.approx(mean, rel=1e-10, abs=1e-12)
 
-    def test_design_rows_once_per_call_and_no_percentile(self, monkeypatch):
+    def _slab_calls(self, monkeypatch, chunk_values, n, forbid_percentile=False):
+        """Rows of each design_rows call and of each chunk of one predict
+        call on ``n`` targets under ``PREDICT_CHUNK_VALUES = chunk_values``."""
         post, ctx, *_ = _kriging_setup()
-        targets = self._targets()
-        monkeypatch.setattr(evaluate, "PREDICT_CHUNK_VALUES", 1000)
-        calls = {"design_rows": 0, "_sorted_quantiles": 0}
+        monkeypatch.setattr(evaluate, "PREDICT_CHUNK_VALUES", chunk_values)
+        calls = {"design_rows": [], "_sorted_quantiles": []}
+        sizes = {
+            "design_rows": lambda args: len(args[2]),  # the cells
+            "_sorted_quantiles": lambda args: len(args[0]),  # the sorted draws
+        }
         for name in calls:
             original = getattr(evaluate, name)
 
             def counting(*args, _original=original, _name=name):
-                calls[_name] += 1
+                calls[_name].append(sizes[_name](args))
                 return _original(*args)
 
             monkeypatch.setattr(evaluate, name, counting)
+        if forbid_percentile:
 
-        def no_percentile(*args, **kwargs):
-            raise AssertionError("predict sorts its draws; it does not call np.percentile")
+            def no_percentile(*args, **kwargs):
+                raise AssertionError("predict sorts its draws; it does not call np.percentile")
 
-        monkeypatch.setattr(np, "percentile", no_percentile)
-        predict(post, targets, ctx, np.random.default_rng(3))
-        assert calls["_sorted_quantiles"] > 1  # one per chunk
-        assert calls["design_rows"] == 1
+            monkeypatch.setattr(np, "percentile", no_percentile)
+        predict(post, self._targets(n=n), ctx, np.random.default_rng(3))
+        return ctx.design.p, calls["design_rows"], calls["_sorted_quantiles"]
+
+    def test_design_rows_in_slabs_and_no_percentile(self, monkeypatch):
+        # the rows of all targets were once built in one call, a (targets, p)
+        # block outside the chunk bound
+        p, slabs, chunks = self._slab_calls(monkeypatch, 1000, 200, forbid_percentile=True)
+        step = chunks[0]
+        assert len(chunks) > 1 and set(chunks[:-1]) == {step}  # one sort per chunk
+        per_slab = step * (1000 // (step * p))  # whole chunks of at most 1000 floats
+        assert per_slab > step and len(slabs) == -(-200 // per_slab) > 1
+        assert slabs[:-1] == [per_slab] * (len(slabs) - 1) and sum(slabs) == 200
+        assert max(slabs) * p <= 1000
+
+    def test_slab_is_one_chunk_when_a_chunk_exceeds_the_bound(self, monkeypatch):
+        p, slabs, chunks = self._slab_calls(monkeypatch, 4, 21)
+        assert p > 4 and chunks == [1] * 21
+        assert slabs == chunks
 
     def test_conditional_moments_match_direct_solves(self):
         post, ctx, _, _, fields = _kriging_setup()

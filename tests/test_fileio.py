@@ -19,14 +19,16 @@ from specdown.fileio import (
     read_grid,
     read_grid_header,
     read_posterior,
+    read_station_records,
     parse_station_file,
     write_grid,
     write_cell_table,
     write_posterior,
+    write_station_records,
 )
 from specdown.grid import GridField, GridSpec
 from specdown.inference import BatchPosterior, McmcConfig, Priors
-from specdown.stations import CellTable
+from specdown.stations import CellTable, Station, observation_records
 
 # printable names, commas and quotes included: parameter labels such as
 # beta[k=0,j=0,b=0] hold commas
@@ -536,3 +538,124 @@ class TestCellTableFile:
         with pytest.raises(ParseError, match="strictly increasing") as err:
             read_cell_table(path)
         assert str(path) in str(err.value)
+
+
+def _station_records(tmp_path):
+    """A parsed station file with a long site id and a pollutant whose only
+    value was dropped, recorded in ``tmp_path``; returns the parse."""
+    path = tmp_path / "stations.csv"
+    path.write_text(
+        "site_id,x_km,y_km,day,pollutant,value_raw\n"
+        "B,25.0,35.0,2,EC,3.0\n"
+        "STATION_WITH_A_LONG_ID,5.0,15.0,1,PM25,2.5\n"
+        "B,25.0,35.0,1,PM25,0\n"
+        "B,25.0,35.0,3,7,4.0\n",
+        encoding="utf-8",
+    )
+    with pytest.warns(UserWarning, match="dropped 1 nonpositive value"):
+        parsed = parse_station_file(path, GridSpec(4, 4, 10.0))
+    write_station_records(*parsed, "0" * 64, tmp_path)
+    return parsed
+
+
+class TestStationRecords:
+    def test_round_trip(self, tmp_path):
+        stations, obs, dropped = _station_records(tmp_path)
+        back, back_obs, meta = read_station_records(tmp_path)
+        assert back == stations and list(back) == list(stations)
+        assert back["B"].measures == frozenset({0, 1, 7})  # pollutant 0's value was dropped
+        assert "STATION_WITH_A_LONG_ID" in back
+        assert back_obs.dtype == obs.dtype and np.array_equal(back_obs, obs)
+        assert back_obs.site_id.tolist() == ["B", "STATION_WITH_A_LONG_ID", "B"]
+        assert meta == {"sha256": "0" * 64, "stations": 2, "observations": 3, "dropped": dropped}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ids=st.lists(
+            st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1, max_size=40),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+        data=st.data(),
+    )
+    def test_round_trip_of_any_records(self, ids, data):
+        stations = {
+            sid: Station(
+                sid,
+                data.draw(FINITE),
+                data.draw(FINITE),
+                frozenset(data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=4))),
+            )
+            for sid in ids
+        }
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 400), FINITE)))
+        obs = observation_records(
+            [r[0] for r in rows], [r[1] for r in rows], [0] * len(rows), [r[2] for r in rows]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            write_station_records(stations, obs, 0, "ab", tmp)
+            back, back_obs, _ = read_station_records(tmp)
+        assert back == stations and list(back) == list(stations)
+        assert back_obs.dtype == obs.dtype and np.array_equal(back_obs, obs)
+
+    @pytest.mark.parametrize("name", ["sites.npy", "observations.npy", "sites.json"])
+    def test_missing_file_says_refit(self, tmp_path, name):
+        _station_records(tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(FileNotFoundError, match="is missing; refit"):
+            read_station_records(tmp_path)
+
+    @pytest.mark.parametrize("name", ["sites.npy", "observations.npy"])
+    @pytest.mark.parametrize("damage", ["text", "truncated", "pickled", "wrong-dtype"])
+    def test_damaged_body_names_the_file(self, tmp_path, name, damage):
+        _station_records(tmp_path)
+        path = tmp_path / name
+        body = np.load(path)
+        if damage == "text":
+            path.write_text("site_id,x,y\nB,25.0,35.0\n", encoding="utf-8")
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-5])
+        elif damage == "pickled":
+            np.save(path, np.array([{"site_id": "B"}, None], dtype=object), allow_pickle=True)
+        else:  # a float day, or single-precision coordinates
+            field, kind = ("day", "<f8") if name == "observations.npy" else ("x", "<f4")
+            dtype = [(n, kind if n == field else body.dtype[n]) for n in body.dtype.names]
+            np.save(path, body.astype(dtype), allow_pickle=False)
+        with pytest.raises(ParseError) as err:
+            read_station_records(tmp_path)
+        assert str(path) in str(err.value)
+
+    def test_station_measuring_nothing_names_the_file(self, tmp_path):
+        _station_records(tmp_path)
+        path = tmp_path / "sites.npy"
+        body = np.load(path)
+        for name in body.dtype.names[3:]:
+            body[name][0] = False
+        np.save(path, body, allow_pickle=False)
+        with pytest.raises(ParseError, match="measures no pollutant") as err:
+            read_station_records(tmp_path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "meta", [[], {"stations": 2, "observations": 3, "dropped": 1}], ids=["list", "no-sha256"]
+    )
+    def test_malformed_sidecar_names_the_file(self, tmp_path, meta):
+        _station_records(tmp_path)
+        (tmp_path / "sites.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ParseError, match="not a station-records sidecar") as err:
+            read_station_records(tmp_path)
+        assert str(tmp_path / "sites.json") in str(err.value)
+
+    @pytest.mark.parametrize("key", ["stations", "observations"])
+    def test_sidecar_count_disagreeing_with_the_body_names_the_file(self, tmp_path, key):
+        _station_records(tmp_path)
+        sidecar = tmp_path / "sites.json"
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        meta[key] += 1
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ParseError, match="the sidecar gives") as err:
+            read_station_records(tmp_path)
+        assert str(tmp_path / ("sites.npy" if key == "stations" else "observations.npy")) in str(
+            err.value
+        )

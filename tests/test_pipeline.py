@@ -1,6 +1,7 @@
 """Pipeline helpers and subcommands on a tiny simulated dataset."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import warnings
@@ -276,9 +277,10 @@ def variant_fit(request, tiny_data, tmp_path_factory):
     return cfg
 
 
-def _interpolation_error(cfg, tmp_path, alter_data=None, alter_out=None):
-    """The error of interpolation on copies of ``cfg``'s inputs and fit
-    outputs under ``tmp_path``, once the callables have altered them."""
+def _predict_error(cfg, tmp_path, alter_data=None, alter_out=None, mode="interpolation"):
+    """The error of ``predict`` in ``mode`` on copies of ``cfg``'s inputs
+    and fit outputs under ``tmp_path``, once the callables have altered
+    them."""
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(cfg.grids_dir, data / "grids")
     shutil.copy(cfg.stations_file, data / "stations.csv")
@@ -289,7 +291,7 @@ def _interpolation_error(cfg, tmp_path, alter_data=None, alter_out=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises((ValueError, FileNotFoundError)) as err:
-            cmd_predict(_tiny_config(data, out, variant=cfg.variant), "interpolation")
+            cmd_predict(_tiny_config(data, out, variant=cfg.variant), mode)
     return err.value
 
 
@@ -341,7 +343,7 @@ class TestStationCellTable:
         assert (tmp_path / "station_cells.npy").read_bytes() == first.read_bytes()
 
     def test_missing_table_says_refit(self, variant_fit, tmp_path):
-        err = _interpolation_error(
+        err = _predict_error(
             variant_fit, tmp_path, alter_out=lambda out: (out / "station_cells.npy").unlink()
         )
         assert isinstance(err, FileNotFoundError) and "refit" in str(err)
@@ -354,7 +356,7 @@ class TestStationCellTable:
                 stations.CellTable(sources, table.cells[1:]), out / "station_cells.npy"
             )
 
-        err = _interpolation_error(variant_fit, tmp_path, alter_out=drop_a_cell)
+        err = _predict_error(variant_fit, tmp_path, alter_out=drop_a_cell)
         assert isinstance(err, ValueError) and "not in the station-cell table; refit" in str(err)
 
     def test_rewritten_training_grid_says_refit(self, variant_fit, tmp_path):
@@ -365,9 +367,76 @@ class TestStationCellTable:
             field = fileio.read_grid(path)
             write_grid(GridField(field.spec, field.values * 1.01, 1, 2), path)
 
-        err = _interpolation_error(variant_fit, tmp_path, alter_data=rewrite)
+        err = _predict_error(variant_fit, tmp_path, alter_data=rewrite)
         assert isinstance(err, ValueError)
         assert "does not match the training data; refit" in str(err)
+
+
+def _triple_a_training_value(data):
+    # the reproduction of the stale-station defect: the first observation
+    # on a training day (1-6), multiplied by 3
+    path = data / "stations.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if i and int(line.split(",")[3]) <= 6)
+    fields = lines[i].split(",")
+    lines[i] = ",".join(fields[:5] + [repr(3 * float(fields[5]))])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _add_a_station(data):
+    with open(data / "stations.csv", "a", encoding="utf-8") as fh:
+        fh.write("NEW,100.5,100.5,2,PM25,7.5\n")
+
+
+STATION_EDITS = pytest.mark.parametrize(
+    "edit", [_triple_a_training_value, _add_a_station], ids=["tripled-value", "added-station"]
+)
+
+
+class TestStationRecords:
+    def test_fit_records_the_parsed_station_file(self, variant_fit):
+        cfg = variant_fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            parsed = fileio.parse_station_file(cfg.stations_file, GridSpec(16, 16, 12.0))
+        recorded_stations, recorded_obs, meta = fileio.read_station_records(cfg.output_dir)
+        assert recorded_stations == parsed[0]
+        assert np.array_equal(recorded_obs, parsed[1])
+        assert meta["dropped"] == parsed[2]
+        digest = hashlib.sha256(Path(cfg.stations_file).read_bytes()).hexdigest()
+        assert meta["sha256"] == digest
+
+    @STATION_EDITS
+    def test_changed_station_file_stops_interpolation(self, variant_fit, tmp_path, edit):
+        # interpolation once exited 0 and conditioned on the new values with
+        # draws fitted to the old ones
+        err = _predict_error(variant_fit, tmp_path, alter_data=edit)
+        assert isinstance(err, ValueError)
+        assert "does not match the training data; refit" in str(err)
+
+    @STATION_EDITS
+    def test_changed_station_file_stops_forecast(self, tiny_data, tiny_fit, tmp_path, edit):
+        cfg = _tiny_config(tiny_data, tiny_fit)
+        err = _predict_error(cfg, tmp_path, alter_data=edit, mode="forecast")
+        assert isinstance(err, ValueError)
+        assert "does not match the training data; refit" in str(err)
+
+    @pytest.mark.parametrize("name", ["sites.npy", "observations.npy", "sites.json"])
+    def test_missing_records_say_refit(self, variant_fit, tmp_path, name):
+        err = _predict_error(variant_fit, tmp_path, alter_out=lambda out: (out / name).unlink())
+        assert isinstance(err, FileNotFoundError) and "refit" in str(err)
+
+    @pytest.mark.parametrize("mode", ["forecast", "interpolation"])
+    def test_predict_parses_no_station_file(self, tiny_data, tiny_fit, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict parsed the station file")
+
+        for module in (fileio, pipeline):
+            monkeypatch.setattr(module, "parse_station_file", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (path,) = cmd_predict(_tiny_config(tiny_data, tiny_fit), mode)
+        assert path.name == f"predictions_{mode}.csv"
 
 
 class TestStationCellsOnly:

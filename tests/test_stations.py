@@ -348,6 +348,35 @@ class TestStandardize:
                 back[rows, idx] = back[rows, idx] * design.col_sd[idx] + design.col_mean[idx]
         assert np.max(np.abs(back - raw.X)) < 1e-12
 
+    def test_matches_the_per_column_mask_reference(self):
+        # standardize once built one full-length mask per covariate column;
+        # the rows here interleave pollutants and days
+        rng = np.random.default_rng(5)
+        stations = {
+            f"s{i}": _station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), (0, 1, 2))
+            for i in range(6)
+        }
+        rows = [
+            (sid, d, k, float(rng.standard_normal()))
+            for d in (1, 2, 3)
+            for sid in stations
+            for k in (0, 1, 2)
+        ]
+        obs = _obs(*(rows[i] for i in rng.permutation(len(rows))))
+        fields, covs = _fields_and_covs(SPEC, J=3, days=(1, 2, 3))
+        raw = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+        mean, sd, X = np.zeros(raw.p), np.ones(raw.p), raw.X.copy()
+        for idx, col in enumerate(raw.columns):
+            if col.kind == "covariate":
+                mask = raw.row_pollutant == col.k
+                vals = raw.X[mask, idx]
+                mean[idx], sd[idx] = vals.mean(), vals.std(ddof=1)
+                X[mask, idx] = (vals - mean[idx]) / sd[idx]
+        design = standardize(raw)
+        assert np.array_equal(design.col_mean, mean)
+        assert np.array_equal(design.col_sd, sd)
+        assert np.array_equal(design.X, X)
+
     def test_double_standardize_rejected(self):
         with pytest.raises(ValueError):
             standardize(standardize(_small_design()))

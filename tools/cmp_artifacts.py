@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 tools/cmp_artifacts.py PARENT_REV
+    python3 tools/cmp_artifacts.py PARENT_REV [--new NAME]...
 
 The parent's ``src/`` is extracted with ``git archive`` into
 ``.cmp_work/parent_src/``.  Each case runs under the parent's ``src/`` and
@@ -12,6 +12,10 @@ that run's own data, the workload's stages with ``aggregate`` of the
 forecast predictions after them.  Every file the two runs write is compared
 byte for byte.  The first file that differs, or that only one run wrote, is
 printed and the exit code is 1; when every case matches the exit code is 0.
+``--new NAME`` (repeatable) names a file, by its path relative to a run's
+output directory, that only this tree is expected to write: where only
+this tree's run wrote it, it is listed after the case and not compared.
+Written by both runs, it is compared like any other file.
 
 Cases: desk seeds 1-10, desk with ``simulate.cadence`` "1-in-3" seeds 1-2,
 wide seed 1 and the cv workload of seeds 1-2.  The configurations and
@@ -130,18 +134,26 @@ def artifacts(out: Path) -> dict:
     }
 
 
-def first_difference(parent: dict, head: dict) -> str | None:
+def first_difference(parent: dict, head: dict, new: set) -> str | None:
+    """The first file of ``parent`` or ``head`` that differs or that one of
+    them lacks, or None; a file of ``new`` that only ``head`` holds is
+    skipped."""
     if not parent:  # two empty runs would match
         return "no artifacts written"
     for rel in sorted(set(parent) | set(head)):
-        if parent.get(rel) != head.get(rel):
+        if rel in new and rel not in parent:
+            continue
+        if rel not in parent or rel not in head:
+            return f"{rel} written by the {'head' if rel in head else 'parent'} only"
+        if parent[rel] != head[rel]:
             return f"{rel} differs"
     return None
 
 
-def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict) -> str | None:
-    """What differs first between the runs of one case, or None: the
-    simulated data first, then the stages' outputs."""
+def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict, new: set):
+    """(what differs first between the runs of one case, or None, and the
+    files of ``new`` that only the head wrote): the simulated data first,
+    then the stages' outputs."""
     case = fresh(WORK / name)
     data, outputs = {}, {}
     for label, src in srcs.items():
@@ -150,21 +162,30 @@ def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict) -> 
         sim_cfg = write_config(sim / "config.json", overrides, sim, sim)
         run(src, [["--config", str(sim_cfg), "--seed", str(seed), "simulate"]])
         data[label] = artifacts(sim)
-    differs = first_difference(data["parent"], data["head"])
+    differs = first_difference(data["parent"], data["head"], new)
     if differs is not None:
-        return f"simulate: {differs}"
+        return f"simulate: {differs}", []
     for label, src in srcs.items():
         out = case / label / "out"
         out.mkdir()
         cfg = str(write_config(out / "config.json", overrides, case / label / "data", out))
         run(src, [["--config", cfg] + [a.format(out=out) for a in argv] for argv in stages])
         outputs[label] = artifacts(out)
-    return first_difference(outputs["parent"], outputs["head"])
+    only_head = sorted(new & (set(outputs["head"]) - set(outputs["parent"])))
+    return first_difference(outputs["parent"], outputs["head"], new), only_head
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_rev", help="git revision to compare this tree's src/ against")
+    parser.add_argument(
+        "--new",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="a file only this tree is expected to write, relative to the output directory; "
+        "listed and skipped where only this tree wrote it (repeatable)",
+    )
     args = parser.parse_args(argv)
 
     parent_src = fresh(WORK / "parent_src")
@@ -177,11 +198,11 @@ def main(argv=None) -> int:
     srcs = {"parent": parent_src / "src", "head": ROOT / "src"}
 
     for name, (seed, overrides, stages) in cases().items():
-        differs = compare(name, seed, overrides, stages, srcs)
+        differs, only_head = compare(name, seed, overrides, stages, srcs, set(args.new))
         if differs is not None:
             print(f"{name}: {differs}")
             return 1
-        print(f"{name}: identical")
+        print(f"{name}: identical" + (f" (new: {', '.join(only_head)})" if only_head else ""))
     return 0
 
 
