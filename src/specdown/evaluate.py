@@ -55,16 +55,16 @@ import numpy as np
 
 from .filters import MAX_MAGNITUDE, SpectralBasis, period_of
 from .grid import GridSpec
-from .inference import BatchPosterior
+from .inference import BatchPosterior, derive_rng
 from .lmc import DayBlocks, LmcKernel
 from .stations import (
     CellTable,
     DesignMatrix,
-    Station,
     as_records,
     cell_indices,
     design_rows,
     records,
+    site_measures,
 )
 
 __all__ = [
@@ -132,44 +132,36 @@ class PredictionContext:
 # ---------------------------------------------------------------------------
 
 
-def _stratum(station: Station) -> str:
-    """Stratum by what a station measures; pollutant 0 is the total."""
-    has_total = 0 in station.measures
-    has_species = any(m != 0 for m in station.measures)
-    if has_total and has_species:
-        return "both"
-    if has_total:
-        return "total-only"
-    return "species-only"
-
-
-def cv_split(stations, folds: int = 5, seed: int = 0) -> dict:
-    """Stratified random fold assignment, one fold id per site.
+def cv_split(sites, folds: int = 5, seed: int = 0) -> np.ndarray:
+    """Stratified random fold assignment: the fold id of each of the site
+    records, in their order.
 
     Stations are stratified by what they measure (total only, species only,
-    both); each stratum is shuffled and dealt round-robin so per-stratum fold
-    sizes differ by at most one.  A stratum smaller than the fold count is
-    assigned round-robin with a warning.
+    both; pollutant 0 is the total); each stratum, sorted by site id, is
+    shuffled and dealt round-robin so per-stratum fold sizes differ by at
+    most one.  A stratum smaller than the fold count is assigned round-robin
+    with a warning.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    stations = list(stations)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
-    assignment = {}
+    rng = derive_rng(seed, 101)
+    ids, held = site_measures(sites)
+    total, species = held[:, ids == 0].any(axis=1), held[:, ids != 0].any(axis=1)
+    strata = np.where(total & species, "both", np.where(total, "total-only", "species-only"))
+    by_id = np.argsort(sites.site_id)
+    assignment = np.zeros(len(sites), dtype=int)
     for stratum in ("total-only", "species-only", "both"):
-        members = sorted(s.site_id for s in stations if _stratum(s) == stratum)
-        if not members:
+        members = by_id[strata[by_id] == stratum]
+        if not members.size:
             warnings.warn(f"stratum {stratum!r} is empty", stacklevel=2)
             continue
-        if len(members) < folds:
+        if members.size < folds:
             warnings.warn(
-                f"stratum {stratum!r} has {len(members)} station(s), fewer than "
+                f"stratum {stratum!r} has {members.size} station(s), fewer than "
                 f"{folds} folds; assigning round-robin",
                 stacklevel=2,
             )
-        order = rng.permutation(len(members))
-        for pos, idx in enumerate(order):
-            assignment[members[idx]] = pos % folds
+        assignment[members[rng.permutation(members.size)]] = np.arange(members.size) % folds
     return assignment
 
 

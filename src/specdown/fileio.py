@@ -19,13 +19,13 @@ keep the ``grid_*.txt`` names that stages find them by.
 :func:`read_grid_header` reads the header line alone, so a stage can index
 a directory of grids without reading their values.
 
-Station files are CSV with header
+A station file is CSV with header
 ``site_id,x_km,y_km,day,pollutant,value_raw``; raw values are in original
 concentration units and are log-transformed at ingestion, dropping
 nonpositive values with a count; a value that is not finite is an error.
 :func:`parse_station_file` splits the file once and converts and checks
-whole columns, so it builds no object per line: the observations come back
-as one record array (:func:`~specdown.stations.observation_records`).  When
+whole columns, so it builds no object per line: it gives site records
+(:func:`~specdown.stations.site_records`) and observation records.  When
 a check fails, the shortest failing prefix of the file, found by bisection,
 ends at the first faulty line, which the ``ParseError`` names.  The writers
 of station and prediction files format whole columns of records, and a
@@ -51,10 +51,10 @@ stations (about 80k floats).  It is one ``.npy`` file
 ``.npz`` archive would stamp its members with the time of writing.
 
 ``fit`` also records the station file it parsed, so that ``predict``
-parses none (:func:`write_station_records`): the stations as one ``.npy``
-record array (``sites.npy``), the observation records as another
-(``observations.npy``), and a JSON sidecar (``sites.json``) with the
-station file's sha256 and the station, observation and dropped counts.
+parses none (:func:`write_station_records`): the site and observation
+records, each saved as the ``.npy`` array it is in memory (``sites.npy``,
+``observations.npy``), and a JSON sidecar (``sites.json``) with the
+file's sha256 and the station, observation and dropped counts.
 One loader reads every ``.npy`` kind and names the file it cannot read.
 """
 
@@ -72,10 +72,11 @@ from .grid import GridField, GridSpec
 from .inference import BatchPosterior, McmcConfig, Priors
 from .stations import (
     CellTable,
-    Station,
     cell_indices,
     observation_records,
     records,
+    site_measures,
+    site_records,
     station_coords,
 )
 
@@ -195,7 +196,7 @@ def read_grid(path, log: bool = False) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# Station files
+# The station CSV
 # ---------------------------------------------------------------------------
 
 STATION_HEADER = "site_id,x_km,y_km,day,pollutant,value_raw"
@@ -271,9 +272,10 @@ def _write_csv(path, header: str, *columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_station_csv(stations: dict, observations, path, pollutants=None) -> None:
-    """Observations back to CSV on the original (exp) scale."""
-    x, y = station_coords(stations, observations.site_id)
+def write_station_csv(sites, observations, path, pollutants=None) -> None:
+    """Observations back to CSV on the original (exp) scale, at the
+    coordinates of their sites among the records ``sites``."""
+    x, y = station_coords(sites, observations.site_id)
     _write_csv(
         path,
         STATION_HEADER,
@@ -287,10 +289,11 @@ def write_station_csv(stations: dict, observations, path, pollutants=None) -> No
 
 
 def parse_station_file(path, spec: GridSpec, pollutants=None):
-    """Parse a station CSV into stations and log-scale observations.
+    """Parse a station CSV into site records and log-scale observations.
 
-    Returns (stations, observations, n_dropped): stations by site id in the
-    order they first appear, the observation records
+    Returns (sites, observations, n_dropped): the site records
+    (:func:`~specdown.stations.site_records`), the form ``fit`` saves them
+    in, in the order the sites first appear, and the observation records
     (:func:`~specdown.stations.observation_records`) in file order.
     Nonpositive raw values are dropped and counted, though a station still
     measures their pollutant.  The first faulty line is a ``ParseError`` at
@@ -319,20 +322,18 @@ def parse_station_file(path, spec: GridSpec, pollutants=None):
         if moved.any():
             raise ValueError(f"station {site[np.argmax(moved)]} moved coordinates")
         cell_indices(x, y, spec, site)
-        pairs = np.unique(np.stack([code, pol]), axis=1)
-        measures = np.split(pairs[1], np.flatnonzero(np.diff(pairs[0])) + 1)
-        stations = {
-            sid: Station(sid, float(x[row]), float(y[row]), frozenset(m.tolist()))
-            for sid, row, m in zip(codes, first.tolist(), measures)
-        }
+        ids, column = np.unique(pol, return_inverse=True)
+        held = np.zeros((first.size, ids.size), dtype=bool)
+        held[code, column] = True
+        sites = site_records(list(codes), x[first], y[first], (ids, held))
         keep = raw > 0
         observations = observation_records(site[keep], day[keep], pol[keep], np.log(raw[keep]))
-        return stations, observations, int(np.count_nonzero(~keep))
+        return sites, observations, int(np.count_nonzero(~keep))
 
-    stations, observations, dropped = _read_csv(path, STATION_HEADER, parse)
+    sites, observations, dropped = _read_csv(path, STATION_HEADER, parse)
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} nonpositive value(s)", stacklevel=2)
-    return stations, observations, dropped
+    return sites, observations, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +398,7 @@ def read_posterior(csv_path) -> BatchPosterior:
 
 
 # ---------------------------------------------------------------------------
-# Station-cell table
+# The station-cell table
 # ---------------------------------------------------------------------------
 
 
@@ -446,23 +447,20 @@ def read_cell_table(path) -> CellTable:
 
 
 # ---------------------------------------------------------------------------
-# Station records
+# Site and observation records
 # ---------------------------------------------------------------------------
-
-
-def _measure_name(k) -> str:
-    return f"k{k}"
 
 
 def _observation_dtype(site_id_dtype) -> list:
     return [("site_id", site_id_dtype), ("day", "<i8"), ("pollutant_id", "<i8"), ("value", "<f8")]
 
 
-def write_station_records(stations: dict, observations, dropped: int, sha256: str, out) -> list:
-    """Record the ``stations`` and ``observations`` parsed from a station
-    file in directory ``out``, and return the three paths written.
+def write_station_records(sites, observations, dropped: int, sha256: str, out) -> list:
+    """Record the ``sites`` and ``observations`` parsed from a station file
+    in directory ``out``, and return the three paths written.
 
-    ``sites.npy`` holds one record per station, in the order of ``stations``:
+    ``sites.npy`` holds the site records
+    (:func:`~specdown.stations.site_records`) as they are in memory:
     ``site_id``, ``x``, ``y`` and a bool field ``k<k>`` per pollutant id
     that any station measures, true where this one does, so a pollutant
     whose values were all dropped stays measured.  ``observations.npy``
@@ -471,15 +469,6 @@ def write_station_records(stations: dict, observations, dropped: int, sha256: st
     sidecar ``sites.json`` holds ``sha256``, the station file's digest, and
     the ``stations``, ``observations`` and ``dropped`` counts."""
     out = Path(out)
-    site_id = np.array(list(stations), dtype=str)
-    ids = sorted({k for s in stations.values() for k in s.measures})
-    layout = [("site_id", site_id.dtype.str), ("x", "<f8"), ("y", "<f8")]
-    sites = np.zeros(site_id.size, layout + [(_measure_name(k), "?") for k in ids])
-    sites["site_id"] = site_id
-    sites["x"] = [s.x for s in stations.values()]
-    sites["y"] = [s.y for s in stations.values()]
-    for k in ids:
-        sites[_measure_name(k)] = [k in s.measures for s in stations.values()]
     obs = np.asarray(observations).astype(_observation_dtype(observations.site_id.dtype.str), copy=False)
     paths = [out / name for name in ("sites.npy", "observations.npy", "sites.json")]
     np.save(paths[0], sites, allow_pickle=False)
@@ -489,39 +478,16 @@ def write_station_records(stations: dict, observations, dropped: int, sha256: st
     return paths
 
 
-def _site_table(sites: np.ndarray, path) -> dict:
-    """Stations by site id of the records of a ``sites.npy`` body."""
-    names = sites.dtype.names or ()
-    if sites.ndim != 1 or names[:3] != ("site_id", "x", "y") or sites.dtype["site_id"].kind != "U":
-        raise ParseError(f"{path}: not a station table")
-    if sites.dtype["x"].str != "<f8" or sites.dtype["y"].str != "<f8":
-        raise ParseError(f"{path}: station coordinates are not <f8")
-    for name in names[3:]:
-        k = name.removeprefix("k")
-        if not k.isdecimal() or _measure_name(int(k)) != name or sites.dtype[name].str != "|b1":
-            raise ParseError(f"{path}: malformed measures field {name!r}")
-    ids = np.array([int(name[1:]) for name in names[3:]], dtype=int)
-    held = np.zeros((sites.size, ids.size), dtype=bool)
-    for i, name in enumerate(names[3:]):
-        held[:, i] = sites[name]
-    rows = zip(sites["site_id"].tolist(), sites["x"].tolist(), sites["y"].tolist(), held)
-    try:
-        stations = {sid: Station(sid, x, y, frozenset(ids[h].tolist())) for sid, x, y, h in rows}
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
-    if len(stations) != sites.size:
-        raise ParseError(f"{path}: a site id is repeated")
-    return stations
-
-
-def read_station_records(out) -> tuple[dict, np.recarray, dict]:
-    """(stations, observations, sidecar) that :func:`write_station_records`
-    wrote in directory ``out``: the stations by site id, the observation
-    records of :func:`~specdown.stations.observation_records`, and the
-    sidecar's dict.  A missing file is a ``FileNotFoundError`` that says to
-    refit, since only ``fit`` writes them.  A body that is not one ``.npy``
-    array of the documented fields and dtypes, or whose record count is not
-    the sidecar's, is a ``ParseError`` naming the file."""
+def read_station_records(out) -> tuple[np.recarray, np.recarray, dict]:
+    """(sites, observations, sidecar) that :func:`write_station_records`
+    wrote in directory ``out``: the site and observation records, in the
+    form they are saved in, and the sidecar's dict.  A missing file is a
+    ``FileNotFoundError`` that says to refit, since only ``fit`` writes
+    them.  A body that is not one ``.npy`` array of the documented fields
+    and dtypes, that :func:`~specdown.stations.site_records` or
+    :func:`~specdown.stations.observation_records` refuses, whose record
+    count is not the sidecar's, or an observation whose site is not among
+    the sites, is a ``ParseError`` naming the file."""
     paths = [Path(out) / name for name in ("sites.npy", "observations.npy", "sites.json")]
     for path in paths:
         if not path.is_file():
@@ -534,7 +500,20 @@ def read_station_records(out) -> tuple[dict, np.recarray, dict]:
             raise TypeError("sha256 is not a string")
     except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"{meta_path}: not a station-records sidecar ({exc!r})")
-    stations = _site_table(_load_npy(sites_path), sites_path)
+    sites = _load_npy(sites_path)
+    names = sites.dtype.names or ()
+    if sites.ndim != 1 or names[:3] != ("site_id", "x", "y") or sites.dtype["site_id"].kind != "U":
+        raise ParseError(f"{sites_path}: not a station table")
+    if sites.dtype["x"].str != "<f8" or sites.dtype["y"].str != "<f8":
+        raise ParseError(f"{sites_path}: station coordinates are not <f8")
+    for name in names[3:]:
+        k = name.removeprefix("k")
+        if not k.isdecimal() or f"k{int(k)}" != name or sites.dtype[name].str != "|b1":
+            raise ParseError(f"{sites_path}: malformed measures field {name!r}")
+    try:
+        sites = site_records(sites["site_id"], sites["x"], sites["y"], site_measures(sites))
+    except ValueError as exc:
+        raise ParseError(f"{sites_path}: {exc}")
     obs = _load_npy(obs_path)
     names = tuple(name for name, _ in _observation_dtype("<U"))
     if (
@@ -544,14 +523,15 @@ def read_station_records(out) -> tuple[dict, np.recarray, dict]:
         or obs.dtype.descr != _observation_dtype(obs.dtype["site_id"].str)
     ):
         raise ParseError(f"{obs_path}: not observation records {_observation_dtype('<U')}")
-    for path, n, key in ((sites_path, len(stations), "stations"), (obs_path, obs.size, "observations")):
+    for path, n, key in ((sites_path, len(sites), "stations"), (obs_path, obs.size, "observations")):
         if n != counts[key]:
             raise ParseError(f"{path}: holds {n} records; the sidecar gives {counts[key]}")
     try:
         observations = observation_records(*(obs[name] for name in names))
+        station_coords(sites, observations.site_id)
     except ValueError as exc:
         raise ParseError(f"{obs_path}: {exc}")
-    return stations, observations, meta
+    return sites, observations, meta
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +644,18 @@ def _field_defaults(cls, leave_out) -> dict:
     return {f.name: f.default for f in fields(cls) if f.name not in leave_out}
 
 
+def _typed(path, key: str, value, default):
+    """``value`` of config key ``key``, if a bool, int, float or str
+    ``default`` allows its type (an int may stand for a float, a bool for
+    nothing else); otherwise a ``ParseError`` naming the file and the key."""
+    kind = type(default)
+    allowed = (kind, int) if kind is float else (kind,)  # a bool is no int here
+    if kind in (bool, int, float, str) and type(value) not in allowed:
+        got = json.dumps(value)
+        raise ParseError(f"{path}: config key {key!r} must be {kind.__name__}, got {got}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """One JSON document drives every subcommand; defaults are embedded here
@@ -718,10 +710,11 @@ class RunConfig:
         by key.  A file that is not one JSON object, an unknown key (at the
         top level or in the ``mcmc``, ``priors`` or ``simulate`` section) or
         a section that is not an object is a ``ParseError`` naming the file
-        and the key.  So is a scalar whose type is not its default's (an int
-        may stand for a float, a bool for nothing else) and a
-        ``batch_len``, ``jobs``, ``n_ols_draws`` or ``max_kriging_draws``
-        below 1."""
+        and the key.  So is a scalar, at the top level or in a section,
+        whose type is not its default's (an int may stand for a float, a
+        bool for nothing else; a section's key is named ``section.key``)
+        and a ``batch_len``, ``jobs``, ``n_ols_draws`` or
+        ``max_kriging_draws`` below 1."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
@@ -740,12 +733,10 @@ class RunConfig:
                 unknown = sorted(set(value) - _SECTION_KEYS.get(key, set(value)))
                 if unknown:
                     raise ParseError(f"{path}: unknown {key} config key {unknown[0]!r}")
+                if key in _SECTION_KEYS:
+                    value = {k: _typed(path, f"{key}.{k}", v, default[k]) for k, v in value.items()}
                 value = {**default, **value}
-            kind = type(default)
-            allowed = (kind, int) if kind is float else (kind,)  # a bool is no int here
-            if kind in (bool, int, float, str) and type(value) not in allowed:
-                got = json.dumps(value)
-                raise ParseError(f"{path}: config key {key!r} must be {kind.__name__}, got {got}")
+            _typed(path, key, value, default)
             if key in ("batch_len", "jobs", "n_ols_draws", "max_kriging_draws") and value < 1:
                 raise ParseError(f"{path}: config key {key!r} must be at least 1, got {value}")
             setattr(cfg, key, value)

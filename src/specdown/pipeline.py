@@ -23,8 +23,9 @@ training days beside ``design.json``, where it records a sha256 digest of
 each training grid file.  Interpolation ``predict`` reads that table once
 the digests of the training grid files match the recorded ones.
 
-The station file is parsed by ``fit`` and ``cv`` only.  ``fit`` records
-the stations and observations it parsed, with the file's sha256
+The station file is parsed by ``fit`` and ``cv`` only, into site and
+observation records, the one form of each through every stage; ``fit``
+saves both as they are, with the file's sha256
 (:func:`~specdown.fileio.write_station_records`).  Both ``predict`` modes
 hash the station file, compare the digest with the recorded one, and load
 the records; a station file changed since ``fit`` is an error that says to
@@ -84,7 +85,6 @@ from .filters import (
 )
 from .grid import GridField, GridSpec
 from .inference import (
-    BatchData,
     consensus_combine,
     derive_rng,
     fit_batch_mcmc,
@@ -98,7 +98,7 @@ from .stations import (
     DesignMatrix,
     ModelVariant,
     assemble_design,
-    cell_indices,
+    site_measures,
     standardize,
     station_coords,
     table_design,
@@ -217,13 +217,6 @@ def load_fields(cfg: RunConfig) -> tuple[GridSpec, dict]:
     return spec, {key: read_grid(path, log=True) for key, path in index.items()}
 
 
-def _station_table(mean_kind: str, fields, covs, spec: GridSpec, stations: dict) -> CellTable:
-    """The fields (LD) or their covariate arrays (SD) at the cell of every
-    station."""
-    cells = cell_indices(*station_coords(stations, list(stations)), spec)
-    return CellTable.of_grids(mean_kind, fields, covs, cells)
-
-
 def _fit_batch_task(payload):
     batch, variant, priors, mcfg = payload
     return fit_batch_mcmc(batch, variant, priors, mcfg)
@@ -243,7 +236,7 @@ def fit_variant(
     spec: GridSpec,
     fields: dict,
     covs: dict,
-    stations: dict,
+    sites,
     observations,
     train_days,
     seed_key: tuple = (),
@@ -255,7 +248,7 @@ def fit_variant(
     pseudo-posterior otherwise.
     """
     design, y = _training_design(
-        lambda obs: assemble_design(variant, fields, covs, obs, stations), observations, train_days
+        lambda obs: assemble_design(variant, fields, covs, obs, sites), observations, train_days
     )
     if variant.spatial:
         batches = make_batches(design, y, train_days, cfg.batch_len)
@@ -275,14 +268,7 @@ def fit_variant(
         else:
             posteriors = [_fit_batch_task(p) for p in payloads]
     else:
-        batch = BatchData(
-            days=tuple(int(d) for d in train_days),
-            y=y,
-            X=design.X,
-            layout=design.layout(),
-            n_pollutants=design.n_pollutants,
-            design=design,
-        )
+        batch = make_batches(design, y, train_days, len(train_days))[0]
         posteriors = [
             ols_posterior(batch, n_draws=cfg.n_ols_draws, seed=derived_seed(cfg.seed, *seed_key, 0))
         ]
@@ -343,7 +329,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         write_grid(raw, path)
         artifacts.append(path)
     stations_path = out / "stations.csv"
-    write_station_csv(truth.stations, truth.observations, stations_path, cfg.pollutants)
+    write_station_csv(truth.sites, truth.observations, stations_path, cfg.pollutants)
     artifacts.append(stations_path)
     truth_path = out / "truth.json"
     truth_json = {
@@ -396,15 +382,15 @@ def _sha256(path) -> str:
 @dataclass(frozen=True)
 class _Season:
     """Every input of ``fit`` and ``predict`` but the grid values: the
-    grid spec and index, the split of the season, the station file's
-    stations, observations and count of dropped values, and the configured
+    grid spec and index, the split of the season, the station file's site
+    records, observations and count of dropped values, and the configured
     variant."""
 
     spec: GridSpec
     index: dict
     train_days: tuple
     test_days: tuple
-    stations: dict
+    sites: np.recarray
     observations: np.recarray
     dropped: int
     variant: ModelVariant
@@ -412,7 +398,7 @@ class _Season:
 
 def _season(cfg: RunConfig, read_stations) -> _Season:
     """The season of the grid headers, with the station file's contents
-    from ``read_stations(cfg, spec)``, a (stations, observations, dropped)
+    from ``read_stations(cfg, spec)``, a (sites, observations, dropped)
     triple: :func:`_parsed_stations` in ``fit``, :func:`_recorded_stations`
     in ``predict``."""
     spec, index = _grid_index(cfg)
@@ -431,10 +417,10 @@ def _recorded_stations(cfg: RunConfig, spec: GridSpec):
     the file's sha256 matches the recorded one: a station file changed
     since ``fit`` is an error that says to refit.  ``fit`` placed the
     stations on the grid, so ``spec`` is not read."""
-    stations, observations, meta = read_station_records(cfg.output_dir)
+    sites, observations, meta = read_station_records(cfg.output_dir)
     if _sha256(cfg.stations_file) != meta["sha256"]:
         raise ValueError(f"{cfg.stations_file} does not match the training data; refit")
-    return stations, observations, meta["dropped"]
+    return sites, observations, meta["dropped"]
 
 
 def _read_days(cfg: RunConfig, season: _Season, days) -> tuple[dict, dict]:
@@ -463,8 +449,8 @@ def _grid_digests(season: _Season) -> list:
 def cmd_fit(cfg: RunConfig) -> list:
     """Fit the configured variant; one posterior file per batch, then
     ``design.json`` with the digests of the training grid files, the
-    station-cell table, and the station records: the stations and
-    observations parsed from the station file, with its digest
+    station-cell table, and the station records: the site and observation
+    records parsed from the station file, with its digest
     (:func:`~specdown.fileio.write_station_records`)."""
     season = _season(cfg, _parsed_stations)
     digest = _sha256(cfg.stations_file)
@@ -475,7 +461,7 @@ def cmd_fit(cfg: RunConfig) -> list:
         season.spec,
         fields,
         covs,
-        season.stations,
+        season.sites,
         season.observations,
         season.train_days,
     )
@@ -488,11 +474,11 @@ def cmd_fit(cfg: RunConfig) -> list:
     rec = _design_record(design, season.variant, season.train_days, _grid_digests(season))
     rec_path.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     artifacts.append(rec_path)
-    table = _station_table(season.variant.mean_kind, fields, covs, season.spec, season.stations)
+    table = CellTable.of_sites(season.variant.mean_kind, fields, covs, season.spec, season.sites)
     artifacts.append(write_cell_table(table, out / CELL_TABLE))
     # last: a fit that fails before here leaves the earlier fit's records,
     # whose digest makes predict refuse the station file this fit parsed
-    records = write_station_records(season.stations, season.observations, season.dropped, digest, out)
+    records = write_station_records(season.sites, season.observations, season.dropped, digest, out)
     return artifacts + records
 
 
@@ -508,9 +494,10 @@ def cmd_combine(cfg: RunConfig) -> list:
     return write_posterior(consensus_combine(posteriors), out / "combined.csv")
 
 
-def targets_for(stations: dict, days, mode: str, observations=None) -> np.recarray:
-    """Prediction targets on ``days``, in the order that fixes the random
-    stream of :func:`~specdown.evaluate.predict`.
+def targets_for(sites, days, mode: str, observations=None) -> np.recarray:
+    """Prediction targets on ``days`` at the site records ``sites``, in the
+    order that fixes the random stream of
+    :func:`~specdown.evaluate.predict`.
 
     Without ``observations``: every station and each pollutant it measures,
     ordered by day (as given), site id, then pollutant.  With
@@ -518,26 +505,27 @@ def targets_for(stations: dict, days, mode: str, observations=None) -> np.recarr
     observation order.
     """
     if observations is None:
-        sites = sorted(stations)
-        measures = [sorted(stations[sid].measures) for sid in sites]
-        site_id = np.repeat(np.array(sites, dtype=str), [len(m) for m in measures])
-        pollutant = np.array([k for m in measures for k in m], dtype=int)
+        ids, held = site_measures(sites)
+        by_id = np.argsort(sites.site_id)
+        row, column = np.nonzero(held[by_id])
         days = np.asarray(days, dtype=int)
-        day = np.repeat(days, site_id.size)
-        site_id, pollutant = np.tile(site_id, days.size), np.tile(pollutant, days.size)
+        row, pollutant = by_id[np.tile(row, days.size)], np.tile(ids[column], days.size)
+        day = np.repeat(days, column.size)
+        site_id, x, y = sites.site_id[row], sites.x[row], sites.y[row]
     else:
         rows = observations[np.isin(observations.day, days)]
         site_id, pollutant, day = rows.site_id, rows.pollutant_id, rows.day
-    return prediction_targets(*station_coords(stations, site_id), pollutant, day, mode, site_id)
+        x, y = station_coords(sites, site_id)
+    return prediction_targets(x, y, pollutant, day, mode, site_id)
 
 
-def _interpolate(posteriors, stations: dict, ctx, rng, max_kriging_draws, observations=None):
+def _interpolate(posteriors, sites, ctx, rng, max_kriging_draws, observations=None):
     """Interpolation records of each posterior in turn, on its days: at
     every station, or with ``observations`` at each of theirs (see
     :func:`targets_for`).  One random stream runs through them all."""
     results = []
     for post in posteriors:
-        targets = targets_for(stations, post.days, "interpolation", observations)
+        targets = targets_for(sites, post.days, "interpolation", observations)
         results.append(predict(post, targets, ctx, rng, max_kriging_draws))
     return np.concatenate(results).view(np.recarray)
 
@@ -567,7 +555,7 @@ def _interpolation_context(season: _Season, out: Path, rec: dict) -> PredictionC
         return PredictionContext(_design_from_record(rec), spec, train_days, table)
     n_gridded = max(j for j, _ in table.sources) + 1
     design, y = _training_design(
-        lambda obs: table_design(variant, table, n_gridded, spec, obs, season.stations),
+        lambda obs: table_design(variant, table, n_gridded, spec, obs, season.sites),
         season.observations,
         train_days,
     )
@@ -581,10 +569,10 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     (interpolation) days and write the predictions CSV.
 
     Neither mode parses the station file: both check its sha256 against
-    the one ``fit`` recorded and load the stations and observations ``fit``
-    recorded (:func:`_recorded_stations`), so a station file changed since
-    ``fit`` is a ``ValueError`` and missing records a ``FileNotFoundError``,
-    each saying to refit.  A forecast reads the test-day grids and the
+    the one ``fit`` recorded and load the records ``fit`` saved
+    (:func:`_recorded_stations`), so a station file changed since ``fit``
+    is a ``ValueError`` and missing records a ``FileNotFoundError``, each
+    saying to refit.  A forecast reads the test-day grids and the
     standardization from ``design.json``.  Interpolation reads no grid
     value: it checks the training grid files against the digests in
     ``design.json`` and takes its design rows from the station-cell table
@@ -599,11 +587,11 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
     rng = derive_rng(cfg.seed, 9000)
     if mode == "forecast":
         fields, covs = _read_days(cfg, season, season.test_days)
-        table = _station_table(season.variant.mean_kind, fields, covs, season.spec, season.stations)
+        table = CellTable.of_sites(season.variant.mean_kind, fields, covs, season.spec, season.sites)
         design = _design_from_record(rec)
         ctx = PredictionContext(design, season.spec, season.train_days, table)
         combined = read_posterior(out / "combined.csv")
-        targets = targets_for(season.stations, season.test_days, "forecast")
+        targets = targets_for(season.sites, season.test_days, "forecast")
         results = predict(combined, targets, ctx, rng, cfg.max_kriging_draws)
     else:
         ctx = _interpolation_context(season, out, rec)
@@ -611,14 +599,15 @@ def cmd_predict(cfg: RunConfig, mode: str = "forecast") -> list:
         if not paths:
             raise FileNotFoundError(f"no batch posteriors under {out}")
         posteriors = (read_posterior(p) for p in paths)
-        results = _interpolate(posteriors, season.stations, ctx, rng, cfg.max_kriging_draws)
+        results = _interpolate(posteriors, season.sites, ctx, rng, cfg.max_kriging_draws)
     path = out / f"predictions_{mode}.csv"
     write_predictions_csv(results, path, cfg.pollutants)
     return [path]
 
 
-def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
-    """The model-comparison protocol on one dataset.
+def run_cv_protocol(cfg: RunConfig, spec, fields, sites, observations):
+    """The model-comparison protocol on one dataset: the site records
+    ``sites`` and their observations.
 
     Stations are split into stratified folds.  Per variant and fold the model
     trains on the other folds' training-day observations.  Interpolation is
@@ -633,16 +622,16 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
     train_days, test_days = split_season(sorted({day for _, day in fields}))
     basis = make_basis(cfg.basis_size, cfg.basis_degree)
     covs = build_covariates(fields, basis, cfg.center)
-    tables = {kind: _station_table(kind, fields, covs, spec, stations) for kind in ("LD", "SD")}
-    folds = cv_split(stations.values(), cfg.folds, seed=derived_seed(cfg.seed, 77))
+    tables = {kind: CellTable.of_sites(kind, fields, covs, spec, sites) for kind in ("LD", "SD")}
+    folds = cv_split(sites, cfg.folds, seed=derived_seed(cfg.seed, 77))
     observed_raw = observations.copy()
     observed_raw.value = np.exp(observations.value)
-    forecast_targets = targets_for(stations, test_days, "forecast", observations)
+    forecast_targets = targets_for(sites, test_days, "forecast", observations)
 
     interp_cards, forecast_cards = [], []
     for vi, variant in enumerate(ALL_VARIANTS):
         for fold in range(cfg.folds):
-            heldout = np.isin(observations.site_id, [sid for sid, f in folds.items() if f == fold])
+            heldout = np.isin(observations.site_id, sites.site_id[folds == fold])
             train_obs = observations[~heldout]
             design, y, posteriors = fit_variant(
                 cfg,
@@ -650,7 +639,7 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
                 spec,
                 fields,
                 covs,
-                stations,
+                sites,
                 train_obs,
                 train_days,
                 seed_key=(vi, fold),
@@ -660,7 +649,7 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
 
             # interpolation at held-out stations, training days with data
             interp_results = _interpolate(
-                posteriors, stations, ctx, rng, cfg.max_kriging_draws, observations[heldout]
+                posteriors, sites, ctx, rng, cfg.max_kriging_draws, observations[heldout]
             )
             if len(interp_results):
                 interp_cards.append(
@@ -680,8 +669,8 @@ def run_cv_protocol(cfg: RunConfig, spec, fields, stations, observations):
 
 def cmd_cv(cfg: RunConfig) -> list:
     spec, fields = load_fields(cfg)
-    stations, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
-    interp, forecast = run_cv_protocol(cfg, spec, fields, stations, observations)
+    sites, observations, _ = parse_station_file(cfg.stations_file, spec, cfg.pollutants)
+    interp, forecast = run_cv_protocol(cfg, spec, fields, sites, observations)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     p1, p2 = out / "scorecard_interpolation.csv", out / "scorecard_forecast.csv"

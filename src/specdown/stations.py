@@ -1,14 +1,17 @@
-"""Station observations, model variants, and design-matrix assembly.
+"""Sites and observations of stations, model variants, and design assembly.
 
-Stations sit at point coordinates inside the grid.  Observations are one
-record array (:func:`observation_records`) with a row per (site, day,
-pollutant) log-scale value; consumers read its columns, and a row reads as
-``o.site_id``, ``o.day``, ``o.pollutant_id``, ``o.value``.  Design assembly
-and prediction also take a list of rows (:func:`as_records`), such as a
-row-by-row filter of the records gives.  The eight model variants share one
-design-matrix layout: K one-hot intercept columns followed by covariate
-columns grouped by observed pollutant k, so the matrix is block-diagonal by
-pollutant and joint least squares decouples into per-pollutant fits.
+Stations sit at point coordinates inside the grid.  A station set is one
+record array (:func:`site_records`), in memory as in ``fit``'s
+``sites.npy``; consumers read its columns (:func:`site_measures`,
+:func:`station_coords`).  Observations are one record array
+(:func:`observation_records`), a row per (site, day, pollutant) log-scale
+value, read by column too; a row reads as ``o.site_id``, ``o.day``,
+``o.pollutant_id``, ``o.value``.  Design assembly and prediction also take
+a list of rows (:func:`as_records`), as a row-by-row filter gives.  The
+eight model variants share one design-matrix layout: K one-hot intercept
+columns followed by covariate columns grouped by observed pollutant k, so
+the matrix is block-diagonal by pollutant and joint least squares
+decouples into per-pollutant fits.
 
 :func:`design_rows` is the one place design rows are built: the fitting
 rows of :func:`assemble_design` and the prediction rows of
@@ -29,7 +32,8 @@ from .grid import GridSpec
 from .lmc import StackedLayout
 
 __all__ = [
-    "Station",
+    "site_records",
+    "site_measures",
     "records",
     "as_records",
     "observation_records",
@@ -51,20 +55,7 @@ __all__ = [
 
 
 class OutOfGridError(ValueError):
-    """Station coordinates fall outside the grid bounding box."""
-
-
-@dataclass(frozen=True)
-class Station:
-    site_id: str
-    x: float
-    y: float
-    measures: frozenset
-
-    def __post_init__(self):
-        if not self.measures:
-            raise ValueError(f"station {self.site_id} measures no pollutant")
-        object.__setattr__(self, "measures", frozenset(int(k) for k in self.measures))
+    """Coordinates of a station fall outside the grid bounding box."""
 
 
 def records(**columns) -> np.recarray:
@@ -95,12 +86,45 @@ def observation_records(site_id, day, pollutant_id, value) -> np.recarray:
     return obs
 
 
-def station_coords(stations: dict, site_id) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of the station of each entry of ``site_id``."""
-    sites, inverse = np.unique(site_id, return_inverse=True)
-    xy = np.array([(stations[s].x, stations[s].y) for s in sites.tolist()], dtype=float)
-    xy = xy.reshape(-1, 2)[inverse.reshape(-1)]
-    return xy[:, 0], xy[:, 1]
+def site_records(site_id, x, y, measures) -> np.recarray:
+    """Stations in the given order: ``site_id`` (``<U`` of the longest id),
+    ``x`` and ``y`` (``<f8``, a scalar broadcast), and a bool ``k<id>``
+    column per pollutant id of ``measures``, in id order: ``measures`` is
+    the (ids, held) pair of :func:`site_measures`.  A station that measures
+    nothing or a repeated site id is a ``ValueError``."""
+    site_id = np.asarray(site_id, dtype=str)
+    ids, held = np.asarray(measures[0], dtype=int), np.asarray(measures[1], dtype=bool)
+    idle = np.flatnonzero(~held.any(axis=1))
+    if idle.size:
+        raise ValueError(f"station {site_id[idle[0]]} measures no pollutant")
+    unique, counts = np.unique(site_id, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"site id {unique[np.argmax(counts > 1)]} is repeated")
+    columns = {f"k{ids[c]}": held[:, c] for c in np.argsort(ids)}
+    return records(site_id=site_id, x=np.asarray(x, "<f8"), y=np.asarray(y, "<f8"), **columns)
+
+
+def site_measures(sites) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, held) of site records: the pollutant ids of their ``k<id>``
+    columns, and an (n, len(ids)) bool matrix, true where a station
+    measures ids[c]."""
+    names = sites.dtype.names[3:]
+    held = np.array([sites[name] for name in names], dtype=bool).reshape(len(names), len(sites))
+    return np.array([int(name[1:]) for name in names], dtype=int), held.T
+
+
+def station_coords(sites, site_id) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the station of each entry of ``site_id`` among the
+    records ``sites``; an id not among them is a ``ValueError``."""
+    site_id = np.asarray(site_id, dtype=str)
+    order = np.argsort(sites.site_id)
+    at = np.searchsorted(sites.site_id[order], site_id)
+    found = at < order.size
+    found[found] = sites.site_id[order[at[found]]] == site_id[found]
+    if not found.all():
+        raise ValueError(f"site {site_id[np.argmin(found)]} is not among the stations")
+    rows = order[at]
+    return sites.x[rows], sites.y[rows]
 
 
 @dataclass(frozen=True)
@@ -279,6 +303,13 @@ class CellTable:
             return cls({key: f.values[cells][None] for key, f in fields.items()}, cells)
         return cls({key: c[:, cells] for key, c in covs.items()}, cells)
 
+    @classmethod
+    def of_sites(cls, mean_kind: str, fields, covs, spec: GridSpec, sites) -> "CellTable":
+        """:meth:`of_grids` at the cell of every one of the site records
+        ``sites`` in grid ``spec``."""
+        cells = cell_indices(sites.x, sites.y, spec, sites.site_id)
+        return cls.of_grids(mean_kind, fields, covs, cells)
+
     def positions(self, cells) -> np.ndarray:
         """Column of each grid cell in the source arrays.  A cell the table
         does not hold is a ``ValueError``: the table was recorded by ``fit``
@@ -296,14 +327,14 @@ def assemble_design(
     fields: dict,
     covs: dict,
     observations,
-    stations: dict,
+    sites,
 ) -> DesignMatrix:
     """Build the regression design for ``variant`` from whole grids.
 
     ``fields`` maps (pollutant j, day) to its GridField, and J is one more
     than the largest j there; ``covs`` maps (j, day) to the field's
     (B, ncells) spectral covariate array.  Their values are gathered at the
-    cells of the observations' stations; the rows are those of
+    cells of the stations ``sites``; the rows are those of
     :func:`table_design`.
 
     Raises a configuration ``ValueError`` when a needed field or covariate
@@ -316,15 +347,13 @@ def assemble_design(
     if not len(observations):
         raise ValueError("no observations to assemble")
     spec = next(iter(fields.values())).spec
-    site_id = as_records(observations).site_id
-    cells = cell_indices(*station_coords(stations, site_id), spec, site_id)
     return table_design(
         variant,
-        CellTable.of_grids(variant.mean_kind, fields, covs, cells),
+        CellTable.of_sites(variant.mean_kind, fields, covs, spec, sites),
         max(j for j, _ in fields) + 1,
         spec,
         observations,
-        stations,
+        sites,
     )
 
 
@@ -334,16 +363,16 @@ def table_design(
     n_gridded: int,
     spec: GridSpec,
     observations,
-    stations: dict,
+    sites,
 ) -> DesignMatrix:
     """The regression design for ``variant``, its values read from ``table``.
 
     J is ``n_gridded``; for SD variants B is read from the table's arrays.
-    ``stations`` maps site_id to Station, and ``spec`` places them in grid
-    cells.  The assembly is deterministic: rows follow the order of
-    ``observations`` (records or a list of their rows); columns are
-    intercepts for k = 0..K-1 followed by each
-    k's covariate block ordered by (j, b).
+    The site records ``sites`` hold the observations' sites, and ``spec``
+    places them in grid cells.  The assembly is deterministic: rows follow
+    the order of ``observations`` (records or a list of their rows);
+    columns are intercepts for k = 0..K-1 followed by each k's covariate
+    block ordered by (j, b).
     """
     if not len(observations):
         raise ValueError("no observations to assemble")
@@ -361,7 +390,7 @@ def table_design(
             else:
                 columns.extend(ColumnMeta("covariate", k, j, b) for b in range(B))
 
-    row_x, row_y = station_coords(stations, obs.site_id)
+    row_x, row_y = station_coords(sites, obs.site_id)
     row_day, row_pol = np.array(obs.day), np.array(obs.pollutant_id)
     cells = cell_indices(row_x, row_y, spec, obs.site_id)
     p = len(columns)

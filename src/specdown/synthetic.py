@@ -19,7 +19,7 @@ from .filters import build_covariates, make_basis
 from .grid import GridField, GridSpec, frequency_lattice
 from .inference import derive_rng
 from .lmc import Coregionalization, DayBlocks, SpatialDecay, StackedLayout
-from .stations import Station, cell_indices, observation_records, station_coords
+from .stations import cell_indices, observation_records, site_measures, site_records
 
 __all__ = [
     "FieldSpectrum",
@@ -126,7 +126,7 @@ class SyntheticTruth:
     config: SimConfig
     fields: dict  # (j, day) -> GridField
     covariates: dict  # (j, day) -> read-only (B, ncells) spectral covariates
-    stations: dict  # site_id -> Station
+    sites: np.recarray  # site records, S000 onwards
     observations: np.recarray
     true_mean: np.ndarray  # per observation, log scale
     true_w: np.ndarray  # per observation
@@ -166,7 +166,8 @@ def simulate_fields(config: SimConfig) -> dict:
     return fields
 
 
-def _station_layout(config: SimConfig, rng) -> dict:
+def _station_layout(config: SimConfig, rng) -> np.recarray:
+    """Sites S000 onwards, uniform in the grid, stratified by ``strata_mix``."""
     n = config.n_stations
     K = config.n_observed
     extent = config.spec.extent_km
@@ -174,39 +175,33 @@ def _station_layout(config: SimConfig, rng) -> dict:
     ys = rng.uniform(0.0, extent[1], size=n)
     counts = [int(np.floor(m * n)) for m in config.strata_mix]
     counts[0] += n - sum(counts)
-    species = frozenset(range(1, K)) if K > 1 else frozenset([0])
     if K == 1 and counts[1] > 0:
         warnings.warn("single pollutant: species-only stations measure it too", stacklevel=2)
-    measure_sets = (
-        [frozenset([0])] * counts[0]
-        + [species] * counts[1]
-        + [frozenset(range(K))] * counts[2]
-    )
-    stations = {}
-    for i in range(n):
-        sid = f"S{i:03d}"
-        stations[sid] = Station(site_id=sid, x=float(xs[i]), y=float(ys[i]), measures=measure_sets[i])
-    return stations
+    held = np.zeros((n, K), dtype=bool)
+    held[: counts[0], 0] = True
+    held[counts[0] : counts[0] + counts[1], 1 if K > 1 else 0 :] = True
+    held[counts[0] + counts[1] :] = True
+    return site_records([f"S{i:03d}" for i in range(n)], xs, ys, (np.arange(K), held))
 
 
 def simulate_stations(config: SimConfig, fields: dict):
     """Place stations, build the true mean, add residual field and noise.
 
-    Returns (stations, observations, truth).  Observation order is canonical:
-    ascending (day, pollutant, site).
+    Returns (sites, observations, truth), the sites as site records.
+    Observation order is canonical: ascending (day, pollutant, site id).
     """
     rng = derive_rng(config.seed, 2)
     spec = config.spec
     K = config.n_observed
     covariates = build_covariates(fields, make_basis(config.basis_size, config.basis_degree))
 
-    stations = _station_layout(config, rng)
-    site_ids = sorted(stations)
-    x, y = station_coords(stations, site_ids)
+    sites = _station_layout(config, rng)
+    by_id = np.argsort(sites.site_id)
+    site_ids, x, y = sites.site_id[by_id], sites.x[by_id], sites.y[by_id]
     cell_index = cell_indices(x, y, spec, site_ids)
     gap = CADENCE_GAP[config.cadence]
     offsets = rng.integers(0, gap, size=len(site_ids))
-    measures = np.array([[k in stations[sid].measures for k in range(K)] for sid in site_ids])
+    measures = site_measures(sites)[1][by_id]  # (station, k) for k = 0..K-1
 
     # the residual field is drawn for every (station, pollutant), observed or
     # not, so every day shares one layout and one factor of its LMC block
@@ -250,13 +245,13 @@ def simulate_stations(config: SimConfig, fields: dict):
         config=config,
         fields=fields,
         covariates=covariates,
-        stations=stations,
-        observations=observation_records(np.array(site_ids)[pos], day, k, np.concatenate(values)),
+        sites=sites,
+        observations=observation_records(site_ids[pos], day, k, np.concatenate(values)),
         true_mean=np.concatenate(true_mean),
         true_w=np.concatenate(true_w),
         w_days=w_days,
     )
-    return stations, truth.observations, truth
+    return sites, truth.observations, truth
 
 
 def simulate(config: SimConfig) -> SyntheticTruth:

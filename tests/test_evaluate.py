@@ -33,12 +33,13 @@ from specdown.stations import (
     ColumnMeta,
     DesignMatrix,
     ModelVariant,
-    Station,
     assemble_design,
     cell_indices,
     observation_records,
     records,
+    site_records,
     standardize,
+    station_coords,
 )
 
 
@@ -53,25 +54,45 @@ def _targets(*rows):
 
 
 def _stations(n_total=10, n_species=5, n_both=5, seed=0):
+    """Site records of total-only, species-only and both-measuring
+    stations, S000 onwards in that order."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n_total + n_species + n_both):
-        if i < n_total:
-            measures = frozenset([0])
-        elif i < n_total + n_species:
-            measures = frozenset([1])
-        else:
-            measures = frozenset([0, 1])
-        out.append(
-            Station(f"S{i:03d}", float(rng.uniform(0, 100)), float(rng.uniform(0, 100)), measures)
+    n = n_total + n_species + n_both
+    xy = rng.uniform(0, 100, (n, 2))  # the x, y pairs drawn station by station
+    held = np.zeros((n, 2), dtype=bool)
+    held[:n_total, 0] = held[n_total:, 1] = held[n_total + n_species :, 0] = True
+    return site_records([f"S{i:03d}" for i in range(n)], xy[:, 0], xy[:, 1], ([0, 1], held))
+
+
+def _folds(sites, *args, **kwargs):
+    """``cv_split``'s fold of each site, by site id."""
+    return dict(zip(sites.site_id.tolist(), cv_split(sites, *args, **kwargs).tolist()))
+
+
+def _dict_cv_split(measures: dict, folds, seed):
+    """Reference: the split over a {site_id: measures} dict that the
+    columns replaced, each stratum sorted by site id and dealt in one
+    permutation."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+    assignment = {}
+    for stratum in ("total-only", "species-only", "both"):
+        members = sorted(
+            sid
+            for sid, m in measures.items()
+            if {(True, True): "both", (True, False): "total-only", (False, True): "species-only"}[
+                (0 in m, any(k != 0 for k in m))
+            ]
+            == stratum
         )
-    return out
+        for pos, idx in enumerate(rng.permutation(len(members))):
+            assignment[members[idx]] = pos % folds
+    return assignment
 
 
 class TestCvSplit:
     def test_balanced_strata(self):
         stations = _stations(10, 10, 10)
-        folds = cv_split(stations, folds=5, seed=1)
+        folds = _folds(stations, folds=5, seed=1)
         assert set(folds.values()) == set(range(5))
         for stratum_range in (range(10), range(10, 20), range(20, 30)):
             ids = [f"S{i:03d}" for i in stratum_range]
@@ -81,12 +102,12 @@ class TestCvSplit:
 
     def test_same_seed_same_assignment(self):
         stations = _stations()
-        assert cv_split(stations, 5, seed=3) == cv_split(stations, 5, seed=3)
+        assert np.array_equal(cv_split(stations, 5, seed=3), cv_split(stations, 5, seed=3))
 
     def test_partition(self):
         stations = _stations(7, 4, 6)
-        folds = cv_split(stations, folds=5, seed=2)
-        assert set(folds) == {s.site_id for s in stations}
+        folds = _folds(stations, folds=5, seed=2)
+        assert set(folds) == set(stations.site_id.tolist())
 
     def test_small_stratum_warns(self):
         stations = _stations(10, 2, 10)
@@ -97,9 +118,21 @@ class TestCvSplit:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_fold_properties_any_seed(self, seed):
         stations = _stations(11, 6, 8)
-        folds = cv_split(stations, folds=5, seed=seed)
-        assert set(folds) == {s.site_id for s in stations}
+        folds = _folds(stations, folds=5, seed=seed)
+        assert set(folds) == set(stations.site_id.tolist())
         assert all(0 <= f < 5 for f in folds.values())
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_folds_match_the_dict_reference_on_shuffled_sites(self, seed):
+        # three strata in shuffled order; the folds are those of the dict
+        # loop, whatever the order of the records
+        rng = np.random.default_rng(seed)
+        strata = [{0}] * 9 + [{1, 2}] * 6 + [{0, 2}] * 7 + [{2}] * 3
+        rows = [(f"S{i}", float(i), 1.0, strata[i]) for i in rng.permutation(len(strata))]
+        measures = {sid: m for sid, _, _, m in rows}
+        held = [[k in m for k in (0, 1, 2)] for *_, m in rows]
+        sites = site_records([r[0] for r in rows], [r[1] for r in rows], 1.0, ([0, 1, 2], held))
+        assert _folds(sites, 4, seed=seed) == _dict_cv_split(measures, 4, seed)
 
 
 class TestSplitSeason:
@@ -130,15 +163,15 @@ def _fitted_setup(seed=0, tau2=0.04, l11=0.4, n_sites=25, phi=0.05, n_iter=900, 
         f = GridField(spec, rng.standard_normal(64), 0, d)
         fields[(0, d)] = f
         covs[(0, d)] = spectral_covariates(f, basis)
-    stations = {
-        f"s{i}": Station(f"s{i}", float(rng.uniform(0, 96)), float(rng.uniform(0, 96)), frozenset([0]))
-        for i in range(n_sites)
-    }
-    sids = sorted(stations)
+    xy = np.array([(rng.uniform(0, 96), rng.uniform(0, 96)) for _ in range(n_sites)])
+    names = [f"s{i}" for i in range(n_sites)]
+    stations = site_records(names, xy[:, 0], xy[:, 1], ([0], np.ones((n_sites, 1))))
+    by_id = np.argsort(stations.site_id)
+    sids = stations.site_id[by_id].tolist()
     layout = StackedLayout(
         day=np.repeat(days, n_sites),
         pollutant=np.zeros(len(days) * n_sites, int),
-        coords=np.tile(np.array([[stations[s].x, stations[s].y] for s in sids]), (len(days), 1)),
+        coords=np.tile(xy[by_id], (len(days), 1)),
     )
     w = sample_w(layout, Coregionalization(np.array([[l11]])), SpatialDecay(phi), rng)
     beta0, slope = 1.0, 0.8
@@ -199,7 +232,7 @@ class TestPredict:
             tau2=1e-12, n_iter=700, fix_nugget=1e-12
         )
         some = [o for o in obs if o.day == 2][:6]
-        xy = [(stations[o.site_id].x, stations[o.site_id].y) for o in some]
+        xy = zip(*station_coords(stations, [o.site_id for o in some]))
         targets = _targets(*((x, y, 0, 2, "interpolation", o.site_id) for (x, y), o in zip(xy, some)))
         results = predict(post, targets, ctx, np.random.default_rng(0))
         for res, o in zip(results, some):
@@ -209,12 +242,10 @@ class TestPredict:
         # the unconditioned residual field must widen forecasts relative to
         # kriging-conditioned interpolation at the same site
         spec, stations, obs, post, ctx, _ = _fitted_setup(tau2=0.01, l11=0.8, n_iter=900)
-        sid = sorted(stations)[0]
-        st_ = stations[sid]
+        first = np.argmin(stations.site_id)
+        sid, x, y = stations.site_id[first], stations.x[first], stations.y[first]
         rng = np.random.default_rng(1)
-        interp = predict(
-            post, _targets((st_.x, st_.y, 0, 2, "interpolation", sid)), ctx, rng
-        )[0]
+        interp = predict(post, _targets((x, y, 0, 2, "interpolation", sid)), ctx, rng)[0]
         # forecast from the same posterior at a test day
         ctx_fore = PredictionContext(
             design=ctx.design,
@@ -222,9 +253,7 @@ class TestPredict:
             train_days=(1, 2),
             table=ctx.table,
         )
-        fore = predict(
-            post, _targets((st_.x, st_.y, 0, 3, "forecast", sid)), ctx_fore, rng
-        )[0]
+        fore = predict(post, _targets((x, y, 0, 3, "forecast", sid)), ctx_fore, rng)[0]
         assert (fore.hi_log - fore.lo_log) >= (interp.hi_log - interp.lo_log)
 
     def test_kriging_weights_match_direct_solve(self):
@@ -253,7 +282,7 @@ class TestPredict:
         spec = GridSpec(8, 8, 12.0)
         field = GridField(spec, np.zeros(64), 0, 1)
         variant = ModelVariant("LD", False, True)
-        stations = {f"s{i}": Station(f"s{i}", x, y, frozenset([0])) for i, (x, y) in enumerate(sites)}
+        stations = site_records(["s0", "s1", "s2"], sites[:, 0], sites[:, 1], ([0], np.ones((3, 1))))
         obs = _obs(*((f"s{i}", 1, 0, v) for i, v in enumerate(y_vals)))
         design = assemble_design(variant, {(0, 1): field}, [], obs, stations)
         ctx = PredictionContext(
@@ -391,18 +420,17 @@ def _kriging_setup(seed=5, I=12, K=2, train_days=(1, 2, 3), same_sites=False):
     fields = {
         (j, d): GridField(spec, rng.standard_normal(64), j, d) for j in range(K) for d in days
     }
-    stations = {
-        f"s{i}": Station(
-            f"s{i}", float(rng.uniform(0, 96)), float(rng.uniform(0, 96)), frozenset({i % K, 0})
-        )
-        for i in range(10)
-    }
+    xy = np.array([(rng.uniform(0, 96), rng.uniform(0, 96)) for _ in range(10)])
+    held = np.arange(K) == (np.arange(10) % K)[:, None]
+    held[:, 0] = True
+    stations = site_records([f"s{i}" for i in range(10)], xy[:, 0], xy[:, 1], (np.arange(K), held))
+    by_id = np.argsort(stations.site_id)
     obs = _obs(
         *(
-            (sid, d, k, float(rng.standard_normal()))
+            (stations.site_id[i], d, k, float(rng.standard_normal()))
             for d in train_days
-            for sid in sorted(stations)[: 8 if same_sites else 6 + d]
-            for k in sorted(stations[sid].measures)
+            for i in by_id[: 8 if same_sites else 6 + d]
+            for k in np.flatnonzero(held[i]).tolist()
         )
     )
     variant = ModelVariant("LD", True, True)

@@ -1,6 +1,7 @@
 """Posterior, grid, station and station-cell files: write -> read round
 trips and faults; run configuration loading."""
 
+import importlib.util
 import json
 import re
 import struct
@@ -28,7 +29,7 @@ from specdown.fileio import (
 )
 from specdown.grid import GridField, GridSpec
 from specdown.inference import BatchPosterior, McmcConfig, Priors
-from specdown.stations import CellTable, Station, observation_records
+from specdown.stations import CellTable, observation_records, site_measures, site_records
 
 # printable names, commas and quotes included: parameter labels such as
 # beta[k=0,j=0,b=0] hold commas
@@ -38,6 +39,15 @@ NAME = st.text(
     max_size=12,
 )
 FINITE = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+def _cmp_artifacts():
+    """The artifact-comparison tool, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "cmp_artifacts.py"
+    spec = importlib.util.spec_from_file_location("cmp_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite
@@ -338,10 +348,11 @@ class TestStationFile:
             "B,25.0,35.0,1,7,4.0",
         )
         assert dropped == 0
-        assert list(stations) == ["B", "A"]
-        assert (stations["B"].x, stations["B"].y) == (25.0, 35.0)
-        assert stations["B"].measures == frozenset({1, 7})
-        assert stations["A"].measures == frozenset({0})
+        assert stations.site_id.tolist() == ["B", "A"]
+        assert (stations.x[0], stations.y[0]) == (25.0, 35.0)
+        ids, held = site_measures(stations)
+        assert ids.tolist() == [0, 1, 7]
+        assert held.tolist() == [[False, True, True], [True, False, False]]
         assert [(o.site_id, o.day, o.pollutant_id) for o in obs] == [
             ("B", 2, 1),
             ("A", 1, 0),
@@ -360,13 +371,14 @@ class TestStationFile:
         assert dropped == 2
         assert [(o.day, o.pollutant_id) for o in obs] == [(1, 1)]
         # the pollutant whose only values were dropped is still measured
-        assert stations["A"].measures == frozenset({0, 1})
+        assert stations.dtype.names[3:] == ("k0", "k1")
+        assert stations.k0.tolist() == stations.k1.tolist() == [True]
 
     def test_long_site_id_is_kept_whole(self, tmp_path):
         _, (stations, obs, _) = self._parse(
             tmp_path, "A,5.0,5.0,1,PM25,2.0", "STATION_WITH_A_LONG_ID,15.0,5.0,1,PM25,3.0"
         )
-        assert sorted(stations) == ["A", "STATION_WITH_A_LONG_ID"]
+        assert stations.site_id.tolist() == ["A", "STATION_WITH_A_LONG_ID"]
         assert [o.site_id for o in obs] == ["A", "STATION_WITH_A_LONG_ID"]
 
     def test_bad_header(self, tmp_path):
@@ -495,6 +507,38 @@ class TestRunConfig:
             RunConfig.from_json(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize(
+        "data,match",
+        [
+            # each once ran a 32-wide grid, simulated 1 day, was accepted,
+            # or failed later with a TypeError naming no key
+            ({"simulate": {"nx": 32.5}}, "config key 'simulate.nx' must be int, got 32.5"),
+            ({"simulate": {"days": True}}, "config key 'simulate.days' must be int, got true"),
+            ({"mcmc": {"adapt": 1}}, "config key 'mcmc.adapt' must be bool, got 1"),
+            ({"mcmc": {"iterations": "100"}}, "config key 'mcmc.iterations' must be int, got \"100\""),
+            ({"priors": {"beta_sd": "big"}}, "config key 'priors.beta_sd' must be float, got \"big\""),
+            ({"priors": {"nugget_scale": False}}, "config key 'priors.nugget_scale' must be float, got false"),
+            ({"simulate": {"cadence": 3}}, "config key 'simulate.cadence' must be str, got 3"),
+        ],
+        ids=["nx-float", "days-bool", "adapt-int", "iterations-str", "beta_sd-str", "float-bool", "cadence-int"],
+    )
+    def test_section_entry_of_wrong_type_names_the_key(self, tmp_path, data, match):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(match)) as err:
+            RunConfig.from_json(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_the_bench_and_tool_configs_parse(self, tmp_path):
+        tool = _cmp_artifacts()
+        configs = [spec["config"] for spec in tool.bench_literal("WORKLOADS").values()]
+        configs += [tool.bench_literal("PROBE_CONFIG"), {"mcmc": tool.bench_literal("PROBE_MCMC")}]
+        configs += [overrides for _, overrides, _ in tool.cases().values()]
+        path = tmp_path / "config.json"
+        for config in configs:
+            path.write_text(json.dumps(config), encoding="utf-8")
+            assert RunConfig.from_json(path).seed == RunConfig().seed
+
     def test_int_stands_for_a_float(self, tmp_path):
         path = tmp_path / "config.json"
         data = {"simulate": {"dx": 12, "beta0": [1, 2]}, "priors": {"beta_sd": 3}, "jobs": 1}
@@ -562,9 +606,9 @@ class TestStationRecords:
     def test_round_trip(self, tmp_path):
         stations, obs, dropped = _station_records(tmp_path)
         back, back_obs, meta = read_station_records(tmp_path)
-        assert back == stations and list(back) == list(stations)
-        assert back["B"].measures == frozenset({0, 1, 7})  # pollutant 0's value was dropped
-        assert "STATION_WITH_A_LONG_ID" in back
+        assert back.dtype == stations.dtype and np.array_equal(back, stations)
+        assert (back.k0[0], back.k1[0], back.k7[0]) == (True, True, True)  # pollutant 0's value was dropped
+        assert back.site_id.tolist() == ["B", "STATION_WITH_A_LONG_ID"]
         assert back_obs.dtype == obs.dtype and np.array_equal(back_obs, obs)
         assert back_obs.site_id.tolist() == ["B", "STATION_WITH_A_LONG_ID", "B"]
         assert meta == {"sha256": "0" * 64, "stations": 2, "observations": 3, "dropped": dropped}
@@ -580,15 +624,13 @@ class TestStationRecords:
         data=st.data(),
     )
     def test_round_trip_of_any_records(self, ids, data):
-        stations = {
-            sid: Station(
-                sid,
-                data.draw(FINITE),
-                data.draw(FINITE),
-                frozenset(data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=4))),
-            )
-            for sid in ids
-        }
+        xs, ys, measures = [], [], []
+        for _ in ids:
+            xs.append(data.draw(FINITE))
+            ys.append(data.draw(FINITE))
+            measures.append(data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=4)))
+        held = [[k in m for k in range(13)] for m in measures]
+        stations = site_records(ids, xs, ys, (range(13), held))
         rows = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 400), FINITE)))
         obs = observation_records(
             [r[0] for r in rows], [r[1] for r in rows], [0] * len(rows), [r[2] for r in rows]
@@ -596,7 +638,7 @@ class TestStationRecords:
         with tempfile.TemporaryDirectory() as tmp:
             write_station_records(stations, obs, 0, "ab", tmp)
             back, back_obs, _ = read_station_records(tmp)
-        assert back == stations and list(back) == list(stations)
+        assert back.dtype == stations.dtype and np.array_equal(back, stations)
         assert back_obs.dtype == obs.dtype and np.array_equal(back_obs, obs)
 
     @pytest.mark.parametrize("name", ["sites.npy", "observations.npy", "sites.json"])
@@ -623,6 +665,27 @@ class TestStationRecords:
             dtype = [(n, kind if n == field else body.dtype[n]) for n in body.dtype.names]
             np.save(path, body.astype(dtype), allow_pickle=False)
         with pytest.raises(ParseError) as err:
+            read_station_records(tmp_path)
+        assert str(path) in str(err.value)
+
+    def test_repeated_site_id_names_the_file(self, tmp_path):
+        _station_records(tmp_path)
+        path = tmp_path / "sites.npy"
+        body = np.load(path)
+        body["site_id"][1] = body["site_id"][0]
+        np.save(path, body, allow_pickle=False)
+        with pytest.raises(ParseError, match="site id B is repeated") as err:
+            read_station_records(tmp_path)
+        assert str(path) in str(err.value)
+
+    def test_observation_of_an_unrecorded_site_names_the_file(self, tmp_path):
+        # predict once failed with a bare KeyError naming the site alone
+        _station_records(tmp_path)
+        path = tmp_path / "observations.npy"
+        body = np.load(path)
+        body["site_id"][1] = "S999"
+        np.save(path, body, allow_pickle=False)
+        with pytest.raises(ParseError, match="site S999 is not among the stations") as err:
             read_station_records(tmp_path)
         assert str(path) in str(err.value)
 

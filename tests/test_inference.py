@@ -465,24 +465,23 @@ class TestMakeBatches:
     def _design(self, n_days=8, per_day=6):
         from specdown.stations import (
             ModelVariant as MV,
-            Station,
             assemble_design,
             observation_records,
+            site_records,
         )
         from specdown.grid import GridField, GridSpec
 
         rng = np.random.default_rng(0)
         spec = GridSpec(4, 4, 12.0)
-        stations = {
-            f"s{i}": Station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), frozenset([0]))
-            for i in range(per_day)
-        }
+        sids = [f"s{i}" for i in range(per_day)]
+        xy = np.array([(rng.uniform(0, 48), rng.uniform(0, 48)) for _ in sids])
+        sites = site_records(sids, xy[:, 0], xy[:, 1], ([0], np.ones((per_day, 1))))
         fields = {
             (0, d): GridField(spec, rng.standard_normal(16), 0, d) for d in range(1, n_days + 1)
         }
-        rows = [(sid, d, 0, float(rng.standard_normal())) for d in range(1, n_days + 1) for sid in stations]
+        rows = [(sid, d, 0, float(rng.standard_normal())) for d in range(1, n_days + 1) for sid in sids]
         obs = observation_records(*zip(*rows))
-        design = assemble_design(MV("LD", False, False), fields, [], obs, stations)
+        design = assemble_design(MV("LD", False, False), fields, [], obs, sites)
         return design, np.array([o.value for o in obs])
 
     def test_partial_batch_dropped_with_warning(self):

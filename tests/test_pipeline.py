@@ -24,12 +24,9 @@ from specdown.pipeline import (
     load_fields,
     targets_for,
 )
-from specdown.stations import Station, observation_records
+from specdown.stations import observation_records, site_records
 
-STATIONS = {
-    "b": Station("b", 30.0, 40.0, frozenset([1, 0])),
-    "a": Station("a", 10.0, 20.0, frozenset([0])),
-}
+STATIONS = site_records(["b", "a"], [30.0, 10.0], [40.0, 20.0], ([0, 1], [[True, True], [True, False]]))
 
 
 class TestTargetsFor:
@@ -55,6 +52,46 @@ class TestTargetsFor:
             ("b", 2, 0),
         ]
         assert targets[1].x == 10.0 and targets[1].mode == "interpolation"
+
+    @staticmethod
+    def _dict_targets(stations, days, observations=None):
+        """Reference: (day, site_id, pollutant, x, y) of each target by the
+        loop over a {site_id: ((x, y), measures)} dict that the columns
+        replaced."""
+        if observations is None:
+            return [
+                (d, sid, k, *stations[sid][0])
+                for d in days
+                for sid in sorted(stations)
+                for k in sorted(stations[sid][1])
+            ]
+        return [
+            (o.day, o.site_id, o.pollutant_id, *stations[o.site_id][0])
+            for o in observations
+            if o.day in days
+        ]
+
+    @pytest.mark.parametrize("with_observations", [False, True], ids=["stations", "observations"])
+    def test_order_matches_the_dict_reference(self, with_observations):
+        # ids whose code-point order differs from their digits' and case's
+        rng = np.random.default_rng(8)
+        names = [f"S{i}" for i in range(12)] + ["a", "B", "\u00e9t\u00e9", "Z9", "z10"]
+        stations = {}
+        for i in rng.permutation(len(names)):
+            xy = (rng.uniform(0, 96), rng.uniform(0, 96))
+            stations[names[i]] = xy, set(rng.choice(4, rng.integers(1, 4), replace=False).tolist())
+        held = [[k in m for k in range(4)] for _, m in stations.values()]
+        xy = np.array([c for c, _ in stations.values()])
+        sites = site_records(list(stations), xy[:, 0], xy[:, 1], (range(4), held))
+        days = (9, 3, 4)
+        obs = None
+        if with_observations:
+            rows = [(sid, int(d), k) for sid, (_, m) in stations.items() for d in (2, 3, 4, 9) for k in m]
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+            obs = observation_records(*zip(*rows), 0.0)
+        targets = targets_for(sites, days, "forecast", obs)
+        got = [(t.day, t.site_id, t.pollutant_id, t.x, t.y) for t in targets]
+        assert got == self._dict_targets(stations, days, obs)
 
 
 class TestAggregate:
@@ -309,8 +346,7 @@ class TestStationCellTable:
         covs = {}
         if variant.mean_kind == "SD":
             covs = pipeline.build_covariates(fields, basis, cfg.center)
-        xy = np.array([(s.x, s.y) for s in sites.values()])
-        cells = stations.cell_indices(xy[:, 0], xy[:, 1], spec)
+        cells = stations.cell_indices(sites.x, sites.y, spec)
         table = stations.CellTable.of_grids(variant.mean_kind, fields, covs, cells)
         out = Path(cfg.output_dir)
         recorded = fileio.read_cell_table(out / "station_cells.npy")
@@ -399,8 +435,8 @@ class TestStationRecords:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             parsed = fileio.parse_station_file(cfg.stations_file, GridSpec(16, 16, 12.0))
-        recorded_stations, recorded_obs, meta = fileio.read_station_records(cfg.output_dir)
-        assert recorded_stations == parsed[0]
+        recorded_sites, recorded_obs, meta = fileio.read_station_records(cfg.output_dir)
+        assert recorded_sites.dtype == parsed[0].dtype and np.array_equal(recorded_sites, parsed[0])
         assert np.array_equal(recorded_obs, parsed[1])
         assert meta["dropped"] == parsed[2]
         digest = hashlib.sha256(Path(cfg.stations_file).read_bytes()).hexdigest()
@@ -453,8 +489,7 @@ class TestStationCellsOnly:
         cfg = _tiny_config(tiny_data, tmp_path, folds=2)
         spec = GridSpec(16, 16, 12.0)
         sites, _, _ = fileio.parse_station_file(cfg.stations_file, spec, cfg.pollutants)
-        xy = np.array([(s.x, s.y) for s in sites.values()])
-        held = set(stations.cell_indices(xy[:, 0], xy[:, 1], spec).tolist())
+        held = set(stations.cell_indices(sites.x, sites.y, spec).tolist())
         stages = {
             "fit": lambda: (cmd_fit(cfg), cmd_combine(cfg)),
             "forecast": lambda: cmd_predict(cfg, "forecast"),

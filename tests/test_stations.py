@@ -1,4 +1,4 @@
-"""Station model, variants, design assembly, standardization."""
+"""Site records, variants, design assembly, standardization."""
 
 import numpy as np
 import pytest
@@ -10,26 +10,32 @@ from specdown.stations import (
     CellTable,
     ModelVariant,
     OutOfGridError,
-    Station,
     assemble_design,
     cell_indices,
     coef_to_raw,
     design_rows,
     observation_records,
+    site_measures,
+    site_records,
     standardize,
+    station_coords,
     variant_from_name,
 )
 
 SPEC = GridSpec(4, 4, 12.0)
 
 
-def _station(sid, x, y, measures=(0,)):
-    return Station(site_id=sid, x=x, y=y, measures=frozenset(measures))
+def _sites(*rows):
+    """Site records of (site_id, x, y, measures) rows, measures a set of
+    pollutant ids."""
+    ids = sorted({k for *_, measures in rows for k in measures})
+    site_id, x, y, measures = zip(*rows)
+    return site_records(site_id, x, y, (ids, [[k in m for k in ids] for m in measures]))
 
 
-def cell_lookup(station, spec):
+def cell_lookup(x, y, spec):
     """Cell of one station, looked up on its own."""
-    return int(cell_indices([station.x], [station.y], spec, [station.site_id])[0])
+    return int(cell_indices([x], [y], spec, ["a"])[0])
 
 
 def _obs(*rows):
@@ -73,24 +79,24 @@ class TestVariants:
 
 class TestCellLookup:
     def test_cell_center(self):
-        assert cell_lookup(_station("a", 6.0, 6.0), SPEC) == 0
+        assert cell_lookup(6.0, 6.0, SPEC) == 0
 
     def test_edge_goes_to_higher_cell(self):
-        assert cell_lookup(_station("a", 12.0, 0.0), SPEC) == 1
+        assert cell_lookup(12.0, 0.0, SPEC) == 1
 
     def test_row_major_order(self):
-        assert cell_lookup(_station("a", 6.0, 18.0), SPEC) == SPEC.nx
+        assert cell_lookup(6.0, 18.0, SPEC) == SPEC.nx
 
     def test_outside_rejected(self):
         with pytest.raises(OutOfGridError):
-            cell_lookup(_station("a", -1.0, 5.0), SPEC)
+            cell_lookup(-1.0, 5.0, SPEC)
         with pytest.raises(OutOfGridError):
-            cell_lookup(_station("a", 48.0, 5.0), SPEC)
+            cell_lookup(48.0, 5.0, SPEC)
 
     def test_array_form_matches_scalar(self):
         x = np.array([6.0, 12.0, 6.0, 0.0, 47.999, 24.0])
         y = np.array([6.0, 0.0, 18.0, 0.0, 47.999, 36.0])
-        expected = [cell_lookup(_station("a", a, b), SPEC) for a, b in zip(x, y)]
+        expected = [cell_lookup(a, b, SPEC) for a, b in zip(x, y)]
         assert cell_indices(x, y, SPEC).tolist() == expected
 
     def test_array_form_names_first_point_outside(self):
@@ -139,25 +145,74 @@ class TestObservationRecords:
         ]
 
 
+class TestSiteRecords:
+    def test_layout_is_that_of_sites_npy(self):
+        sites = _sites(("b", 30.0, 40.0, {7, 0}), ("long_id", 10.0, 20.0, {0}))
+        assert sites.dtype.descr == [
+            ("site_id", "<U7"), ("x", "<f8"), ("y", "<f8"), ("k0", "|b1"), ("k7", "|b1")
+        ]
+        assert sites.site_id.tolist() == ["b", "long_id"]  # the given order
+        ids, held = site_measures(sites)
+        assert ids.tolist() == [0, 7]
+        assert held.tolist() == [[True, True], [True, False]]
+
+    def test_columns_follow_the_ids_in_order(self):
+        sites = site_records(["a"], [1.0], [2.0], ([3, 1], [[False, True]]))
+        assert sites.dtype.names == ("site_id", "x", "y", "k1", "k3")
+        assert (sites.k1[0], sites.k3[0]) == (True, False)
+
+    def test_station_measuring_nothing_is_refused(self):
+        with pytest.raises(ValueError, match="station b measures no pollutant"):
+            site_records(["a", "b"], [1.0, 2.0], [1.0, 2.0], ([0, 1], [[True, False], [False, False]]))
+
+    def test_repeated_site_id_is_refused(self):
+        with pytest.raises(ValueError, match="site id a is repeated"):
+            _sites(("a", 1.0, 1.0, {0}), ("b", 2.0, 2.0, {0}), ("a", 3.0, 3.0, {1}))
+
+
+class TestStationCoords:
+    @staticmethod
+    def _dict_lookup(rows, site_id):
+        """Reference: the lookup through a {site_id: (x, y)} dict that the
+        columns replaced."""
+        table = {sid: (x, y) for sid, x, y, _ in rows}
+        xy = np.array([table[s] for s in site_id], dtype=float).reshape(-1, 2)
+        return xy[:, 0], xy[:, 1]
+
+    def test_values_match_the_dict_lookup(self):
+        rng = np.random.default_rng(4)
+        rows = [(f"S{i}", rng.uniform(0, 48), rng.uniform(0, 48), {0}) for i in rng.permutation(120)]
+        sites = _sites(*rows)
+        site_id = [rows[i][0] for i in rng.integers(0, len(rows), 500)]
+        x, y = station_coords(sites, site_id)
+        ref_x, ref_y = self._dict_lookup(rows, site_id)
+        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+        assert [a.size for a in station_coords(sites, [])] == [0, 0]
+
+    @pytest.mark.parametrize("missing", ["S1", "S00", "A", "Z", ""], ids=repr)
+    def test_an_id_not_among_the_sites_is_named(self, missing):
+        # searchsorted alone would give the neighbour's coordinates
+        sites = _sites(("S0", 1.0, 1.0, {0}), ("S2", 2.0, 2.0, {0}), ("S10", 3.0, 3.0, {0}))
+        with pytest.raises(ValueError, match=f"site {missing} is not among the stations"):
+            station_coords(sites, ["S2", missing, "S0"])
+
+
 class TestAssembleDesign:
     def test_ld_single_pollutant_row(self):
-        stations = {"a": _station("a", 6.0, 6.0)}
+        sites = _sites(("a", 6.0, 6.0, {0}))
         obs = _obs(("a", 1, 0, 0.5))
         fields, _ = _fields_and_covs(SPEC, J=1, days=[1])
-        design = assemble_design(ModelVariant("LD", False, False), fields, [], obs, stations)
+        design = assemble_design(ModelVariant("LD", False, False), fields, [], obs, sites)
         assert design.X.shape == (1, 2)
-        cell = cell_lookup(stations["a"], SPEC)
+        cell = cell_lookup(sites.x[0], sites.y[0], SPEC)
         assert design.X[0, 0] == 1.0
         assert design.X[0, 1] == fields[(0, 1)].values[cell]
 
     def test_sd_cross_column_count(self):
-        stations = {
-            "a": _station("a", 6.0, 6.0, (0, 1)),
-            "b": _station("b", 30.0, 30.0, (0, 1)),
-        }
+        sites = _sites(("a", 6.0, 6.0, {0, 1}), ("b", 30.0, 30.0, {0, 1}))
         obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2), ("b", 1, 0, 0.3), ("b", 1, 1, 0.4))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
-        design = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+        design = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, sites)
         assert design.p == 2 + 2 * 2 * 5
 
     @pytest.mark.parametrize(
@@ -165,49 +220,46 @@ class TestAssembleDesign:
         [("LD", False, 2 + 2), ("LD", True, 2 + 2 * 2), ("SD", False, 2 + 2 * 5), ("SD", True, 2 + 2 * 2 * 5)],
     )
     def test_documented_column_counts(self, mean_kind, cross, expected):
-        stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
+        sites = _sites(("a", 6.0, 6.0, {0, 1}))
         obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
-        design = assemble_design(ModelVariant(mean_kind, cross, False), fields, covs, obs, stations)
+        design = assemble_design(ModelVariant(mean_kind, cross, False), fields, covs, obs, sites)
         assert design.p == expected
 
     def test_sd_columns_nest_in_cross(self):
-        stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
+        sites = _sites(("a", 6.0, 6.0, {0, 1}))
         obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
-        plain = assemble_design(ModelVariant("SD", False, False), fields, covs, obs, stations)
-        cross = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+        plain = assemble_design(ModelVariant("SD", False, False), fields, covs, obs, sites)
+        cross = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, sites)
         plain_cols = {(c.kind, c.k, c.j, c.b) for c in plain.columns}
         cross_cols = {(c.kind, c.k, c.j, c.b) for c in cross.columns}
         assert plain_cols <= cross_cols
         assert all(c.j == c.k for c in plain.columns if c.kind == "covariate")
 
     def test_missing_covariate_is_config_error(self):
-        stations = {"a": _station("a", 6.0, 6.0, (0, 1))}
+        sites = _sites(("a", 6.0, 6.0, {0, 1}))
         obs = _obs(("a", 1, 0, 0.1), ("a", 1, 1, 0.2))
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1])
         covs.pop((1, 1))
         with pytest.raises(ValueError, match="missing covariate"):
-            assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+            assemble_design(ModelVariant("SD", True, False), fields, covs, obs, sites)
 
     def test_deterministic_assembly(self):
         rng = np.random.default_rng(5)
-        stations = {
-            f"s{i}": _station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), (0, 1))
-            for i in range(6)
-        }
+        sites = _sites(*((f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), {0, 1}) for i in range(6)))
         obs = _obs(
             *(
                 (sid, d, k, float(rng.standard_normal()))
                 for d in (1, 2)
-                for sid in stations
+                for sid in sites.site_id.tolist()
                 for k in (0, 1)
             )
         )
         fields, covs = _fields_and_covs(SPEC, J=2, days=[1, 2])
         variant = ModelVariant("SD", True, False)
-        d1 = assemble_design(variant, fields, covs, obs, stations)
-        d2 = assemble_design(variant, fields, covs, obs, stations)
+        d1 = assemble_design(variant, fields, covs, obs, sites)
+        d2 = assemble_design(variant, fields, covs, obs, sites)
         assert np.array_equal(d1.X, d2.X)
         assert d1.columns == d2.columns
 
@@ -220,20 +272,19 @@ class TestDesignRows:
 
     def _setup(self):
         rng = np.random.default_rng(11)
-        stations = {
-            f"s{i}": _station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), (0, 1, 2))
-            for i in range(6)
-        }
+        sites = _sites(
+            *((f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), {0, 1, 2}) for i in range(6))
+        )
         obs = _obs(
             *(
                 (sid, d, k, float(rng.standard_normal()))
                 for d in self.DAYS
-                for sid in stations
+                for sid in sites.site_id.tolist()
                 for k in (0, 1, 2)
             )
         )
         fields, covs = _fields_and_covs(SPEC, J=3, days=self.DAYS)
-        design = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+        design = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, sites)
         cells = cell_indices(design.row_x, design.row_y, SPEC)
         table = CellTable.of_grids("SD", fields, covs, cells)
         # interleave days and pollutants row by row
@@ -292,14 +343,10 @@ class TestDesignRows:
 
 
 def _small_design():
-    stations = {
-        "a": _station("a", 6.0, 6.0),
-        "b": _station("b", 30.0, 6.0),
-        "c": _station("c", 6.0, 30.0),
-    }
+    sites = _sites(("a", 6.0, 6.0, {0}), ("b", 30.0, 6.0, {0}), ("c", 6.0, 30.0, {0}))
     obs = _obs(*((s, 1, 0, 0.1 * i) for i, s in enumerate(("a", "b", "c"))))
     fields, covs = _fields_and_covs(SPEC, J=1, days=[1], B=2, degree=1, seed=9)
-    return assemble_design(ModelVariant("SD", False, False), fields, covs, obs, stations)
+    return assemble_design(ModelVariant("SD", False, False), fields, covs, obs, sites)
 
 
 class TestStandardize:
@@ -352,19 +399,18 @@ class TestStandardize:
         # standardize once built one full-length mask per covariate column;
         # the rows here interleave pollutants and days
         rng = np.random.default_rng(5)
-        stations = {
-            f"s{i}": _station(f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), (0, 1, 2))
-            for i in range(6)
-        }
+        sites = _sites(
+            *((f"s{i}", rng.uniform(0, 48), rng.uniform(0, 48), {0, 1, 2}) for i in range(6))
+        )
         rows = [
             (sid, d, k, float(rng.standard_normal()))
             for d in (1, 2, 3)
-            for sid in stations
+            for sid in sites.site_id.tolist()
             for k in (0, 1, 2)
         ]
         obs = _obs(*(rows[i] for i in rng.permutation(len(rows))))
         fields, covs = _fields_and_covs(SPEC, J=3, days=(1, 2, 3))
-        raw = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, stations)
+        raw = assemble_design(ModelVariant("SD", True, False), fields, covs, obs, sites)
         mean, sd, X = np.zeros(raw.p), np.ones(raw.p), raw.X.copy()
         for idx, col in enumerate(raw.columns):
             if col.kind == "covariate":

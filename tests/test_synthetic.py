@@ -7,7 +7,7 @@ from specdown import lmc
 from specdown.grid import GridSpec
 from specdown.inference import derive_rng
 from specdown.lmc import Coregionalization, SpatialDecay, StackedLayout, chol_pd, sample_w
-from specdown.stations import cell_indices
+from specdown.stations import cell_indices, site_measures
 from specdown.synthetic import (
     CADENCE_GAP,
     FieldSpectrum,
@@ -101,9 +101,14 @@ def _loop_reference(config, covariates):
     one nugget draw per observation."""
     rng = derive_rng(config.seed, 2)
     K = config.n_observed
-    stations = _station_layout(config, rng)
+    sites = _station_layout(config, rng)
+    ids, held = site_measures(sites)
+    stations = {  # site_id -> ((x, y), measures)
+        sid: ((x, y), set(ids[h].tolist()))
+        for sid, x, y, h in zip(sites.site_id.tolist(), sites.x.tolist(), sites.y.tolist(), held)
+    }
     site_ids = sorted(stations)
-    cells = {sid: int(cell_indices([st.x], [st.y], config.spec)[0]) for sid, st in stations.items()}
+    cells = {sid: int(cell_indices([xy[0]], [xy[1]], config.spec)[0]) for sid, (xy, _) in stations.items()}
     gap = CADENCE_GAP[config.cadence]
     offsets = {sid: int(o) for sid, o in zip(site_ids, rng.integers(0, gap, size=len(site_ids)))}
     coreg = Coregionalization(config.coreg) if config.coreg is not None else None
@@ -115,14 +120,12 @@ def _loop_reference(config, covariates):
             layout = StackedLayout(
                 day=np.full(len(site_ids) * K, day),
                 pollutant=np.repeat(np.arange(K), len(site_ids)),
-                coords=np.tile(
-                    np.array([[stations[s].x, stations[s].y] for s in site_ids]), (K, 1)
-                ),
+                coords=np.tile(np.array([stations[s][0] for s in site_ids]), (K, 1)),
             )
             day_w = sample_w(layout, coreg, decay, rng)
         for k in range(K):
             for pos, sid in enumerate(site_ids):
-                if k not in stations[sid].measures or (day - 1 - offsets[sid]) % gap != 0:
+                if k not in stations[sid][1] or (day - 1 - offsets[sid]) % gap != 0:
                     continue
                 mu = config.beta0[k]
                 for j in range(config.n_gridded):
@@ -187,11 +190,12 @@ class TestSimulateStations:
 
     def test_strata_mix(self):
         truth = simulate(_config(n_stations=20, strata_mix=(0.5, 0.25, 0.25)))
+        ids, held = site_measures(truth.sites)
         strata = {"total": 0, "species": 0, "both": 0}
-        for st in truth.stations.values():
-            if st.measures == frozenset([0]):
+        for measures in (set(ids[h].tolist()) for h in held):
+            if measures == {0}:
                 strata["total"] += 1
-            elif 0 not in st.measures:
+            elif 0 not in measures:
                 strata["species"] += 1
             else:
                 strata["both"] += 1
@@ -220,7 +224,7 @@ class TestSimulateStations:
             truth.fields,
             truth.covariates,
             list(truth.observations),
-            truth.stations,
+            truth.sites,
         )
         coef = true_raw_coef(truth, design)
         mean = design.X @ coef

@@ -10,12 +10,16 @@ under this tree's ``src/``, each in its own subprocesses with BLAS at one
 thread: first ``simulate``, whose data files are compared, and then, on
 that run's own data, the workload's stages with ``aggregate`` of the
 forecast predictions after them.  Every file the two runs write is compared
-byte for byte.  The first file that differs, or that only one run wrote, is
-printed and the exit code is 1; when every case matches the exit code is 0.
-``--new NAME`` (repeatable) names a file, by its path relative to a run's
-output directory, that only this tree is expected to write: where only
-this tree's run wrote it, it is listed after the case and not compared.
-Written by both runs, it is compared like any other file.
+byte for byte, and so is each stage's stdout artifact list, its paths made
+relative to the run's directory: the benchmark finds and hashes a stage's
+artifacts from those lines.  The first file that differs, or that only one
+run wrote, or the first stage whose list differs, is printed and the exit
+code is 1; when every case matches the exit code is 0.  ``--new NAME``
+(repeatable) names a file, by its path relative to a run's output
+directory, that only this tree is expected to write: where only this
+tree's run wrote it, it is listed after the case and not compared, and
+left out of that run's stdout lists.  Written by both runs, it is compared
+like any other file.
 
 Cases: desk seeds 1-10, desk with ``simulate.cadence`` "1-in-3" seeds 1-2,
 wide seed 1 and the cv workload of seeds 1-2.  The configurations and
@@ -39,9 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".cmp_work"
 
 
-def bench_workloads() -> dict:
-    """``WORKLOADS`` of ``bench/run.py``, each module-level name it uses
-    replaced by that name's literal value."""
+def bench_literal(name: str):
+    """The module-level literal ``name`` of ``bench/run.py``, such as
+    ``WORKLOADS``, each module-level name it uses replaced by that name's
+    literal value."""
     tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
     assigns = {
         target.id: node.value
@@ -55,7 +60,7 @@ def bench_workloads() -> dict:
         def visit_Name(self, node):
             return self.visit(assigns[node.id])
 
-    return ast.literal_eval(Inline().visit(assigns["WORKLOADS"]))
+    return ast.literal_eval(Inline().visit(assigns[name]))
 
 
 AGGREGATE = ["aggregate", "--predictions", "{out}/predictions_forecast.csv"]
@@ -64,7 +69,7 @@ AGGREGATE = ["aggregate", "--predictions", "{out}/predictions_forecast.csv"]
 def cases() -> dict:
     """Case name -> (seed, config overrides, stages)."""
     out = {}
-    for name, spec in bench_workloads().items():
+    for name, spec in bench_literal("WORKLOADS").items():
         stages = [list(argv) for _, argv in spec["stages"]]
         if ["predict", "--mode", "forecast"] in stages:
             stages.append(AGGREGATE)
@@ -80,32 +85,40 @@ def cases() -> dict:
 
 
 #: Runs the stages given as JSON in argv[1] through ``specdown.cli.main``,
-#: stopping at the first that fails.
+#: stopping at the first that fails, and prints the JSON list of each
+#: stage's stdout lines.
 DRIVER = """
-import json, sys, warnings
+import contextlib, io, json, sys, warnings
 warnings.simplefilter("ignore")
 from specdown import cli
+listed = []
 for argv in json.loads(sys.argv[1]):
-    code = cli.main(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
     if code:
         sys.exit(f"stage {argv} exited {code}")
+    listed.append(out.getvalue().splitlines())
+print(json.dumps(listed))
 """
 
 
-def run(src: Path, argvs: list) -> None:
-    """The CLI invocations ``argvs`` in one subprocess importing ``src``."""
+def run(src: Path, argvs: list, root: Path) -> list:
+    """The CLI invocations ``argvs`` in one subprocess importing ``src``;
+    returns each one's stdout artifact list, its paths relative to
+    ``root``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     done = subprocess.run(
         [sys.executable, "-c", DRIVER, json.dumps(argvs)],
         env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
+        capture_output=True,
         text=True,
     )
     if done.returncode:
         raise SystemExit(f"cmp_artifacts: {src}: {done.stderr.strip()}")
+    return [[os.path.relpath(p, root) for p in lines] for lines in json.loads(done.stdout)]
 
 
 def write_config(path: Path, overrides: dict, data: Path, out: Path) -> Path:
@@ -150,29 +163,46 @@ def first_difference(parent: dict, head: dict, new: set) -> str | None:
     return None
 
 
+def first_listing_difference(stages: list, listed: dict, new: set) -> str | None:
+    """The first of ``stages`` whose stdout artifact list differs between
+    the runs, or None; a path of ``new`` below the run's data or output
+    directory that only the head lists is skipped."""
+    for argv, parent, head in zip(stages, listed["parent"], listed["head"]):
+        head = [p for p in head if p in parent or p.split(os.sep, 1)[-1] not in new]
+        if parent != head:
+            return f"stage {' '.join(argv)}: stdout artifact list differs"
+    return None
+
+
 def compare(name: str, seed: int, overrides: dict, stages: list, srcs: dict, new: set):
     """(what differs first between the runs of one case, or None, and the
     files of ``new`` that only the head wrote): the simulated data first,
-    then the stages' outputs."""
+    then the stages' outputs, each followed by the stdout lists."""
     case = fresh(WORK / name)
-    data, outputs = {}, {}
+    data, outputs, listed = {}, {}, {}
     for label, src in srcs.items():
         sim = case / label / "data"
         sim.mkdir(parents=True)
         sim_cfg = write_config(sim / "config.json", overrides, sim, sim)
-        run(src, [["--config", str(sim_cfg), "--seed", str(seed), "simulate"]])
+        argvs = [["--config", str(sim_cfg), "--seed", str(seed), "simulate"]]
+        listed[label] = run(src, argvs, case / label)
         data[label] = artifacts(sim)
     differs = first_difference(data["parent"], data["head"], new)
     if differs is not None:
         return f"simulate: {differs}", []
+    differs = first_listing_difference([["simulate"]], listed, new)
+    if differs is not None:
+        return differs, []
     for label, src in srcs.items():
         out = case / label / "out"
         out.mkdir()
         cfg = str(write_config(out / "config.json", overrides, case / label / "data", out))
-        run(src, [["--config", cfg] + [a.format(out=out) for a in argv] for argv in stages])
+        argvs = [["--config", cfg] + [a.format(out=out) for a in argv] for argv in stages]
+        listed[label] = run(src, argvs, case / label)
         outputs[label] = artifacts(out)
     only_head = sorted(new & (set(outputs["head"]) - set(outputs["parent"])))
-    return first_difference(outputs["parent"], outputs["head"], new), only_head
+    differs = first_difference(outputs["parent"], outputs["head"], new)
+    return differs or first_listing_difference(stages, listed, new), only_head
 
 
 def main(argv=None) -> int:
